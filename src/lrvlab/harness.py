@@ -74,7 +74,7 @@ from .estimators import (
 from .graphs import generate_graph
 from .inference_tests import cluster_t_rows, sign_test_rows, z_test_rows
 from .likelihood import lr_diagnostics
-from .sampler import sample_rows, sample_rows_and_uniform
+from .sampler import _CHUNK_SCALARS, _chunks, sample_rows, sample_rows_and_uniform
 
 EXPERIMENT_KINDS = (
     "estimator_consistency",
@@ -82,10 +82,6 @@ EXPERIMENT_KINDS = (
     "test_size_power",
     "graph_estimation",
 )
-
-# Scalars drawn per Monte Carlo chunk; fixed so chunk boundaries (and hence
-# floating-point reduction order) never depend on the worker count.
-_CHUNK_SCALARS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -161,6 +157,8 @@ def load_config(source) -> tuple[int, list[ExperimentConfig]]:
             raise InvalidInputError("experiments must be a nonempty list")
         entries = []
         for pos, raw in enumerate(raw_entries):
+            if not isinstance(raw, dict):
+                raise InvalidInputError("experiment entry must be a JSON object")
             if "master_seed" in raw:
                 raise InvalidInputError(
                     "sweep entries must not carry master_seed (set it top-level)"
@@ -181,8 +179,6 @@ def _as_int(value, name: str) -> int:
 
 
 def _parse_entry(raw: dict, seed: int, pos: int) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise InvalidInputError("experiment entry must be a JSON object")
     kind = raw.get("experiment")
     if kind not in EXPERIMENT_KINDS:
         raise InvalidInputError(
@@ -201,7 +197,11 @@ def _parse_entry(raw: dict, seed: int, pos: int) -> ExperimentConfig:
     if reps < 100:
         raise InvalidInputError("replications must be >= 100")
     alpha = float(raw.get("alpha", 0.05))
+    if not (0.0 < alpha < 1.0):
+        raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
     epsilon = float(raw.get("epsilon", 0.1))
+    if not (epsilon > 0.0):
+        raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
     if design.get("id") is None:
         design = dict(design, id=f"{kind}-{pos}")
     return ExperimentConfig(
@@ -327,12 +327,6 @@ def _single_mu(design: dict, sigma_sq: float, n: int) -> float:
     return resolved[0][1]
 
 
-def _chunks(reps: int, n: int):
-    size = max(1, _CHUNK_SCALARS // max(1, n))
-    for lo in range(0, reps, size):
-        yield lo, min(lo + size, reps)
-
-
 def _proportion_se(k: int, reps: int) -> float:
     """Binomial SE with the (k+1/2)/(R+1) shrinkage, strictly positive."""
     p = (k + 0.5) / (reps + 1.0)
@@ -377,7 +371,7 @@ def _run_estimator_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int
             raise InvalidInputError(f"unknown estimator {name!r}")
     reps = entry.replications
     acc = {name: np.empty(reps) for name in names}
-    for lo, hi in _chunks(reps, cs.n):
+    for lo, hi in _chunks(reps, cs.n, _CHUNK_SCALARS):
         X = sample_rows(model, mu_bar, seed, range(lo, hi))
         for name in names:
             acc[name][lo:hi] = _ESTIMATOR_KERNELS[name](X, cs)
@@ -422,7 +416,7 @@ def _run_test_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
 
     reps = entry.replications
     counts = {(name, label): 0 for name in tests for label, _ in mu_points}
-    for lo, hi in _chunks(reps, cs.n + 1):
+    for lo, hi in _chunks(reps, cs.n + 1, _CHUNK_SCALARS):
         X0, u = sample_rows_and_uniform(model, 0.0, seed, range(lo, hi))
         for label, mu_bar in mu_points:
             X = X0 + mu_bar if mu_bar != 0.0 else X0
@@ -457,7 +451,7 @@ def _run_graph_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
             graphs.append((gid, generate_graph(kind, n=cs.n)))
     reps = entry.replications
     acc = {gid: np.empty(reps) for gid, _ in graphs}
-    for lo, hi in _chunks(reps, cs.n):
+    for lo, hi in _chunks(reps, cs.n, _CHUNK_SCALARS):
         X = sample_rows(model, mu_bar, seed, range(lo, hi))
         for gid, g in graphs:
             acc[gid][lo:hi] = graph_rows(X, g)
@@ -539,11 +533,6 @@ def run_sweep(entries, master_seed: int, threads: int = 1) -> ExperimentReport:
         config_sha256=config_hash(master_seed, entries),
         cells=tuple(results),
     )
-
-
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Run a single experiment config (see run_sweep for multi-experiment files)."""
-    return run_sweep([config], config.master_seed, threads=threads)
 
 
 def report_to_dict(report: ExperimentReport) -> dict:

@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
-from scipy.special import ndtri
+from scipy.special import ndtri, stdtrit
 
 from .cluster_model import ClusterStructure
 from .errors import DegenerateDataError, InvalidInputError
@@ -184,4 +183,4 @@ def student_t_quantile(df: int, p: float) -> float:
     p = float(p)
     if not (0.0 < p < 1.0):
         raise InvalidInputError(f"p must lie in (0, 1), got {p}")
-    return float(scipy.stats.t.ppf(p, df))
+    return float(stdtrit(df, p))

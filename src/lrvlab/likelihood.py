@@ -37,14 +37,11 @@ from .cluster_model import (
     build_structure,
 )
 from .errors import FactorizationError, InvalidInputError, ModelInvalidError
-from .sampler import normal_rows
+from .sampler import _CHUNK_SCALARS, _chunks, normal_rows
 
 # Agreement demanded between the two dense log-LR routes (absolute, scaled up
 # by |value| once values leave the unit range).
 _DENSE_AGREEMENT = 1e-8
-
-# Scalars generated per Monte Carlo chunk in lr_diagnostics.
-_CHUNK_SCALARS = 1 << 22
 
 
 def normal_cdf(x) -> np.ndarray | float:
@@ -286,11 +283,9 @@ def lr_diagnostics(model: BlockEquicorrModel, epsilon: float, reps: int, seed: i
     cs = model.structure
     n = cs.n
     w = np.empty(reps, dtype=np.float64)
-    chunk = max(1, _CHUNK_SCALARS // n)
-    for lo in range(0, reps, chunk):
-        ids = range(lo, min(lo + chunk, reps))
-        x = normal_rows(seed, ids, n)
-        w[lo : lo + len(ids)] = loglr_cluster_rows(x, model, 0.0)
+    for lo, hi in _chunks(reps, n, _CHUNK_SCALARS):
+        x = normal_rows(seed, range(lo, hi), n)
+        w[lo:hi] = loglr_cluster_rows(x, model, 0.0)
 
     lr = np.exp(w)
     mean_lr = float(np.mean(lr))

@@ -8,6 +8,13 @@ uniform u = ((w >> 11) + 0.5) * 2**-53, strictly inside (0, 1), and the normal
 is the inverse standard-normal CDF of u.  Determinism across platforms and
 batch sizes is the point; both steps are elementwise.
 
+Batched rows (raw_rows and the row samplers built on it) come from one Philox
+generator per call that is re-keyed for each replication: its key is set to
+the replication's pair and its counter and buffer are reset, which is exactly
+the state a freshly keyed generator starts in.  Row r therefore equals the
+per-replication stream derive_stream(master_seed, ids[r]) word for word,
+without paying for a new generator (and its entropy read) per replication.
+
 Within a cluster of size k with parameter delta, a draw is mixed from iid
 normals g_1..g_k with mean gbar as
 
@@ -30,6 +37,10 @@ from .errors import FactorizationError, InvalidInputError, ModelInvalidError
 
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
+
+# Scalars drawn per Monte Carlo chunk; fixed so chunk boundaries (and hence
+# floating-point reduction order) never depend on the worker count.
+_CHUNK_SCALARS = 1 << 22
 
 
 class RandomStream:
@@ -68,6 +79,44 @@ def _to_uniform(raw: np.ndarray) -> np.ndarray:
 def derive_stream(master_seed: int, replication_id: int) -> RandomStream:
     """The stream owned by one replication of one experiment."""
     return RandomStream(master_seed, replication_id)
+
+
+def raw_rows(master_seed: int, replication_ids, width: int) -> np.ndarray:
+    """The first `width` raw words of each replication's stream, one row each.
+
+    Row r equals derive_stream(master_seed, ids[r]).raw(width) bit for bit.
+    The generator is local to the call, so concurrent calls share no state.
+    """
+    ids = list(replication_ids)
+    width = int(width)
+    out = np.empty((len(ids), width), dtype=np.uint64)
+    key = np.array([int(master_seed) & _U64_MASK, 0], dtype=np.uint64)
+    # The state of a Philox generator that has just been keyed: zero counter,
+    # empty buffer (buffer_pos == 4 forces a refill on the first draw).
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bits = np.random.Philox(key=key)
+    for r, rep in enumerate(ids):
+        key[1] = int(rep) & _U64_MASK
+        bits.state = state
+        out[r] = bits.random_raw(width)
+    return out
+
+
+def _chunks(reps: int, width: int, budget: int):
+    """(lo, hi) replication ranges of about `budget` scalars at `width` per row.
+
+    The boundaries depend only on the arguments, never on the worker count.
+    """
+    size = max(1, budget // max(1, width))
+    for lo in range(0, reps, size):
+        yield lo, min(lo + size, reps)
 
 
 def _mixing_coefficients(model: BlockEquicorrModel):
@@ -125,13 +174,8 @@ def sample_rows(
     bit-for-bit; this entry point just amortizes the inverse-CDF transform and
     the mixing over the batch.
     """
-    n = model.structure.n
-    ids = list(replication_ids)
-    raw = np.empty((len(ids), n), dtype=np.uint64)
-    for r, rep in enumerate(ids):
-        raw[r] = derive_stream(master_seed, rep).raw(n)
-    g = ndtri(_to_uniform(raw))
-    return _mix_rows(g, model, float(mu_bar))
+    raw = raw_rows(master_seed, replication_ids, model.structure.n)
+    return _mix_rows(ndtri(_to_uniform(raw)), model, float(mu_bar))
 
 
 def normal_rows(master_seed: int, replication_ids, n: int) -> np.ndarray:
@@ -139,11 +183,7 @@ def normal_rows(master_seed: int, replication_ids, n: int) -> np.ndarray:
 
     Row r is bit-identical to derive_stream(master_seed, ids[r]).normals(n).
     """
-    ids = list(replication_ids)
-    raw = np.empty((len(ids), int(n)), dtype=np.uint64)
-    for r, rep in enumerate(ids):
-        raw[r] = derive_stream(master_seed, rep).raw(n)
-    return ndtri(_to_uniform(raw))
+    return ndtri(_to_uniform(raw_rows(master_seed, replication_ids, n)))
 
 
 def sample_rows_and_uniform(
@@ -160,10 +200,7 @@ def sample_rows_and_uniform(
     (B, n) and (B,).
     """
     n = model.structure.n
-    ids = list(replication_ids)
-    raw = np.empty((len(ids), n + 1), dtype=np.uint64)
-    for r, rep in enumerate(ids):
-        raw[r] = derive_stream(master_seed, rep).raw(n + 1)
+    raw = raw_rows(master_seed, replication_ids, n + 1)
     g = ndtri(_to_uniform(raw[:, :n]))
     u = _to_uniform(raw[:, n])
     return _mix_rows(g, model, float(mu_bar)), u

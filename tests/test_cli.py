@@ -8,9 +8,14 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lrvlab
 from lrvlab import generate_graph, graph_to_dict
 from lrvlab.cli import main
 
@@ -128,6 +133,38 @@ class TestRun:
         )
         assert code == 1 and err.startswith("lrvlab:")
 
+    def test_non_object_sweep_entry_fails_cleanly(self, tmp_path):
+        path = write_config(tmp_path, {"master_seed": 1, "experiments": [5]})
+        code, out, err = invoke(
+            ["run", "--config", str(path), "--out", str(tmp_path / "x")]
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("lrvlab:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, value", [("alpha", 1.5), ("alpha", 0.0), ("epsilon", 0.0), ("epsilon", -0.1)]
+    )
+    def test_out_of_range_alpha_or_epsilon_fails_cleanly(self, tmp_path, field, value):
+        cfg = {
+            "experiment": "test_size_power",
+            "design": {
+                "structure": {"pattern": "singletons"},
+                "tests": ["z"],
+                "mu": [0.0, 10.0],
+            },
+            "n_grid": [100],
+            "replications": 100,
+            "master_seed": 7100,
+            field: value,
+        }
+        path = write_config(tmp_path, cfg)
+        out_dir = tmp_path / "x"
+        code, out, err = invoke(["run", "--config", str(path), "--out", str(out_dir)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"lrvlab: {field}") and err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_failed_cells_are_reported(self, tmp_path):
         cfg = dict(BASE_CONFIG, n_grid=[11, 10])
         path = write_config(tmp_path, cfg)
@@ -198,3 +235,19 @@ class TestStats:
         path.write_text('{"n": 2, "edges": [[0, 5]]}', encoding="utf-8")
         code, _, err = invoke(["stats", "--graph", str(path)])
         assert code == 1 and err.startswith("lrvlab:")
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """scipy.stats is most of a cold import; the package must not pull it in."""
+    src = str(Path(lrvlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lrvlab.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

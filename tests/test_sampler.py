@@ -5,6 +5,9 @@ against the model covariance with explicit standard-error budgets; exactness
 checks (bit-identical replay, the identity-covariance collapse) use equality.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -22,6 +25,7 @@ from lrvlab import (
 from lrvlab.cluster_model import BlockEquicorrModel, dense_sigma
 from lrvlab.sampler import (
     normal_rows,
+    raw_rows,
     sample_rows,
     sample_rows_and_uniform,
 )
@@ -92,6 +96,59 @@ def test_normal_rows_matches_streams():
     rows = normal_rows(13, range(4), 17)
     for rep in range(4):
         assert_array_equal(rows[rep], derive_stream(13, rep).normals(17))
+
+
+class TestRawRows:
+    """raw_rows re-keys one generator per call; rows must equal fresh streams."""
+
+    @staticmethod
+    def assert_rows_match_streams(seed, ids, width):
+        rows = raw_rows(seed, ids, width)
+        assert rows.shape == (len(ids), width)
+        assert rows.dtype == np.uint64
+        for r, rep in enumerate(ids):
+            assert_array_equal(rows[r], derive_stream(seed, rep).raw(width))
+
+    def test_ids_out_of_order_repeated_and_past_2_63(self):
+        ids = [9, 2, 2, 0, 2**63, 2**63 + 17, 2**64 - 1, 9, -1]
+        self.assert_rows_match_streams(31, ids, 7)
+
+    @pytest.mark.parametrize("seed", [-5, -(2**63), 2**63, 2**64 - 1, 0])
+    def test_negative_and_large_master_seeds(self, seed):
+        self.assert_rows_match_streams(seed, [0, 3, 1, 2**63 + 1], 6)
+
+    # 13 is n + 1 for an n = 12 model: the width a test cell draws.
+    @pytest.mark.parametrize("width", [1, 5, 13])
+    def test_widths(self, width):
+        self.assert_rows_match_streams(2026, list(range(8)) + [4], width)
+
+    def test_concurrent_calls_share_no_generator(self):
+        ids = list(range(400))
+        jobs = {seed: raw_rows(seed, ids, 5) for seed in (101, 202)}
+        results, errors = {}, []
+
+        def work(seed):
+            try:
+                for attempt in range(20):
+                    results[(seed, attempt)] = raw_rows(seed, ids, 5)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in jobs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(results) == 40
+        for (seed, _), rows in results.items():
+            assert_array_equal(rows, jobs[seed])
 
 
 def test_pair_covariance():
