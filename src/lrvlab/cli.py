@@ -12,6 +12,7 @@ environment variable, then the config file's master_seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -62,18 +63,7 @@ def _cmd_run(args) -> int:
     master_seed, entries = load_config(args.config)
     if seed_override is not None:
         master_seed = seed_override
-        entries = [
-            type(e)(
-                experiment=e.experiment,
-                design=e.design,
-                n_grid=e.n_grid,
-                replications=e.replications,
-                alpha=e.alpha,
-                epsilon=e.epsilon,
-                master_seed=master_seed,
-            )
-            for e in entries
-        ]
+        entries = [dataclasses.replace(e, master_seed=master_seed) for e in entries]
     report = run_sweep(entries, master_seed, threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
     written = []

@@ -108,6 +108,21 @@ class BlockEquicorrModel:
     def deltas_array(self) -> np.ndarray:
         return np.asarray(self.deltas, dtype=np.float64)
 
+    @cached_property
+    def residual_groups(self) -> np.ndarray:
+        """The residual group of each block (length M); -1 for singletons.
+
+        Blocks of size >= 2 that share a delta share a group, and groups are
+        numbered 0, 1, ... in order of first appearance.  Residual masses are
+        drawn and evaluated per group (see block_stats).
+        """
+        index = {}
+        groups = np.full(self.structure.M, -1, dtype=np.intp)
+        for m, (k, d) in enumerate(zip(self.structure.sizes, self.deltas)):
+            if k >= 2:
+                groups[m] = index.setdefault(d, len(index))
+        return groups
+
 
 def block_model(
     cs: ClusterStructure, deltas, c_bound: float | None = None
@@ -227,6 +242,62 @@ def long_run_variance(model: BlockEquicorrModel) -> float:
     for k, d in zip(cs.sizes, model.deltas):
         total += k * (1.0 + (k - 1) * d)
     return total / cs.n
+
+
+def residual_group_params(model: BlockEquicorrModel, groups):
+    """(delta_g, nu_g) per residual group: the group's delta and its degrees
+    of freedom nu_g = sum of (k_m - 1) over the group's blocks.
+
+    groups[m] is the group of block m, -1 exactly for singletons, with labels
+    0..G-1 all in use.  Raises InvalidInputError when the grouping is
+    malformed or the model's delta varies within a group.
+    """
+    cs = model.structure
+    groups = np.asarray(groups, dtype=np.intp)
+    sizes = cs.sizes_array
+    if groups.shape != (cs.M,) or np.any((groups >= 0) != (sizes >= 2)):
+        raise InvalidInputError(
+            "residual groups need one label per block, -1 exactly for singletons"
+        )
+    multi = groups >= 0
+    count = int(groups.max()) + 1 if np.any(multi) else 0
+    if np.any(np.bincount(groups[multi], minlength=count) == 0):
+        raise InvalidInputError("residual group labels must be 0..G-1, all in use")
+    deltas = np.zeros(count)
+    deltas[groups[multi]] = model.deltas_array[multi]
+    if np.any(deltas[groups[multi]] != model.deltas_array[multi]):
+        raise InvalidInputError("delta must be constant within each residual group")
+    nu = np.bincount(groups[multi], weights=sizes[multi] - 1.0, minlength=count)
+    return deltas, nu
+
+
+def block_sums(X, cs: ClusterStructure) -> np.ndarray:
+    """S1: the sum of each row of a (B, n) matrix over each block, (B, M)."""
+    if cs.M == cs.n:
+        return X
+    return np.add.reduceat(X, cs.starts, axis=-1)
+
+
+def block_stats(X, cs: ClusterStructure, groups):
+    """(S1, T): block sums (B, M) and residual masses (B, G) of each row.
+
+    T_g sums sum_{i in m} (x_i - xbar_m)^2 over the blocks m of group g.  It
+    is computed in two passes, block means first and then centred squares,
+    so it stays accurate when the block means are large.  groups labels the
+    blocks as in residual_group_params (e.g. model.residual_groups).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    sizes = cs.sizes_array
+    groups = np.asarray(groups, dtype=np.intp)
+    s1 = block_sums(X, cs)
+    multi = np.flatnonzero(groups >= 0)
+    if multi.size == 0:
+        return s1, np.zeros(X.shape[:-1] + (0,))
+    dev = X - np.repeat(s1 / sizes, sizes, axis=-1)
+    t_block = np.add.reduceat(dev * dev, cs.starts, axis=-1)
+    order = multi[np.argsort(groups[multi], kind="stable")]
+    bounds = np.flatnonzero(np.diff(groups[order], prepend=-1))
+    return s1, np.add.reduceat(t_block[..., order], bounds, axis=-1)
 
 
 def permutation_average(delta_dense: np.ndarray, cs: ClusterStructure):

@@ -11,8 +11,14 @@ knowledge of the dependence structure:
 
 Estimates are reported raw — the cross-product estimators are not truncated
 at zero — with a negative_flag instead.  Each scalar operation delegates to a
-row kernel that evaluates whole (replications, n) batches, so the Monte Carlo
-harness and the public API share one implementation.
+row kernel that evaluates whole (replications, n) batches.
+
+All but the graph estimator depend on the data only through the block sums
+S1 and residual masses T of cluster_model.block_stats, and each has exactly
+one kernel over them (*_stat_rows, taking the block sizes).  The data-row
+forms reduce X first and call that kernel; the harness calls it on the
+statistics it draws directly.  Without a structure, every observation is its
+own block: S1 = X and T is empty.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .cluster_model import ClusterStructure
+from .cluster_model import ClusterStructure, block_sums
 from .errors import InvalidInputError
 from .graphs import DependencyGraph
 
@@ -48,10 +54,41 @@ def _as_rows(x) -> np.ndarray:
     return x[np.newaxis, :]
 
 
+def _centred_block_sums(s1: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """sum_{i in m} (x_i - xbar) = S1_m - k_m xbar, per row and block."""
+    xbar = s1.sum(axis=-1, keepdims=True) / sizes.sum()
+    return s1 - sizes * xbar
+
+
+def sample_variance_stat_rows(s1: np.ndarray, t: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(1/n) sum (x - xbar)^2 from block statistics.
+
+    The total square mass about xbar splits into the within-block residual
+    masses and the between-block part sum_m (S1_m - k_m xbar)^2 / k_m.
+    """
+    d = _centred_block_sums(s1, sizes)
+    return (t.sum(axis=-1) + np.einsum("...m,...m->...", d, d / sizes)) / sizes.sum()
+
+
+def cluster_stat_rows(s1: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(1/n) sum_m (S1_m - k_m xbar)^2 from block sums."""
+    d = _centred_block_sums(s1, sizes)
+    return np.einsum("...m,...m->...", d, d) / sizes.sum()
+
+
+def second_moment_stat_rows(s1: np.ndarray, t: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(1/n) sum x^2 = (sum_g T_g + sum_m S1_m^2 / k_m) / n from block statistics."""
+    return (t.sum(axis=-1) + np.einsum("...m,...m->...", s1, s1 / sizes)) / sizes.sum()
+
+
+def _singletons(X: np.ndarray):
+    """(S1, T, sizes) of data rows with every observation its own block."""
+    return X, X[..., :0], np.ones(X.shape[-1])
+
+
 def sample_variance_rows(X: np.ndarray) -> np.ndarray:
     """(1/n) sum (x - xbar)^2 for each row of a (B, n) matrix."""
-    d = X - X.mean(axis=-1, keepdims=True)
-    return np.einsum("...i,...i->...", d, d) / X.shape[-1]
+    return sample_variance_stat_rows(*_singletons(X))
 
 
 def cluster_rows(X: np.ndarray, cs: ClusterStructure) -> np.ndarray:
@@ -60,9 +97,7 @@ def cluster_rows(X: np.ndarray, cs: ClusterStructure) -> np.ndarray:
     The double sum over pairs inside each cluster collapses to the square of
     the cluster total of deviations, giving an O(n) evaluation.
     """
-    d = X - X.mean(axis=-1, keepdims=True)
-    block_sums = np.add.reduceat(d, cs.starts, axis=-1)
-    return np.einsum("...m,...m->...", block_sums, block_sums) / cs.n
+    return cluster_stat_rows(block_sums(X, cs), cs.sizes_array)
 
 
 def graph_rows(X: np.ndarray, g: DependencyGraph) -> np.ndarray:
@@ -74,7 +109,7 @@ def graph_rows(X: np.ndarray, g: DependencyGraph) -> np.ndarray:
 
 def second_moment_rows(X: np.ndarray) -> np.ndarray:
     """(1/n) sum x^2 for each row; no centering (mean assumed known zero)."""
-    return np.einsum("...i,...i->...", X, X) / X.shape[-1]
+    return second_moment_stat_rows(*_singletons(X))
 
 
 def _neighborhood_operator(g: DependencyGraph) -> scipy.sparse.csr_array:

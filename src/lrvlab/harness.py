@@ -7,9 +7,13 @@ replication-index order, so reports are byte-identical for a given config and
 master seed regardless of the worker count.
 
 Stream allocation: cells are enumerated in config order; cell i draws its
-replications from streams keyed (master_seed + i, replication_index).  Cells
-of estimator/contiguity/graph experiments consume n normals per replication;
-test cells consume n normals plus one randomization uniform.
+replications from streams keyed (master_seed + i, replication_index).
+Estimator, contiguity and test cells draw each replication's block sums and
+residual masses directly (sampler.block_stat_rows): M + G + 1 words, where
+G counts the distinct deltas among blocks of size >= 2 (for contiguity, the
+alternative's deltas, on null data) and the last word is the randomization
+uniform of test cells.  Graph cells consume n normals per replication (the
+O(n) mixing path, which the graph estimator needs).
 
 Config schema (JSON; a single experiment object, or a sweep
 {"master_seed": ..., "experiments": [...]}):
@@ -66,15 +70,15 @@ from .cluster_model import (
 )
 from .errors import InvalidInputError
 from .estimators import (
-    cluster_rows,
+    cluster_stat_rows,
     graph_rows,
-    sample_variance_rows,
-    second_moment_rows,
+    sample_variance_stat_rows,
+    second_moment_stat_rows,
 )
 from .graphs import generate_graph
-from .inference_tests import cluster_t_rows, sign_test_rows, z_test_rows
+from .inference_tests import cluster_t_stat_rows, sign_test_stat_rows, z_test_stat_rows
 from .likelihood import lr_diagnostics
-from .sampler import _CHUNK_SCALARS, _chunks, sample_rows, sample_rows_and_uniform
+from .sampler import _CHUNK_SCALARS, _chunks, block_stat_rows, block_stat_words, sample_rows
 
 EXPERIMENT_KINDS = (
     "estimator_consistency",
@@ -353,17 +357,22 @@ def _moment_metrics(prefix: str, estimates: np.ndarray, truth: float):
 # Cell runners
 
 
+def _resolve_cell(entry: ExperimentConfig, cs: ClusterStructure):
+    """(model, sigma_LR^2) of one cell."""
+    model = block_model(cs, _resolve_deltas(entry.design.get("deltas"), cs))
+    return model, long_run_variance(model)
+
+
 _ESTIMATOR_KERNELS = {
-    "sample_variance": lambda X, cs: sample_variance_rows(X),
-    "cluster": lambda X, cs: cluster_rows(X, cs),
-    "second_moment": lambda X, cs: second_moment_rows(X),
+    "sample_variance": lambda s1, t, sizes: sample_variance_stat_rows(s1, t, sizes),
+    "cluster": lambda s1, t, sizes: cluster_stat_rows(s1, sizes),
+    "second_moment": lambda s1, t, sizes: second_moment_stat_rows(s1, t, sizes),
 }
 
 
 def _run_estimator_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
     design = entry.design
-    model = block_model(cs, _resolve_deltas(design.get("deltas"), cs))
-    sigma_sq = long_run_variance(model)
+    model, sigma_sq = _resolve_cell(entry, cs)
     mu_bar = _single_mu(design, sigma_sq, cs.n)
     names = design.get("estimators", ["cluster", "sample_variance"])
     for name in names:
@@ -371,10 +380,10 @@ def _run_estimator_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int
             raise InvalidInputError(f"unknown estimator {name!r}")
     reps = entry.replications
     acc = {name: np.empty(reps) for name in names}
-    for lo, hi in _chunks(reps, cs.n, _CHUNK_SCALARS):
-        X = sample_rows(model, mu_bar, seed, range(lo, hi))
+    for lo, hi in _chunks(reps, block_stat_words(model), _CHUNK_SCALARS):
+        s1, t, _ = block_stat_rows(model, mu_bar, seed, range(lo, hi))
         for name in names:
-            acc[name][lo:hi] = _ESTIMATOR_KERNELS[name](X, cs)
+            acc[name][lo:hi] = _ESTIMATOR_KERNELS[name](s1, t, cs.sizes_array)
     metrics = []
     for name in names:
         metrics.extend(_moment_metrics(name, acc[name], sigma_sq))
@@ -382,7 +391,7 @@ def _run_estimator_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int
 
 
 def _run_contiguity_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
-    model = block_model(cs, _resolve_deltas(entry.design.get("deltas"), cs))
+    model, _ = _resolve_cell(entry, cs)
     diag = lr_diagnostics(model, entry.epsilon, entry.replications, seed)
     metrics = [
         Metric("mean_lr", diag["mean_lr"], diag["se_mean_lr"]),
@@ -397,31 +406,33 @@ def _run_contiguity_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: in
 
 def _run_test_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
     design = entry.design
-    model = block_model(cs, _resolve_deltas(design.get("deltas"), cs))
-    sigma_sq = long_run_variance(model)
+    model, sigma_sq = _resolve_cell(entry, cs)
     mu_points = _resolve_mu(design.get("mu", [0.0]), sigma_sq, cs.n)
     tests = design.get("tests", ["sign", "cluster_t"])
     z_bound = design.get("z_bound", "oracle")
     c = sigma_sq if z_bound == "oracle" else float(z_bound)
     alpha = entry.alpha
+    sizes = cs.sizes_array
 
-    def kernel(name, X, u):
+    def kernel(name, s1, u):
         if name == "sign":
-            return sign_test_rows(X, alpha, u)
+            return sign_test_stat_rows(s1, cs.n, alpha, u)
         if name == "cluster_t":
-            return cluster_t_rows(X, cs, alpha)
+            return cluster_t_stat_rows(s1, sizes, alpha)
         if name == "z":
-            return z_test_rows(X, c, alpha)
+            return z_test_stat_rows(s1, cs.n, c, alpha)
         raise InvalidInputError(f"unknown test {name!r}")
 
     reps = entry.replications
     counts = {(name, label): 0 for name in tests for label, _ in mu_points}
-    for lo, hi in _chunks(reps, cs.n + 1, _CHUNK_SCALARS):
-        X0, u = sample_rows_and_uniform(model, 0.0, seed, range(lo, hi))
+    for lo, hi in _chunks(reps, block_stat_words(model), _CHUNK_SCALARS):
+        s1_0, _, u = block_stat_rows(model, 0.0, seed, range(lo, hi))
         for label, mu_bar in mu_points:
-            X = X0 + mu_bar if mu_bar != 0.0 else X0
+            # A mean shift moves each block sum by k mu_bar, exactly as a draw
+            # at mu_bar would.
+            s1 = s1_0 + sizes * mu_bar if mu_bar != 0.0 else s1_0
             for name in tests:
-                counts[(name, label)] += int(np.count_nonzero(kernel(name, X, u)))
+                counts[(name, label)] += int(np.count_nonzero(kernel(name, s1, u)))
     return [
         Metric(
             f"{name}_reject[mu={label}]",
@@ -435,8 +446,7 @@ def _run_test_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
 
 def _run_graph_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
     design = entry.design
-    model = block_model(cs, _resolve_deltas(design.get("deltas"), cs))
-    sigma_sq = long_run_variance(model)
+    model, sigma_sq = _resolve_cell(entry, cs)
     mu_bar = _single_mu(design, sigma_sq, cs.n)
     specs = design.get("graphs")
     if not isinstance(specs, list) or not specs:

@@ -9,8 +9,10 @@
   the long-run variance is known a priori.
 
 Scalar operations return a TestOutcome; *_rows variants evaluate whole
-(replications, n) batches and return the per-row rejection indicators the
-Monte Carlo harness aggregates.
+(replications, n) batches and return per-row rejection indicators.  The
+three tests see the data only through its block sums S1, and each has one
+kernel over them (*_stat_rows), which the harness calls on block sums it
+draws directly and the *_rows forms call after reducing X.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri, stdtrit
 
-from .cluster_model import ClusterStructure
+from .cluster_model import ClusterStructure, block_sums
 from .errors import DegenerateDataError, InvalidInputError
 
 
@@ -85,13 +87,18 @@ def sign_test(x, alpha: float, u: float) -> TestOutcome:
     )
 
 
-def sign_test_rows(X: np.ndarray, alpha: float, u: np.ndarray) -> np.ndarray:
-    """Row-wise rejection indicators of the sign test (one uniform per row)."""
+def sign_test_stat_rows(s1: np.ndarray, n: int, alpha: float, u: np.ndarray) -> np.ndarray:
+    """Row-wise rejection indicators of the sign test from block sums (one uniform per row)."""
     alpha = float(alpha)
     if not (0.0 < alpha < 0.5):
         raise InvalidInputError(f"alpha must lie in (0, 1/2), got {alpha}")
-    reject_probability = np.where(X.mean(axis=-1) >= 0.0, 2.0 * alpha, 0.0)
+    reject_probability = np.where(s1.sum(axis=-1) / n >= 0.0, 2.0 * alpha, 0.0)
     return reject_probability > np.asarray(u, dtype=np.float64)
+
+
+def sign_test_rows(X: np.ndarray, alpha: float, u: np.ndarray) -> np.ndarray:
+    """Row-wise rejection indicators of the sign test (one uniform per row)."""
+    return sign_test_stat_rows(X, X.shape[-1], alpha, u)
 
 
 def cluster_summary(x, cs: ClusterStructure) -> ClusterSummary:
@@ -131,17 +138,23 @@ def cluster_t_test(x, cs: ClusterStructure, alpha: float) -> TestOutcome:
     )
 
 
-def cluster_t_rows(X: np.ndarray, cs: ClusterStructure, alpha: float) -> np.ndarray:
-    """Row-wise rejection indicators of the cluster t-test."""
-    if cs.M < 2:
+def cluster_t_stat_rows(s1: np.ndarray, sizes: np.ndarray, alpha: float) -> np.ndarray:
+    """Row-wise rejection indicators of the cluster t-test from block sums."""
+    m = sizes.size
+    if m < 2:
         raise InvalidInputError("the cluster t-test needs at least two clusters")
-    xi = np.add.reduceat(X, cs.starts, axis=-1) / np.sqrt(cs.sizes_array)
+    xi = s1 / np.sqrt(sizes)
     u_prime = xi.mean(axis=-1)
     t_prime = xi.var(axis=-1, ddof=1)
-    critical = student_t_quantile(cs.M - 1, 1.0 - float(alpha))
+    critical = student_t_quantile(m - 1, 1.0 - float(alpha))
     with np.errstate(divide="ignore", invalid="ignore"):
-        statistic = math.sqrt(cs.M) * u_prime / np.sqrt(t_prime)
+        statistic = math.sqrt(m) * u_prime / np.sqrt(t_prime)
     return statistic > critical
+
+
+def cluster_t_rows(X: np.ndarray, cs: ClusterStructure, alpha: float) -> np.ndarray:
+    """Row-wise rejection indicators of the cluster t-test."""
+    return cluster_t_stat_rows(block_sums(X, cs), cs.sizes_array, alpha)
 
 
 def known_bound_z_test(x, c: float, alpha: float) -> TestOutcome:
@@ -165,14 +178,19 @@ def known_bound_z_test(x, c: float, alpha: float) -> TestOutcome:
     )
 
 
-def z_test_rows(X: np.ndarray, c: float, alpha: float) -> np.ndarray:
-    """Row-wise rejection indicators of the known-bound z-test."""
+def z_test_stat_rows(s1: np.ndarray, n: int, c: float, alpha: float) -> np.ndarray:
+    """Row-wise rejection indicators of the known-bound z-test from block sums."""
     c = float(c)
     if c <= 0.0:
         raise InvalidInputError(f"variance bound c must be positive, got {c}")
     critical = float(ndtri(1.0 - float(alpha)))
-    statistic = math.sqrt(X.shape[-1]) * X.mean(axis=-1) / math.sqrt(c)
+    statistic = math.sqrt(n) * (s1.sum(axis=-1) / n) / math.sqrt(c)
     return statistic > critical
+
+
+def z_test_rows(X: np.ndarray, c: float, alpha: float) -> np.ndarray:
+    """Row-wise rejection indicators of the known-bound z-test."""
+    return z_test_stat_rows(X, X.shape[-1], c, alpha)
 
 
 def student_t_quantile(df: int, p: float) -> float:

@@ -5,7 +5,11 @@ block-equicorrelation Sigma.  Rotating one block of size k by any orthogonal
 basis whose first vector is ones/sqrt(k) diagonalizes the block, and the
 rotated coordinates enter only through two row statistics — the block sum S1
 (Z_1 = S1/sqrt(k)) and the residual square mass T = S2 - S1^2/k — so the
-evaluation is O(n) and never materializes a rotation.
+evaluation never materializes a rotation.  loglr_stat_rows is the one kernel
+over those statistics, with T summed over the model's residual groups (blocks
+sharing a delta share the coefficient of T); loglr_cluster_rows reduces data
+rows with cluster_model.block_stats and calls it, and lr_diagnostics calls it
+on statistics drawn directly, O(M) per replication.
 
 For one block of size k with parameter delta (a = 1 + (k-1) delta,
 b = 1 - delta):
@@ -34,10 +38,17 @@ from .cluster_model import (
     BlockEquicorrModel,
     ClusterStructure,
     block_model,
+    block_stats,
     build_structure,
+    residual_group_params,
 )
-from .errors import FactorizationError, InvalidInputError, ModelInvalidError
-from .sampler import _CHUNK_SCALARS, _chunks, normal_rows
+from .errors import (
+    DegenerateDataError,
+    FactorizationError,
+    InvalidInputError,
+    ModelInvalidError,
+)
+from .sampler import _CHUNK_SCALARS, _chunks, block_stat_rows, block_stat_words
 
 # Agreement demanded between the two dense log-LR routes (absolute, scaled up
 # by |value| once values leave the unit range).
@@ -55,31 +66,31 @@ def chi2_cdf_1df(t) -> np.ndarray | float:
     return np.where(t > 0.0, erf(np.sqrt(np.maximum(t, 0.0) / 2.0)), 0.0)
 
 
-def _block_loglr_terms(model: BlockEquicorrModel, mu_bar: float):
-    """Per-block coefficients of the closed form, plus the data-free constant."""
+def loglr_stat_rows(
+    s1: np.ndarray, t: np.ndarray, model: BlockEquicorrModel, mu_bar: float
+) -> np.ndarray:
+    """log dN(mu_bar 1, Sigma)/dN(0, I) from block sums S1 (B, M) and the
+    residual masses T (B, G) of the model's residual groups."""
+    mu_bar = float(mu_bar)
     sizes = model.structure.sizes_array.astype(np.float64)
     deltas = model.deltas_array
     a = 1.0 + (sizes - 1.0) * deltas
-    b = 1.0 - deltas
     const = float(
         np.sum(-0.5 * np.log1p((sizes - 1.0) * deltas))
         + np.sum(-0.5 * (sizes - 1.0) * np.log1p(-deltas))
         + np.sum(-sizes * mu_bar * mu_bar / (2.0 * a))
     )
     coef_s1sq = (sizes - 1.0) * deltas / (2.0 * a * sizes)
-    coef_t = -deltas / (2.0 * b)
-    coef_s1 = mu_bar / a
-    return const, coef_s1sq, coef_t, coef_s1
+    group_deltas, _ = residual_group_params(model, model.residual_groups)
+    coef_t = -group_deltas / (2.0 * (1.0 - group_deltas))
+    quadratic = np.einsum("...m,...m->...", s1, s1 * coef_s1sq + mu_bar / a)
+    return const + quadratic + np.einsum("...g,g->...", t, coef_t)
 
 
 def loglr_cluster_rows(X: np.ndarray, model: BlockEquicorrModel, mu_bar: float) -> np.ndarray:
     """log dN(mu_bar 1, Sigma)/dN(0, I) evaluated on each row of a (B, n) matrix."""
-    cs = model.structure
-    const, coef_s1sq, coef_t, coef_s1 = _block_loglr_terms(model, float(mu_bar))
-    s1 = np.add.reduceat(X, cs.starts, axis=-1)
-    s2 = np.add.reduceat(X * X, cs.starts, axis=-1)
-    t = np.maximum(s2 - s1 * s1 / cs.sizes_array, 0.0)
-    return const + (s1 * s1) @ coef_s1sq + t @ coef_t + s1 @ coef_s1
+    s1, t = block_stats(X, model.structure, model.residual_groups)
+    return loglr_stat_rows(s1, t, model, mu_bar)
 
 
 def loglr_equicorr(x, mu_bar: float, delta: float) -> float:
@@ -263,8 +274,9 @@ def ks_distance(values: np.ndarray, cdf) -> float:
 def lr_diagnostics(model: BlockEquicorrModel, epsilon: float, reps: int, seed: int) -> dict:
     """Monte Carlo diagnostics of the likelihood ratio under N(0, I).
 
-    Draws `reps` independent replications (streams keyed (seed, rep)), and
-    evaluates W = log dN(0, Sigma)/dN(0, I).  Reports the mean of exp(W)
+    Draws the block statistics of `reps` independent replications (streams
+    keyed (seed, rep), see sampler.block_stat_rows), and evaluates
+    W = log dN(0, Sigma)/dN(0, I).  Reports the mean of exp(W)
     (identically 1 in expectation), its (1+epsilon)-th moment, and — when the
     model is a single non-singleton cluster whose n*delta lies in the limit
     law's domain — the Kolmogorov-Smirnov distance to the limit CDF.
@@ -273,6 +285,10 @@ def lr_diagnostics(model: BlockEquicorrModel, epsilon: float, reps: int, seed: i
     (the report's conservative 0.5/sqrt(reps) bound is the harness's
     convention).  Keys: mean_lr, se_mean_lr, moment_1pe, se_moment_1pe, ks,
     n, reps, seed.
+
+    Raises DegenerateDataError when exp(W) overflows in some replication or
+    underflows to 0 in all of them: the moments would then be printed as
+    confident numbers while carrying no information.
     """
     epsilon = float(epsilon)
     reps = int(reps)
@@ -282,13 +298,27 @@ def lr_diagnostics(model: BlockEquicorrModel, epsilon: float, reps: int, seed: i
         raise InvalidInputError("lr diagnostics need reps >= 1000")
     cs = model.structure
     n = cs.n
+    # Null data: N(0, I), with residual masses grouped as the model needs them.
+    null = block_model(cs, [0.0] * cs.M)
+    groups = model.residual_groups
     w = np.empty(reps, dtype=np.float64)
-    for lo, hi in _chunks(reps, n, _CHUNK_SCALARS):
-        x = normal_rows(seed, range(lo, hi), n)
-        w[lo:hi] = loglr_cluster_rows(x, model, 0.0)
+    for lo, hi in _chunks(reps, block_stat_words(model), _CHUNK_SCALARS):
+        s1, t, _ = block_stat_rows(null, 0.0, seed, range(lo, hi), groups)
+        w[lo:hi] = loglr_stat_rows(s1, t, model, 0.0)
 
-    lr = np.exp(w)
+    with np.errstate(over="ignore"):
+        lr = np.exp(w)
     mean_lr = float(np.mean(lr))
+    if mean_lr == 0.0 or not np.all(np.isfinite(lr)):
+        reason = (
+            "underflows to 0 in every replication"
+            if mean_lr == 0.0
+            else "is not finite in some replication"
+        )
+        raise DegenerateDataError(
+            f"likelihood ratios are degenerate: exp(W) {reason} "
+            f"(W in [{float(np.min(w)):.6g}, {float(np.max(w)):.6g}])"
+        )
     se_mean_lr = float(np.std(lr, ddof=1) / math.sqrt(reps))
     powered = lr ** (1.0 + epsilon)
     moment_1pe = float(np.mean(powered))

@@ -1,4 +1,5 @@
-"""Exact O(n) Gaussian sampling for block-equicorrelation models.
+"""Exact Gaussian sampling for block-equicorrelation models: O(n) draws of
+the data and O(M) draws of its per-block sufficient statistics.
 
 Random streams are counter-based (Philox) and keyed by the pair
 (master_seed, replication_id), so any replication can be regenerated in
@@ -24,15 +25,30 @@ which has Var(X_i) = 1 and Cov(X_i, X_j) = delta exactly: the centered part
 contributes (1 - delta)(delta_ij - 1/k) and the gbar part (1 + (k-1) delta)/k,
 summing to delta_ij (1 - delta) + delta.  This works for negative delta all
 the way down to the positive-definiteness boundary, where an additive
-"common shock" construction would not.
+"common shock" construction would not.  The data paths (sample, sample_rows,
+sample_rows_and_uniform, normal_rows) draw n words per replication, plus one
+for the randomization uniform, and serve the graph estimator, the scalar API
+and the oracle tests.
+
+Every other statistic the lab computes depends on a draw only through the
+block sums S1_m and the residual masses T (see block_stats), and those have
+an exact law of their own: S1_m ~ N(k mu_bar, k (1 + (k-1) delta)), and the
+residual mass of a block is (1 - delta) chi^2(k-1), independent of S1_m.
+Independent chi-squares with one scale add up, so the blocks of size >= 2
+that share a delta form one residual group g with nu_g = sum (k_m - 1).
+block_stat_rows draws them directly from M + G + 1 words per replication:
+word m < M gives S1_m = k mu_bar + sqrt(k (1 + (k-1) delta)) ndtri(u), word
+M + g gives T_g = 2 (1 - delta_g) gammaincinv(nu_g / 2, u), and the last
+word is the randomization uniform.  Pairs thus cost one gammaincinv per
+replication, not n/2, and one large cluster costs three words instead of n.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import gammaincinv, ndtri
 
-from .cluster_model import DENSE_N_CAP, BlockEquicorrModel
+from .cluster_model import DENSE_N_CAP, BlockEquicorrModel, residual_group_params
 from .errors import FactorizationError, InvalidInputError, ModelInvalidError
 
 _U64_MASK = (1 << 64) - 1
@@ -134,6 +150,13 @@ def _mixing_coefficients(model: BlockEquicorrModel):
     )
 
 
+def _check_positive_definite(model: BlockEquicorrModel) -> None:
+    deltas = model.deltas_array
+    sizes = model.structure.sizes_array
+    if np.any(1.0 - deltas <= 0.0) or np.any(1.0 + (sizes - 1) * deltas <= 0.0):
+        raise ModelInvalidError("covariance model is not positive definite")
+
+
 def _mix_rows(g: np.ndarray, model: BlockEquicorrModel, mu_bar: float) -> np.ndarray:
     """Apply the within-cluster mixing to each row of an iid-normal matrix.
 
@@ -144,10 +167,7 @@ def _mix_rows(g: np.ndarray, model: BlockEquicorrModel, mu_bar: float) -> np.nda
         # Identity covariance: the mixing formula collapses to X = mu_bar + g,
         # and taking the shortcut keeps that collapse exact.
         return mu_bar + g
-    deltas = model.deltas_array
-    sizes = model.structure.sizes_array
-    if np.any(1.0 - deltas <= 0.0) or np.any(1.0 + (sizes - 1) * deltas <= 0.0):
-        raise ModelInvalidError("covariance model is not positive definite")
+    _check_positive_definite(model)
     starts, sizes, a_full, b_full = _mixing_coefficients(model)
     sums = np.add.reduceat(g, starts, axis=-1)
     means = sums / sizes
@@ -204,6 +224,43 @@ def sample_rows_and_uniform(
     g = ndtri(_to_uniform(raw[:, :n]))
     u = _to_uniform(raw[:, n])
     return _mix_rows(g, model, float(mu_bar)), u
+
+
+def block_stat_words(model: BlockEquicorrModel) -> int:
+    """Raw words block_stat_rows(model, ...) draws per replication: M + G + 1."""
+    return model.structure.M + int(np.max(model.residual_groups, initial=-1)) + 2
+
+
+def block_stat_rows(
+    model: BlockEquicorrModel,
+    mu_bar: float,
+    master_seed: int,
+    replication_ids,
+    groups=None,
+):
+    """Block sums, residual masses and a randomization uniform per replication.
+
+    Returns (S1, T, u) with shapes (B, M), (B, G) and (B,), distributed
+    exactly as block_stats of a draw from N(mu_bar 1, Sigma(model)) with the
+    same groups, plus an independent uniform.  Each replication consumes
+    M + G + 1 words of its own stream (see the module docstring), so row r
+    depends only on (master_seed, ids[r]).  groups defaults to the model's
+    own residual groups; any grouping over which the model's delta is
+    constant may be passed instead (lr_diagnostics draws null data grouped
+    by the alternative's deltas).
+    """
+    if groups is None:
+        groups = model.residual_groups
+    _check_positive_definite(model)
+    group_deltas, nu = residual_group_params(model, groups)
+    sizes = model.structure.sizes_array
+    m = sizes.size
+    g = nu.size
+    u = _to_uniform(raw_rows(master_seed, replication_ids, m + g + 1))
+    scale = np.sqrt(sizes * (1.0 + (sizes - 1) * model.deltas_array))
+    s1 = sizes * float(mu_bar) + scale * ndtri(u[:, :m])
+    t = 2.0 * (1.0 - group_deltas) * gammaincinv(0.5 * nu, u[:, m : m + g])
+    return s1, t, u[:, m + g]
 
 
 def sample_dense(mean, sigma, stream: RandomStream) -> np.ndarray:

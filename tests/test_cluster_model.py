@@ -23,6 +23,7 @@ from lrvlab import (
     permutation_average,
     spectral_block,
 )
+from lrvlab.cluster_model import block_stats
 from lrvlab.sampler import sample_rows
 
 
@@ -343,3 +344,35 @@ def test_common_variance_deltas_equalize_simulated_cluster_sums():
         var = xi.var()
         se = sigma_sq * np.sqrt(2.0 / reps)
         assert abs(var - sigma_sq) < 3.0 * se
+
+
+def test_block_stats_against_per_block_sums():
+    """S1 and grouped residual masses equal plain per-block loops."""
+    rng = np.random.default_rng(3301)
+    cs = build_structure([3, 1, 4, 2, 5])
+    groups = np.array([1, -1, 0, 1, 0])
+    x = rng.normal(size=(6, cs.n)) * 3.0 + 2.0
+    s1, t = block_stats(x, cs, groups)
+    want_s1 = np.empty((6, cs.M))
+    want_t = np.zeros((6, 2))
+    for m, (start, k) in enumerate(zip(cs.starts, cs.sizes)):
+        block = x[:, start : start + k]
+        want_s1[:, m] = block.sum(axis=1)
+        if groups[m] >= 0:
+            want_t[:, groups[m]] += ((block - block.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+    assert_allclose(s1, want_s1, rtol=1e-13)
+    assert_allclose(t, want_t, rtol=1e-12)
+    # one group for every non-singleton block
+    _, total = block_stats(x, cs, np.where(groups >= 0, 0, -1))
+    assert_allclose(total[:, 0], want_t.sum(axis=1), rtol=1e-12)
+    # all singletons: no residual masses at all
+    s1, t = block_stats(x, build_structure([1] * cs.n), np.full(cs.n, -1))
+    assert s1.shape == x.shape and t.shape == (6, 0)
+
+
+def test_block_stats_residual_mass_survives_a_large_mean():
+    # the one-pass form S2 - S1^2/k loses every digit of T = 2 at this mean
+    x = 1e9 + np.array([[0.0, 1.0, 2.0]])
+    _, t = block_stats(x, build_structure([3]), [0])
+    assert t[0, 0] == 2.0
+

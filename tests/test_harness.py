@@ -281,6 +281,22 @@ class TestQuarantine:
         (cell,) = run_from(cfg, threads=1).cells
         assert cell.error is not None and "ModelInvalidError" in cell.error
 
+    def test_degenerate_likelihood_ratios_are_quarantined(self):
+        cfg = {
+            "experiment": "contiguity",
+            "design": {
+                "structure": {"pattern": "pairs"},
+                "deltas": {"scheme": "constant", "value": 0.9},
+            },
+            "n_grid": [2000],
+            "replications": 1000,
+            "master_seed": 6002,
+        }
+        (cell,) = run_from(cfg).cells
+        assert cell.error is not None
+        assert cell.error.startswith("DegenerateDataError: ")
+        assert cell.metrics == ()
+
     def test_unknown_names_surface_as_cell_errors(self):
         cfg = pairs_config(replications=100)
         cfg["design"]["estimators"] = ["bootstrap"]

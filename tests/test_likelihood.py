@@ -17,6 +17,7 @@ import scipy.stats
 from numpy.testing import assert_allclose
 
 from lrvlab import (
+    DegenerateDataError,
     DenseGaussianPair,
     FactorizationError,
     InvalidInputError,
@@ -409,6 +410,27 @@ class TestLrDiagnostics:
         a = lr_diagnostics(model, 0.2, 1500, seed=95)
         b = lr_diagnostics(model, 0.2, 1500, seed=95)
         assert a == b
+
+    def test_identity_model_has_unit_ratios(self):
+        ident = block_model(build_structure([2] * 50), [0.0] * 50)
+        diag = lr_diagnostics(ident, 0.1, 1000, seed=96)
+        assert (diag["mean_lr"], diag["se_mean_lr"]) == (1.0, 0.0)
+        assert (diag["moment_1pe"], diag["se_moment_1pe"]) == (1.0, 0.0)
+
+    def test_underflowing_weights_raise(self):
+        # pairs with delta = 0.9 at n = 2000: log LR is about -3000 in every
+        # replication, so every exp(W) underflows and mean_lr would read 0 +- 0
+        model = block_model(build_structure([2] * 1000), [0.9] * 1000)
+        with pytest.raises(DegenerateDataError, match="underflows to 0"):
+            lr_diagnostics(model, 0.1, 1000, seed=97)
+
+    def test_chunk_size_does_not_move_diagnostics(self, monkeypatch):
+        from lrvlab import likelihood
+
+        model = block_model(build_structure([3, 1, 4, 3]), [0.2, 0.0, -0.1, 0.2])
+        wide = lr_diagnostics(model, 0.1, 1200, seed=98)
+        monkeypatch.setattr(likelihood, "_CHUNK_SCALARS", 64)
+        assert lr_diagnostics(model, 0.1, 1200, seed=98) == wide
 
     def test_validation(self):
         model = block_model(build_structure([4]), [0.1])

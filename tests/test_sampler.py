@@ -11,6 +11,7 @@ import threading
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import ndtri
 
 from lrvlab import (
     FactorizationError,
@@ -22,8 +23,16 @@ from lrvlab import (
     sample,
     sample_dense,
 )
-from lrvlab.cluster_model import BlockEquicorrModel, dense_sigma
+from lrvlab.cluster_model import (
+    BlockEquicorrModel,
+    block_stats,
+    dense_sigma,
+    residual_group_params,
+)
 from lrvlab.sampler import (
+    _to_uniform,
+    block_stat_rows,
+    block_stat_words,
     normal_rows,
     raw_rows,
     sample_rows,
@@ -266,3 +275,133 @@ class TestSampleDense:
             sample_dense(np.zeros(2), np.ones((2, 3)), derive_stream(0, 0))
         with pytest.raises(InvalidInputError):
             sample_dense(np.zeros(4096), np.eye(4096), derive_stream(0, 0))
+
+
+class TestBlockStatRows:
+    """The O(M) draw of block statistics: exact moments, the O(n) path in
+    distribution, the per-replication stream contract and the chi-square
+    inversion."""
+
+    DESIGNS = {
+        "single": ([50], [0.3]),
+        "pairs": ([2] * 20, [0.5] * 20),
+        # negative deltas, a delta = 0 group of non-singletons, singletons,
+        # and groups whose blocks are not adjacent
+        "mixed": ([3, 1, 4, 2, 5, 1, 3, 6], [0.3, 0.0, -0.2, 0.0, 0.3, 0.0, -0.2, 0.0]),
+    }
+
+    @staticmethod
+    def model(name):
+        sizes, deltas = TestBlockStatRows.DESIGNS[name]
+        return block_model(build_structure(sizes), deltas)
+
+    def test_mixed_design_groups_by_delta_in_order_of_appearance(self):
+        model = self.model("mixed")
+        assert_array_equal(model.residual_groups, [0, -1, 1, 2, 0, -1, 1, 2])
+        deltas, nu = residual_group_params(model, model.residual_groups)
+        assert_array_equal(deltas, [0.3, -0.2, 0.0])
+        assert_array_equal(nu, [2 + 4, 3 + 2, 1 + 5])
+        assert block_stat_words(model) == 8 + 3 + 1
+        assert block_stat_words(self.model("pairs")) == 20 + 1 + 1
+
+    @pytest.mark.parametrize("name", sorted(DESIGNS))
+    def test_exact_moments_within_six_se(self, name):
+        model = self.model(name)
+        mu = 0.7
+        reps = 40_000
+        s1, t, u = block_stat_rows(model, mu, 8080, range(reps))
+        sizes = model.structure.sizes_array
+        var = sizes * (1.0 + (sizes - 1) * model.deltas_array)
+        assert np.all(np.abs(s1.mean(axis=0) - sizes * mu) < 6.0 * np.sqrt(var / reps))
+        se_var = var * np.sqrt(2.0 / (reps - 1))
+        assert np.all(np.abs(s1.var(axis=0, ddof=1) - var) < 6.0 * se_var)
+
+        deltas, nu = residual_group_params(model, model.residual_groups)
+        assert t.shape == (reps, nu.size)
+        mean_t = (1.0 - deltas) * nu
+        var_t = 2.0 * (1.0 - deltas) ** 2 * nu
+        assert np.all(np.abs(t.mean(axis=0) - mean_t) < 6.0 * np.sqrt(var_t / reps))
+        # a scaled chi-square has excess kurtosis 12/nu
+        se_var_t = var_t * np.sqrt((2.0 + 12.0 / nu) / reps)
+        assert np.all(np.abs(t.var(axis=0, ddof=1) - var_t) < 6.0 * se_var_t)
+
+        assert u.shape == (reps,)
+        assert abs(u.mean() - 0.5) < 6.0 * np.sqrt(1.0 / 12.0 / reps)
+
+    @pytest.mark.parametrize("name", sorted(DESIGNS))
+    def test_matches_block_stats_of_mixed_draws_in_distribution(self, name):
+        import scipy.stats
+
+        model = self.model(name)
+        reps = 20_000
+        s1, t, _ = block_stat_rows(model, -0.4, 9090, range(reps))
+        x = sample_rows(model, -0.4, 9091, range(reps))
+        s1_ref, t_ref = block_stats(x, model.structure, model.residual_groups)
+        assert s1_ref.shape == s1.shape and t_ref.shape == t.shape
+        for m in range(s1.shape[1]):
+            assert scipy.stats.ks_2samp(s1[:, m], s1_ref[:, m]).pvalue > 1e-6, m
+        for g in range(t.shape[1]):
+            assert scipy.stats.ks_2samp(t[:, g], t_ref[:, g]).pvalue > 1e-6, g
+
+    @pytest.mark.parametrize("name", sorted(DESIGNS))
+    def test_rows_depend_only_on_their_own_stream(self, name):
+        model = self.model(name)
+        ids = [7, 3, 11, 0, 5, 2**63 + 1, 3]
+        batch = block_stat_rows(model, 0.2, 4242, ids)
+        for r, rep in enumerate(ids):
+            one = block_stat_rows(model, 0.2, 4242, [rep])
+            for got, want in zip(batch, one):
+                assert_array_equal(got[r], want[0])
+        for width in (1, 2, 4):
+            parts = [
+                block_stat_rows(model, 0.2, 4242, ids[lo : lo + width])
+                for lo in range(0, len(ids), width)
+            ]
+            for k, got in enumerate(batch):
+                assert_array_equal(got, np.concatenate([p[k] for p in parts]))
+        reordered = block_stat_rows(model, 0.2, 4242, ids[::-1])
+        for got, want in zip(reordered, batch):
+            assert_array_equal(got, want[::-1])
+
+    def test_words_follow_the_documented_layout(self):
+        model = self.model("mixed")
+        ids = range(5)
+        s1, t, u = block_stat_rows(model, 1.25, 31, ids)
+        m, g = 8, 3
+        words = _to_uniform(raw_rows(31, ids, m + g + 1))
+        sizes = model.structure.sizes_array
+        scale = np.sqrt(sizes * (1.0 + (sizes - 1) * model.deltas_array))
+        assert_array_equal(s1, sizes * 1.25 + scale * ndtri(words[:, :m]))
+        assert_array_equal(u, words[:, m + g])
+
+    @pytest.mark.parametrize("nu", [1, 19, 9999])
+    def test_residual_masses_invert_the_chi_square_cdf(self, nu):
+        from scipy.special import gammainc
+
+        delta = 0.25
+        model = block_model(build_structure([nu + 1]), [delta])
+        ids = range(500)
+        _, t, _ = block_stat_rows(model, 0.0, 77, ids)
+        u = _to_uniform(raw_rows(77, ids, 3))[:, 1]
+        back = gammainc(nu / 2.0, t[:, 0] / (2.0 * (1.0 - delta)))
+        assert_allclose(back, u, rtol=0, atol=1e-13)
+
+    def test_null_draw_grouped_by_another_model(self):
+        alternative = self.model("mixed")
+        cs = alternative.structure
+        null = block_model(cs, [0.0] * cs.M)
+        s1, t, _ = block_stat_rows(null, 0.0, 5, range(4), alternative.residual_groups)
+        assert s1.shape == (4, 8) and t.shape == (4, 3)
+
+    def test_rejects_unvalidated_models_and_bad_groups(self):
+        bad = BlockEquicorrModel(structure=build_structure([3]), deltas=(1.5,), c_bound=None)
+        with pytest.raises(ModelInvalidError):
+            block_stat_rows(bad, 0.0, 0, range(2))
+        model = self.model("mixed")
+        with pytest.raises(InvalidInputError):  # delta varies within a group
+            block_stat_rows(model, 0.0, 0, range(2), np.where(model.residual_groups >= 0, 0, -1))
+        with pytest.raises(InvalidInputError):  # a singleton in a group
+            block_stat_rows(model, 0.0, 0, range(2), np.zeros(8, dtype=int))
+        with pytest.raises(InvalidInputError):  # wrong length
+            block_stat_rows(model, 0.0, 0, range(2), model.residual_groups[:-1])
+
