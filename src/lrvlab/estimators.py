@@ -15,10 +15,11 @@ row kernel that evaluates whole (replications, n) batches.
 
 All but the graph estimator depend on the data only through the block sums
 S1 and residual masses T of cluster_model.block_stats, and each has exactly
-one kernel over them (*_stat_rows, taking the block sizes).  The data-row
-forms reduce X first and call that kernel; the harness calls it on the
-statistics it draws directly.  Without a structure, every observation is its
-own block: S1 = X and T is empty.
+one kernel over them, *_stat_rows(S1, T, sizes) (the cluster estimator
+ignores T; the shared signature lets the harness look kernels up by name).
+The data-row forms reduce X first and call that kernel; the harness calls it
+on the statistics it draws directly.  Without a structure, every observation
+is its own block: S1 = X and T is empty.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ def sample_variance_stat_rows(s1: np.ndarray, t: np.ndarray, sizes: np.ndarray) 
     return (t.sum(axis=-1) + np.einsum("...m,...m->...", d, d / sizes)) / sizes.sum()
 
 
-def cluster_stat_rows(s1: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """(1/n) sum_m (S1_m - k_m xbar)^2 from block sums."""
+def cluster_stat_rows(s1: np.ndarray, t, sizes: np.ndarray) -> np.ndarray:
+    """(1/n) sum_m (S1_m - k_m xbar)^2 from block sums; t is unused."""
     d = _centred_block_sums(s1, sizes)
     return np.einsum("...m,...m->...", d, d) / sizes.sum()
 
@@ -97,7 +98,7 @@ def cluster_rows(X: np.ndarray, cs: ClusterStructure) -> np.ndarray:
     The double sum over pairs inside each cluster collapses to the square of
     the cluster total of deviations, giving an O(n) evaluation.
     """
-    return cluster_stat_rows(block_sums(X, cs), cs.sizes_array)
+    return cluster_stat_rows(block_sums(X, cs), None, cs.sizes_array)
 
 
 def graph_rows(X: np.ndarray, g: DependencyGraph) -> np.ndarray:

@@ -9,6 +9,7 @@ composite ratio d_max^2 * d_avg / n.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,15 +55,22 @@ class DependencyGraph:
 def make_graph(n: int, edges) -> DependencyGraph:
     """Validate and normalize an edge list into a DependencyGraph.
 
-    Edges are deduplicated and stored with i < j; self-loops and out-of-range
-    endpoints raise InvalidInputError.
+    Edges are deduplicated and stored with i < j; an n that is not an
+    integer, an edge that is not a pair of integers, self-loops and
+    out-of-range endpoints raise InvalidInputError.
     """
-    n = int(n)
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidInputError(f"graph n must be an integer, got {n!r}") from None
     if n < 1:
         raise InvalidInputError(f"graph needs at least one node, got n = {n}")
     normalized = set()
     for e in edges:
-        i, j = int(e[0]), int(e[1])
+        try:
+            i, j = map(operator.index, e)
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"edge {e!r} is not a pair of integers") from None
         if i == j:
             raise InvalidInputError(f"self-loop at node {i}")
         if not (0 <= i < n and 0 <= j < n):

@@ -12,8 +12,16 @@ Estimator, contiguity and test cells draw each replication's block sums and
 residual masses directly (sampler.block_stat_rows): M + G + 1 words, where
 G counts the distinct deltas among blocks of size >= 2 (for contiguity, the
 alternative's deltas, on null data) and the last word is the randomization
-uniform of test cells.  Graph cells consume n normals per replication (the
-O(n) mixing path, which the graph estimator needs).
+uniform of test cells.  Estimator and test cells draw each chunk at
+mu_bar = 0 and add k mu_bar to the block sums per mean, which is
+bit-identical to a draw at mu_bar.  Graph cells consume n normals per
+replication (the O(n) mixing path, which the graph estimator needs).
+
+Each estimator and test is one kernel over the drawn statistics, looked up
+by its config name (estimators.*_stat_rows, inference_tests.*_stat_rows).  A
+test rejects in a replication when its rejection probability p exceeds the
+replication's uniform u: p = 2 alpha 1{xbar >= 0} for the sign test and
+p = 1{statistic > critical} for the cluster t and z tests.
 
 Config schema (JSON; a single experiment object, or a sweep
 {"master_seed": ..., "experiments": [...]}):
@@ -44,7 +52,8 @@ Config schema (JSON; a single experiment object, or a sweep
     }
 
 Only test_size_power accepts a multi-point mu grid; the other kinds require
-exactly one mean (default 0).
+exactly one mean (default 0), and contiguity, whose data are null N(0, I)
+draws, only mu_bar = 0.
 """
 
 from __future__ import annotations
@@ -79,14 +88,6 @@ from .graphs import generate_graph
 from .inference_tests import cluster_t_stat_rows, sign_test_stat_rows, z_test_stat_rows
 from .likelihood import lr_diagnostics
 from .sampler import _CHUNK_SCALARS, _chunks, block_stat_rows, block_stat_words, sample_rows
-
-EXPERIMENT_KINDS = (
-    "estimator_consistency",
-    "contiguity",
-    "test_size_power",
-    "graph_estimation",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -182,6 +183,12 @@ def _as_int(value, name: str) -> int:
     return value
 
 
+def _as_float(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInputError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_entry(raw: dict, seed: int, pos: int) -> ExperimentConfig:
     kind = raw.get("experiment")
     if kind not in EXPERIMENT_KINDS:
@@ -200,10 +207,10 @@ def _parse_entry(raw: dict, seed: int, pos: int) -> ExperimentConfig:
     reps = _as_int(raw.get("replications"), "replications")
     if reps < 100:
         raise InvalidInputError("replications must be >= 100")
-    alpha = float(raw.get("alpha", 0.05))
+    alpha = _as_float(raw.get("alpha", 0.05), "alpha")
     if not (0.0 < alpha < 1.0):
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
-    epsilon = float(raw.get("epsilon", 0.1))
+    epsilon = _as_float(raw.get("epsilon", 0.1), "epsilon")
     if not (epsilon > 0.0):
         raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
     if design.get("id") is None:
@@ -288,10 +295,10 @@ def _resolve_deltas(spec, cs: ClusterStructure):
         values = spec.get("values")
         if not isinstance(values, list) or len(values) != cs.M:
             raise InvalidInputError(f"explicit deltas need {cs.M} values")
-        return [float(v) for v in values]
+        return [_as_float(v, "delta value") for v in values]
     if scheme == "common-variance":
-        return deltas_for_common_variance(cs, float(spec.get("value")))
-    value = float(spec.get("value"))
+        return deltas_for_common_variance(cs, _as_float(spec.get("value"), "delta value"))
+    value = _as_float(spec.get("value"), "delta value")
     if scheme == "constant":
         return [value] * cs.M
     if scheme == "dbar-over-nstar":
@@ -310,25 +317,16 @@ def _resolve_mu(entries, sigma_sq: float, n: int):
         if isinstance(entry, dict):
             if set(entry) != {"drift"}:
                 raise InvalidInputError(f"bad mu entry {entry!r}")
-            c = float(entry["drift"])
+            c = _as_float(entry["drift"], "drift")
             resolved.append(
                 (f"drift{c!r}", c * math.sqrt(sigma_sq) / math.sqrt(n))
             )
         else:
-            value = float(entry)
+            value = _as_float(entry, "mu entry")
             resolved.append((repr(value), value))
     if not resolved:
         raise InvalidInputError("mu grid must be nonempty")
     return resolved
-
-
-def _single_mu(design: dict, sigma_sq: float, n: int) -> float:
-    resolved = _resolve_mu(design.get("mu", [0.0]), sigma_sq, n)
-    if len(resolved) != 1:
-        raise InvalidInputError(
-            "this experiment kind takes exactly one mu entry"
-        )
-    return resolved[0][1]
 
 
 def _proportion_se(k: int, reps: int) -> float:
@@ -358,32 +356,53 @@ def _moment_metrics(prefix: str, estimates: np.ndarray, truth: float):
 
 
 def _resolve_cell(entry: ExperimentConfig, cs: ClusterStructure):
-    """(model, sigma_LR^2) of one cell."""
+    """(model, sigma_LR^2, [(label, mu_bar)]) of one cell; see the module
+    docstring for which kinds take which means."""
     model = block_model(cs, _resolve_deltas(entry.design.get("deltas"), cs))
-    return model, long_run_variance(model)
+    sigma_sq = long_run_variance(model)
+    mu_points = _resolve_mu(entry.design.get("mu", [0.0]), sigma_sq, cs.n)
+    if entry.experiment != "test_size_power" and len(mu_points) != 1:
+        raise InvalidInputError("this experiment kind takes exactly one mu entry")
+    if entry.experiment == "contiguity" and mu_points[0][1] != 0.0:
+        raise InvalidInputError(f"contiguity takes mu_bar = 0 only, got {mu_points[0][1]!r}")
+    return model, sigma_sq, mu_points
 
 
-_ESTIMATOR_KERNELS = {
-    "sample_variance": lambda s1, t, sizes: sample_variance_stat_rows(s1, t, sizes),
-    "cluster": lambda s1, t, sizes: cluster_stat_rows(s1, sizes),
-    "second_moment": lambda s1, t, sizes: second_moment_stat_rows(s1, t, sizes),
-}
+def _kernel_names(names, kernels: dict, what: str):
+    for name in names:
+        if name not in kernels:
+            raise InvalidInputError(f"unknown {what} {name!r}")
+    return names
+
+
+def _block_stat_chunks(model, seed: int, reps: int, mu_points):
+    """(lo, hi, label, S1, T, u) per chunk of replications and per mu point;
+    each chunk is drawn once at mu_bar = 0 and S1 shifted by k mu_bar."""
+    sizes = model.structure.sizes_array
+    for lo, hi in _chunks(reps, block_stat_words(model), _CHUNK_SCALARS):
+        s1_0, t, u = block_stat_rows(model, 0.0, seed, range(lo, hi))
+        for label, mu_bar in mu_points:
+            s1 = s1_0 + sizes * mu_bar if mu_bar != 0.0 else s1_0
+            yield lo, hi, label, s1, t, u
 
 
 def _run_estimator_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
-    design = entry.design
-    model, sigma_sq = _resolve_cell(entry, cs)
-    mu_bar = _single_mu(design, sigma_sq, cs.n)
-    names = design.get("estimators", ["cluster", "sample_variance"])
-    for name in names:
-        if name not in _ESTIMATOR_KERNELS:
-            raise InvalidInputError(f"unknown estimator {name!r}")
+    model, sigma_sq, mu_points = _resolve_cell(entry, cs)
+    # The kernel tables are built per cell from the module names, so that
+    # wrappers installed on those names (perfbench/spans.py) see the calls.
+    kernels = {
+        "sample_variance": sample_variance_stat_rows,
+        "cluster": cluster_stat_rows,
+        "second_moment": second_moment_stat_rows,
+    }
+    names = _kernel_names(
+        entry.design.get("estimators", ["cluster", "sample_variance"]), kernels, "estimator"
+    )
     reps = entry.replications
     acc = {name: np.empty(reps) for name in names}
-    for lo, hi in _chunks(reps, block_stat_words(model), _CHUNK_SCALARS):
-        s1, t, _ = block_stat_rows(model, mu_bar, seed, range(lo, hi))
+    for lo, hi, _, s1, t, _ in _block_stat_chunks(model, seed, reps, mu_points):
         for name in names:
-            acc[name][lo:hi] = _ESTIMATOR_KERNELS[name](s1, t, cs.sizes_array)
+            acc[name][lo:hi] = kernels[name](s1, t, cs.sizes_array)
     metrics = []
     for name in names:
         metrics.extend(_moment_metrics(name, acc[name], sigma_sq))
@@ -391,7 +410,7 @@ def _run_estimator_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int
 
 
 def _run_contiguity_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
-    model, _ = _resolve_cell(entry, cs)
+    model, _, _ = _resolve_cell(entry, cs)
     diag = lr_diagnostics(model, entry.epsilon, entry.replications, seed)
     metrics = [
         Metric("mean_lr", diag["mean_lr"], diag["se_mean_lr"]),
@@ -405,34 +424,17 @@ def _run_contiguity_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: in
 
 
 def _run_test_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
-    design = entry.design
-    model, sigma_sq = _resolve_cell(entry, cs)
-    mu_points = _resolve_mu(design.get("mu", [0.0]), sigma_sq, cs.n)
-    tests = design.get("tests", ["sign", "cluster_t"])
-    z_bound = design.get("z_bound", "oracle")
-    c = sigma_sq if z_bound == "oracle" else float(z_bound)
-    alpha = entry.alpha
-    sizes = cs.sizes_array
-
-    def kernel(name, s1, u):
-        if name == "sign":
-            return sign_test_stat_rows(s1, cs.n, alpha, u)
-        if name == "cluster_t":
-            return cluster_t_stat_rows(s1, sizes, alpha)
-        if name == "z":
-            return z_test_stat_rows(s1, cs.n, c, alpha)
-        raise InvalidInputError(f"unknown test {name!r}")
-
+    model, sigma_sq, mu_points = _resolve_cell(entry, cs)
+    kernels = {"sign": sign_test_stat_rows, "cluster_t": cluster_t_stat_rows, "z": z_test_stat_rows}
+    tests = _kernel_names(entry.design.get("tests", ["sign", "cluster_t"]), kernels, "test")
+    z_bound = entry.design.get("z_bound", "oracle")
+    c = sigma_sq if z_bound == "oracle" else _as_float(z_bound, "z_bound")
     reps = entry.replications
     counts = {(name, label): 0 for name in tests for label, _ in mu_points}
-    for lo, hi in _chunks(reps, block_stat_words(model), _CHUNK_SCALARS):
-        s1_0, _, u = block_stat_rows(model, 0.0, seed, range(lo, hi))
-        for label, mu_bar in mu_points:
-            # A mean shift moves each block sum by k mu_bar, exactly as a draw
-            # at mu_bar would.
-            s1 = s1_0 + sizes * mu_bar if mu_bar != 0.0 else s1_0
-            for name in tests:
-                counts[(name, label)] += int(np.count_nonzero(kernel(name, s1, u)))
+    for _, _, label, s1, _, u in _block_stat_chunks(model, seed, reps, mu_points):
+        for name in tests:
+            p = kernels[name](s1, cs.sizes_array, entry.alpha, c)[-1]
+            counts[(name, label)] += int(np.count_nonzero(p > u))
     return [
         Metric(
             f"{name}_reject[mu={label}]",
@@ -445,10 +447,8 @@ def _run_test_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
 
 
 def _run_graph_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
-    design = entry.design
-    model, sigma_sq = _resolve_cell(entry, cs)
-    mu_bar = _single_mu(design, sigma_sq, cs.n)
-    specs = design.get("graphs")
+    model, sigma_sq, [(_, mu_bar)] = _resolve_cell(entry, cs)
+    specs = entry.design.get("graphs")
     if not isinstance(specs, list) or not specs:
         raise InvalidInputError("graph_estimation needs a design.graphs list")
     graphs = []
@@ -477,6 +477,7 @@ _RUNNERS = {
     "test_size_power": _run_test_cell,
     "graph_estimation": _run_graph_cell,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def _evaluate_cell(entry: ExperimentConfig, n: int, seed: int) -> CellResult:

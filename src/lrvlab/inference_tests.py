@@ -8,11 +8,16 @@
 - known_bound_z_test: the one-sided z-test available once an upper bound c on
   the long-run variance is known a priori.
 
-Scalar operations return a TestOutcome; *_rows variants evaluate whole
-(replications, n) batches and return per-row rejection indicators.  The
-three tests see the data only through its block sums S1, and each has one
-kernel over them (*_stat_rows), which the harness calls on block sums it
-draws directly and the *_rows forms call after reducing X.
+Each test is computed by one kernel over the block sums S1 (B, M),
+*_stat_rows(S1, sizes, alpha, c), returning the statistic, the critical value
+and a per-row rejection probability p: 2 alpha 1{V = +1} for the sign test,
+1{statistic > critical} for the others.  A row rejects when p > u for its
+randomization uniform u, which the sampler draws strictly inside (0, 1).  The
+kernels share one signature (only the z-test uses its bound c), so the
+harness looks them up by name.  The scalar operations (returning a
+TestOutcome) and the *_rows forms (per-row rejection indicators of a (B, n)
+batch) reduce the data to block sums, singletons for the sign and z tests,
+and call the same kernel.
 """
 
 from __future__ import annotations
@@ -55,11 +60,36 @@ class ClusterSummary:
     T_prime: float
 
 
-def _as_vector(x) -> np.ndarray:
+def _as_row(x) -> np.ndarray:
+    """A nonempty 1-d data vector as a one-row (1, n) matrix."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise InvalidInputError("expected a nonempty 1-d data vector")
-    return x
+    return x[np.newaxis, :]
+
+
+def _block_sums_row(x, cs: ClusterStructure) -> np.ndarray:
+    row = _as_row(x)
+    if row.shape[-1] != cs.n:
+        raise InvalidInputError(f"data has length {row.shape[-1]}, structure has n = {cs.n}")
+    return block_sums(row, cs)
+
+
+def _outcome(kernel_out, alpha: float, u: float = 0.0) -> TestOutcome:
+    """The TestOutcome of a one-row kernel evaluation; it rejects when p > u."""
+    statistic, critical, p = kernel_out
+    p = float(p[0])
+    return TestOutcome(float(statistic[0]), p, p > u, float(critical), float(alpha))
+
+
+def sign_test_stat_rows(s1: np.ndarray, sizes: np.ndarray, alpha: float, c=None):
+    """(V, 0, p) per row from block sums: V = sgn(xbar), the tie counted as +1,
+    and p = 2 alpha 1{V = +1}.  Requires alpha in (0, 1/2); c is unused."""
+    alpha = float(alpha)
+    if not (0.0 < alpha < 0.5):
+        raise InvalidInputError(f"alpha must lie in (0, 1/2), got {alpha}")
+    nonnegative = s1.sum(axis=-1) / sizes.sum() >= 0.0
+    return np.where(nonnegative, 1.0, -1.0), 0.0, np.where(nonnegative, 2.0 * alpha, 0.0)
 
 
 def sign_test(x, alpha: float, u: float) -> TestOutcome:
@@ -69,47 +99,52 @@ def sign_test(x, alpha: float, u: float) -> TestOutcome:
     rejects with probability 2*alpha when V = +1 and never when V = -1.
     Requires alpha in (0, 1/2).
     """
-    x = _as_vector(x)
-    alpha = float(alpha)
-    if not (0.0 < alpha < 0.5):
-        raise InvalidInputError(f"alpha must lie in (0, 1/2), got {alpha}")
+    row = _as_row(x)
     u = float(u)
     if not (0.0 <= u <= 1.0):
         raise InvalidInputError(f"randomization input u must lie in [0, 1], got {u}")
-    v = 1.0 if float(x.mean()) >= 0.0 else -1.0
-    reject_probability = 2.0 * alpha if v > 0.0 else 0.0
-    return TestOutcome(
-        statistic=v,
-        reject_probability=reject_probability,
-        rejected=reject_probability > u,
-        critical_value=0.0,
-        alpha=alpha,
-    )
-
-
-def sign_test_stat_rows(s1: np.ndarray, n: int, alpha: float, u: np.ndarray) -> np.ndarray:
-    """Row-wise rejection indicators of the sign test from block sums (one uniform per row)."""
-    alpha = float(alpha)
-    if not (0.0 < alpha < 0.5):
-        raise InvalidInputError(f"alpha must lie in (0, 1/2), got {alpha}")
-    reject_probability = np.where(s1.sum(axis=-1) / n >= 0.0, 2.0 * alpha, 0.0)
-    return reject_probability > np.asarray(u, dtype=np.float64)
+    return _outcome(sign_test_stat_rows(row, np.ones(row.shape[-1]), alpha), alpha, u)
 
 
 def sign_test_rows(X: np.ndarray, alpha: float, u: np.ndarray) -> np.ndarray:
     """Row-wise rejection indicators of the sign test (one uniform per row)."""
-    return sign_test_stat_rows(X, X.shape[-1], alpha, u)
+    p = sign_test_stat_rows(X, np.ones(X.shape[-1]), alpha)[-1]
+    return p > np.asarray(u, dtype=np.float64)
+
+
+def _xi_moments(s1: np.ndarray, sizes: np.ndarray):
+    """xi = S1 / sqrt(k) per block, and per row their mean U' and sample
+    variance T' (divisor M - 1; 0 for a single cluster)."""
+    xi = s1 / np.sqrt(sizes)
+    u_prime = xi.mean(axis=-1)
+    if sizes.size < 2:
+        return xi, u_prime, np.zeros_like(u_prime)
+    return xi, u_prime, xi.var(axis=-1, ddof=1)
 
 
 def cluster_summary(x, cs: ClusterStructure) -> ClusterSummary:
     """The per-cluster normalized means xi and their moments U', T'."""
-    x = _as_vector(x)
-    if x.size != cs.n:
-        raise InvalidInputError(f"data has length {x.size}, structure has n = {cs.n}")
-    xi = np.add.reduceat(x, cs.starts) / np.sqrt(cs.sizes_array)
-    u_prime = float(xi.mean())
-    t_prime = float(xi.var(ddof=1)) if cs.M > 1 else 0.0
-    return ClusterSummary(xi=tuple(float(v) for v in xi), U_prime=u_prime, T_prime=t_prime)
+    xi, u_prime, t_prime = _xi_moments(_block_sums_row(x, cs), cs.sizes_array)
+    return ClusterSummary(
+        xi=tuple(float(v) for v in xi[0]), U_prime=float(u_prime[0]), T_prime=float(t_prime[0])
+    )
+
+
+def cluster_t_stat_rows(s1: np.ndarray, sizes: np.ndarray, alpha: float, c=None):
+    """(V', t(M-1) quantile at 1 - alpha, p = 1{V' > quantile}) per row, with
+    V' = sqrt(M) U'/sqrt(T') (+-inf or nan where T' = 0).  Requires alpha in
+    (0, 1) and M >= 2; c is unused."""
+    alpha = float(alpha)
+    if not (0.0 < alpha < 1.0):
+        raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
+    m = sizes.size
+    if m < 2:
+        raise InvalidInputError("the cluster t-test needs at least two clusters")
+    _, u_prime, t_prime = _xi_moments(s1, sizes)
+    critical = student_t_quantile(m - 1, 1.0 - alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        statistic = math.sqrt(m) * u_prime / np.sqrt(t_prime)
+    return statistic, critical, statistic > critical
 
 
 def cluster_t_test(x, cs: ClusterStructure, alpha: float) -> TestOutcome:
@@ -118,79 +153,42 @@ def cluster_t_test(x, cs: ClusterStructure, alpha: float) -> TestOutcome:
     Needs M >= 2 clusters; constant cluster means (T' = 0) raise
     DegenerateDataError.
     """
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
-    if cs.M < 2:
-        raise InvalidInputError("the cluster t-test needs at least two clusters")
-    summary = cluster_summary(x, cs)
-    if summary.T_prime == 0.0:
+    s1 = _block_sums_row(x, cs)
+    outcome = _outcome(cluster_t_stat_rows(s1, cs.sizes_array, alpha), alpha)
+    if _xi_moments(s1, cs.sizes_array)[2][0] == 0.0:
         raise DegenerateDataError("all cluster means are equal; T' = 0")
-    statistic = math.sqrt(cs.M) * summary.U_prime / math.sqrt(summary.T_prime)
-    critical = student_t_quantile(cs.M - 1, 1.0 - alpha)
-    rejected = statistic > critical
-    return TestOutcome(
-        statistic=statistic,
-        reject_probability=1.0 if rejected else 0.0,
-        rejected=rejected,
-        critical_value=critical,
-        alpha=alpha,
-    )
-
-
-def cluster_t_stat_rows(s1: np.ndarray, sizes: np.ndarray, alpha: float) -> np.ndarray:
-    """Row-wise rejection indicators of the cluster t-test from block sums."""
-    m = sizes.size
-    if m < 2:
-        raise InvalidInputError("the cluster t-test needs at least two clusters")
-    xi = s1 / np.sqrt(sizes)
-    u_prime = xi.mean(axis=-1)
-    t_prime = xi.var(axis=-1, ddof=1)
-    critical = student_t_quantile(m - 1, 1.0 - float(alpha))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        statistic = math.sqrt(m) * u_prime / np.sqrt(t_prime)
-    return statistic > critical
+    return outcome
 
 
 def cluster_t_rows(X: np.ndarray, cs: ClusterStructure, alpha: float) -> np.ndarray:
     """Row-wise rejection indicators of the cluster t-test."""
-    return cluster_t_stat_rows(block_sums(X, cs), cs.sizes_array, alpha)
+    return cluster_t_stat_rows(block_sums(X, cs), cs.sizes_array, alpha)[-1]
 
 
-def known_bound_z_test(x, c: float, alpha: float) -> TestOutcome:
-    """One-sided z-test using a known upper bound c on the long-run variance."""
-    x = _as_vector(x)
+def z_test_stat_rows(s1: np.ndarray, sizes: np.ndarray, alpha: float, c: float):
+    """(z, normal quantile at 1 - alpha, p = 1{z > quantile}) per row, with
+    z = sqrt(n) xbar / sqrt(c).  Requires c > 0 and alpha in (0, 1)."""
     c = float(c)
     if c <= 0.0:
         raise InvalidInputError(f"variance bound c must be positive, got {c}")
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
-    statistic = math.sqrt(x.size) * float(x.mean()) / math.sqrt(c)
+    n = sizes.sum()
     critical = float(ndtri(1.0 - alpha))
-    rejected = statistic > critical
-    return TestOutcome(
-        statistic=statistic,
-        reject_probability=1.0 if rejected else 0.0,
-        rejected=rejected,
-        critical_value=critical,
-        alpha=alpha,
-    )
-
-
-def z_test_stat_rows(s1: np.ndarray, n: int, c: float, alpha: float) -> np.ndarray:
-    """Row-wise rejection indicators of the known-bound z-test from block sums."""
-    c = float(c)
-    if c <= 0.0:
-        raise InvalidInputError(f"variance bound c must be positive, got {c}")
-    critical = float(ndtri(1.0 - float(alpha)))
     statistic = math.sqrt(n) * (s1.sum(axis=-1) / n) / math.sqrt(c)
-    return statistic > critical
+    return statistic, critical, statistic > critical
+
+
+def known_bound_z_test(x, c: float, alpha: float) -> TestOutcome:
+    """One-sided z-test using a known upper bound c on the long-run variance."""
+    row = _as_row(x)
+    return _outcome(z_test_stat_rows(row, np.ones(row.shape[-1]), alpha, c), alpha)
 
 
 def z_test_rows(X: np.ndarray, c: float, alpha: float) -> np.ndarray:
     """Row-wise rejection indicators of the known-bound z-test."""
-    return z_test_stat_rows(X, X.shape[-1], c, alpha)
+    return z_test_stat_rows(X, np.ones(X.shape[-1]), alpha, c)[-1]
 
 
 def student_t_quantile(df: int, p: float) -> float:

@@ -46,7 +46,6 @@ from .errors import (
     DegenerateDataError,
     FactorizationError,
     InvalidInputError,
-    ModelInvalidError,
 )
 from .sampler import _CHUNK_SCALARS, _chunks, block_stat_rows, block_stat_words
 
@@ -94,21 +93,13 @@ def loglr_cluster_rows(X: np.ndarray, model: BlockEquicorrModel, mu_bar: float) 
 
 
 def loglr_equicorr(x, mu_bar: float, delta: float) -> float:
-    """Single-block closed form; requires 1 - delta > 0 and 1 + (n-1) delta > 0.
+    """Single-block closed form: loglr_cluster on one block of size len(x).
 
-    (n delta may lie anywhere the positive-definiteness constraints allow.)
+    A block of size n >= 2 needs 1 - delta > 0 and 1 + (n-1) delta > 0 (n delta
+    may lie anywhere those allow); a singleton ignores delta.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size < 1:
-        raise InvalidInputError("expected a nonempty 1-d data vector")
-    n = x.size
-    delta = float(delta)
-    if not (1.0 - delta > 0.0) or not (1.0 + (n - 1) * delta > 0.0):
-        raise ModelInvalidError(
-            f"equicorrelation block (n={n}, delta={delta}) is not positive definite"
-        )
-    model = block_model(build_structure([n]), [delta])
-    return float(loglr_cluster_rows(x[np.newaxis, :], model, float(mu_bar))[0])
+    return loglr_cluster(x, build_structure([x.size]), [delta], mu_bar)
 
 
 def loglr_cluster(x, cs: ClusterStructure, deltas, mu_bar: float) -> float:

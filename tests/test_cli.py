@@ -143,7 +143,15 @@ class TestRun:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "field, value", [("alpha", 1.5), ("alpha", 0.0), ("epsilon", 0.0), ("epsilon", -0.1)]
+        "field, value",
+        [
+            ("alpha", 1.5),
+            ("alpha", 0.0),
+            ("epsilon", 0.0),
+            ("epsilon", -0.1),
+            ("alpha", None),
+            ("epsilon", [0.1]),
+        ],
     )
     def test_out_of_range_alpha_or_epsilon_fails_cleanly(self, tmp_path, field, value):
         cfg = {
@@ -230,9 +238,20 @@ class TestStats:
         code, _, err = invoke(["stats", "--graph", str(tmp_path / "none.json")])
         assert code == 1 and err.startswith("lrvlab:")
 
-    def test_malformed_graph_file_exits_one(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2, "edges": [[0, 5]]}',
+            '{"n": 3, "edges": [[0]]}',
+            '{"n": 3, "edges": [5]}',
+            '{"n": 3, "edges": [[0, null]]}',
+            '{"n": null, "edges": []}',
+        ],
+        ids=["out-of-range", "one-endpoint", "bare-int", "null-endpoint", "null-n"],
+    )
+    def test_malformed_graph_file_exits_one(self, tmp_path, text):
         path = tmp_path / "bad.json"
-        path.write_text('{"n": 2, "edges": [[0, 5]]}', encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         code, _, err = invoke(["stats", "--graph", str(path)])
         assert code == 1 and err.startswith("lrvlab:")
 

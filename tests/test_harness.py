@@ -323,11 +323,20 @@ class TestQuarantine:
         (cell,) = run_from(cfg).cells
         assert cell.error is not None and "wald" in cell.error
 
-    def test_multi_mu_rejected_outside_test_cells(self):
-        cfg = pairs_config(replications=100)
-        cfg["design"]["mu"] = [0.0, 1.0]
+    @pytest.mark.parametrize(
+        "kind, mu, message",
+        [
+            ("estimator_consistency", [0.0, 1.0], "one mu"),
+            ("contiguity", [0.0, 3.0], "one mu"),
+            ("contiguity", [3.0], "mu_bar = 0"),
+        ],
+        ids=["estimator-two-mu", "contiguity-two-mu", "contiguity-nonzero-mu"],
+    )
+    def test_multi_mu_rejected_outside_test_cells(self, kind, mu, message):
+        cfg = pairs_config(replications=100, experiment=kind)
+        cfg["design"]["mu"] = mu
         (cell,) = run_from(cfg).cells
-        assert cell.error is not None and "one mu" in cell.error
+        assert cell.error is not None and message in cell.error
 
     def test_bad_mu_entry(self):
         cfg = pairs_config(replications=100)
