@@ -12,7 +12,6 @@ environment variable, then the config file's master_seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -63,7 +62,6 @@ def _cmd_run(args) -> int:
     master_seed, entries = load_config(args.config)
     if seed_override is not None:
         master_seed = seed_override
-        entries = [dataclasses.replace(e, master_seed=master_seed) for e in entries]
     report = run_sweep(entries, master_seed, threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
     written = []

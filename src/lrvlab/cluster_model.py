@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import math
+import operator
 
 import numpy as np
 
@@ -68,9 +69,13 @@ class ClusterStructure:
 def build_structure(sizes) -> ClusterStructure:
     """Validate a list of cluster sizes and derive the summary statistics.
 
-    Raises InvalidInputError on an empty list or any size < 1.
+    Raises InvalidInputError on an empty list, a size that is not an
+    integer (a float is refused, not truncated) or any size < 1.
     """
-    sizes = tuple(int(s) for s in sizes)
+    try:
+        sizes = tuple(operator.index(s) for s in sizes)
+    except TypeError:
+        raise InvalidInputError(f"cluster sizes must be integers, got {sizes!r}") from None
     if not sizes:
         raise InvalidInputError("cluster size list is empty")
     if any(s < 1 for s in sizes):

@@ -56,15 +56,14 @@ def make_graph(n: int, edges) -> DependencyGraph:
     """Validate and normalize an edge list into a DependencyGraph.
 
     Edges are deduplicated and stored with i < j; an n that is not an
-    integer, an edge that is not a pair of integers, self-loops and
+    integer, edges that are not a list of integer pairs, self-loops and
     out-of-range endpoints raise InvalidInputError.
     """
+    n = _node_count(n)
     try:
-        n = operator.index(n)
+        edges = iter(edges)
     except TypeError:
-        raise InvalidInputError(f"graph n must be an integer, got {n!r}") from None
-    if n < 1:
-        raise InvalidInputError(f"graph needs at least one node, got n = {n}")
+        raise InvalidInputError(f"graph edges must be a list of pairs, got {edges!r}") from None
     normalized = set()
     for e in edges:
         try:
@@ -77,6 +76,16 @@ def make_graph(n: int, edges) -> DependencyGraph:
             raise InvalidInputError(f"edge ({i}, {j}) out of range for n = {n}")
         normalized.add((min(i, j), max(i, j)))
     return DependencyGraph(n=n, edges=frozenset(normalized))
+
+
+def _node_count(n) -> int:
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidInputError(f"graph n must be an integer, got {n!r}") from None
+    if n < 1:
+        raise InvalidInputError(f"graph needs at least one node, got n = {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -167,12 +176,12 @@ def generate_graph(kind: str, **params) -> DependencyGraph:
     list of sizes) and yields the disjoint union of complete blocks.
     """
     if kind == "star":
-        n = _require_n(params)
+        n = _node_count(params.get("n"))
         return make_graph(n, ((0, i) for i in range(1, n)))
     if kind == "empty":
-        return make_graph(_require_n(params), ())
+        return make_graph(_node_count(params.get("n")), ())
     if kind == "complete":
-        n = _require_n(params)
+        n = _node_count(params.get("n"))
         return make_graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
     if kind == "cluster":
         cs = params.get("cs")
@@ -187,16 +196,6 @@ def generate_graph(kind: str, **params) -> DependencyGraph:
                     edges.append((i, j))
         return make_graph(cs.n, edges)
     raise InvalidInputError(f"unknown graph kind {kind!r}")
-
-
-def _require_n(params) -> int:
-    n = params.get("n")
-    if n is None:
-        raise InvalidInputError("this graph kind requires n=<node count>")
-    n = int(n)
-    if n < 1:
-        raise InvalidInputError(f"graph needs at least one node, got n = {n}")
-    return n
 
 
 def graph_to_dict(g: DependencyGraph) -> dict:

@@ -23,8 +23,9 @@ test rejects in a replication when its rejection probability p exceeds the
 replication's uniform u: p = 2 alpha 1{xbar >= 0} for the sign test and
 p = 1{statistic > critical} for the cluster t and z tests.
 
-Config schema (JSON; a single experiment object, or a sweep
-{"master_seed": ..., "experiments": [...]}):
+Config schema (JSON; a sweep {"master_seed": ..., "experiments": [...]}, or
+a single experiment object carrying its master_seed, which is read as a
+one-entry sweep):
 
     {
       "experiment": "estimator_consistency",   # or contiguity |
@@ -64,7 +65,7 @@ import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -87,7 +88,7 @@ from .estimators import (
 from .graphs import generate_graph
 from .inference_tests import cluster_t_stat_rows, sign_test_stat_rows, z_test_stat_rows
 from .likelihood import lr_diagnostics
-from .sampler import _CHUNK_SCALARS, _chunks, block_stat_rows, block_stat_words, sample_rows
+from .sampler import _chunks, block_stat_rows, block_stat_words, sample_rows
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -99,7 +100,6 @@ class ExperimentConfig:
     replications: int
     alpha: float
     epsilon: float
-    master_seed: int
 
 
 @dataclass(frozen=True)
@@ -141,9 +141,10 @@ class ExperimentReport:
 def load_config(source) -> tuple[int, list[ExperimentConfig]]:
     """Parse a config (path, JSON string handle, or dict) into experiments.
 
-    Returns (master_seed, entries).  Accepts a single experiment object or a
-    sweep {"master_seed": ..., "experiments": [...]}; sweep entries must not
-    carry their own master_seed.
+    Returns (master_seed, entries).  Accepts a sweep {"master_seed": ...,
+    "experiments": [...]}, whose entries must not carry their own master_seed,
+    or a single experiment object, read as a one-entry sweep with the
+    object's master_seed.
     """
     if isinstance(source, dict):
         obj = source
@@ -152,29 +153,21 @@ def load_config(source) -> tuple[int, list[ExperimentConfig]]:
             obj = json.load(fh)
     if not isinstance(obj, dict):
         raise InvalidInputError("config must be a JSON object")
-
-    if "experiments" in obj:
-        if "master_seed" not in obj:
-            raise InvalidInputError("sweep config requires a top-level master_seed")
-        seed = _as_int(obj["master_seed"], "master_seed")
-        raw_entries = obj["experiments"]
-        if not isinstance(raw_entries, list) or not raw_entries:
-            raise InvalidInputError("experiments must be a nonempty list")
-        entries = []
-        for pos, raw in enumerate(raw_entries):
-            if not isinstance(raw, dict):
-                raise InvalidInputError("experiment entry must be a JSON object")
-            if "master_seed" in raw:
-                raise InvalidInputError(
-                    "sweep entries must not carry master_seed (set it top-level)"
-                )
-            entries.append(_parse_entry(raw, seed, pos))
-        return seed, entries
-
-    if "master_seed" not in obj:
-        raise InvalidInputError("config requires master_seed")
-    seed = _as_int(obj["master_seed"], "master_seed")
-    return seed, [_parse_entry(obj, seed, 0)]
+    if "experiments" not in obj:
+        entry = dict(obj)
+        obj = {"master_seed": entry.pop("master_seed", None), "experiments": [entry]}
+    seed = _as_int(obj.get("master_seed"), "top-level master_seed")
+    raw_entries = obj["experiments"]
+    if not isinstance(raw_entries, list) or not raw_entries:
+        raise InvalidInputError("experiments must be a nonempty list")
+    entries = []
+    for pos, raw in enumerate(raw_entries):
+        if not isinstance(raw, dict):
+            raise InvalidInputError("experiment entry must be a JSON object")
+        if "master_seed" in raw:
+            raise InvalidInputError("sweep entries must not carry master_seed (set it top-level)")
+        entries.append(_parse_entry(raw, pos))
+    return seed, entries
 
 
 def _as_int(value, name: str) -> int:
@@ -189,7 +182,7 @@ def _as_float(value, name: str) -> float:
     return float(value)
 
 
-def _parse_entry(raw: dict, seed: int, pos: int) -> ExperimentConfig:
+def _parse_entry(raw: dict, pos: int) -> ExperimentConfig:
     kind = raw.get("experiment")
     if kind not in EXPERIMENT_KINDS:
         raise InvalidInputError(
@@ -222,25 +215,19 @@ def _parse_entry(raw: dict, seed: int, pos: int) -> ExperimentConfig:
         replications=reps,
         alpha=alpha,
         epsilon=epsilon,
-        master_seed=seed,
     )
+
+
+def _json_dict(pairs) -> dict:
+    """asdict's dict_factory: tuple fields become JSON lists."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in pairs}
 
 
 def canonical_config(master_seed: int, entries) -> dict:
     """The normalized sweep this run will execute (defaults applied)."""
     return {
         "master_seed": master_seed,
-        "experiments": [
-            {
-                "experiment": e.experiment,
-                "design": e.design,
-                "n_grid": list(e.n_grid),
-                "replications": e.replications,
-                "alpha": e.alpha,
-                "epsilon": e.epsilon,
-            }
-            for e in entries
-        ],
+        "experiments": [asdict(e, dict_factory=_json_dict) for e in entries],
     }
 
 
@@ -369,6 +356,8 @@ def _resolve_cell(entry: ExperimentConfig, cs: ClusterStructure):
 
 
 def _kernel_names(names, kernels: dict, what: str):
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise InvalidInputError(f"design.{what}s must be a list of names, got {names!r}")
     for name in names:
         if name not in kernels:
             raise InvalidInputError(f"unknown {what} {name!r}")
@@ -379,7 +368,7 @@ def _block_stat_chunks(model, seed: int, reps: int, mu_points):
     """(lo, hi, label, S1, T, u) per chunk of replications and per mu point;
     each chunk is drawn once at mu_bar = 0 and S1 shifted by k mu_bar."""
     sizes = model.structure.sizes_array
-    for lo, hi in _chunks(reps, block_stat_words(model), _CHUNK_SCALARS):
+    for lo, hi in _chunks(reps, block_stat_words(model)):
         s1_0, t, u = block_stat_rows(model, 0.0, seed, range(lo, hi))
         for label, mu_bar in mu_points:
             s1 = s1_0 + sizes * mu_bar if mu_bar != 0.0 else s1_0
@@ -453,15 +442,16 @@ def _run_graph_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
         raise InvalidInputError("graph_estimation needs a design.graphs list")
     graphs = []
     for pos, spec in enumerate(specs):
+        if not isinstance(spec, dict):
+            raise InvalidInputError(f"design.graphs entries must be objects, got {spec!r}")
         kind = spec.get("kind")
         gid = spec.get("id", f"{kind}-{pos}")
-        if kind == "cluster":
-            graphs.append((gid, generate_graph("cluster", cs=cs)))
-        else:
-            graphs.append((gid, generate_graph(kind, n=cs.n)))
+        if not isinstance(gid, str):
+            raise InvalidInputError(f"graph id must be a string, got {gid!r}")
+        graphs.append((gid, generate_graph(kind, cs=cs, n=cs.n)))
     reps = entry.replications
     acc = {gid: np.empty(reps) for gid, _ in graphs}
-    for lo, hi in _chunks(reps, cs.n, _CHUNK_SCALARS):
+    for lo, hi in _chunks(reps, cs.n):
         X = sample_rows(model, mu_bar, seed, range(lo, hi))
         for gid, g in graphs:
             acc[gid][lo:hi] = graph_rows(X, g)
@@ -481,36 +471,29 @@ EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def _evaluate_cell(entry: ExperimentConfig, n: int, seed: int) -> CellResult:
+    n_star, M, h, share, metrics, error = 0, 0, 0.0, 0.0, (), None
     try:
         cs = _resolve_structure(entry.design.get("structure"), n)
-        metrics = _RUNNERS[entry.experiment](entry, cs, seed)
-        return CellResult(
-            experiment=entry.experiment,
-            design_id=str(entry.design["id"]),
-            n=n,
-            n_star=cs.n_star,
-            M=cs.M,
-            h=cs.heterogeneity,
-            max_cluster_share=max_cluster_share(cs),
-            reps=entry.replications,
-            seed=seed,
-            metrics=tuple(metrics),
-            error=None,
-        )
+        metrics = tuple(_RUNNERS[entry.experiment](entry, cs, seed))
+        names = [m.metric for m in metrics]
+        if len(set(names)) != len(names):
+            raise InvalidInputError(f"metric names repeat: {names}")
+        n_star, M, h, share = cs.n_star, cs.M, cs.heterogeneity, max_cluster_share(cs)
     except Exception as exc:  # quarantine the cell, keep the sweep going
-        return CellResult(
-            experiment=entry.experiment,
-            design_id=str(entry.design["id"]),
-            n=n,
-            n_star=0,
-            M=0,
-            h=0.0,
-            max_cluster_share=0.0,
-            reps=entry.replications,
-            seed=seed,
-            metrics=(),
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        metrics, error = (), f"{type(exc).__name__}: {exc}"
+    return CellResult(
+        experiment=entry.experiment,
+        design_id=str(entry.design["id"]),
+        n=n,
+        n_star=n_star,
+        M=M,
+        h=h,
+        max_cluster_share=share,
+        reps=entry.replications,
+        seed=seed,
+        metrics=metrics,
+        error=error,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -547,30 +530,7 @@ def run_sweep(entries, master_seed: int, threads: int = 1) -> ExperimentReport:
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
-    return {
-        "version": report.version,
-        "master_seed": report.master_seed,
-        "config_sha256": report.config_sha256,
-        "cells": [
-            {
-                "experiment": c.experiment,
-                "design_id": c.design_id,
-                "n": c.n,
-                "n_star": c.n_star,
-                "M": c.M,
-                "h": c.h,
-                "max_cluster_share": c.max_cluster_share,
-                "reps": c.reps,
-                "seed": c.seed,
-                "metrics": [
-                    {"metric": m.metric, "value": m.value, "se": m.se}
-                    for m in c.metrics
-                ],
-                "error": c.error,
-            }
-            for c in report.cells
-        ],
-    }
+    return asdict(report, dict_factory=_json_dict)
 
 
 def summarize(report: ExperimentReport, format: str = "csv") -> str:

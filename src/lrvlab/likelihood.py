@@ -47,7 +47,7 @@ from .errors import (
     FactorizationError,
     InvalidInputError,
 )
-from .sampler import _CHUNK_SCALARS, _chunks, block_stat_rows, block_stat_words
+from .sampler import _chunks, block_stat_rows, block_stat_words
 
 # Agreement demanded between the two dense log-LR routes (absolute, scaled up
 # by |value| once values leave the unit range).
@@ -293,7 +293,7 @@ def lr_diagnostics(model: BlockEquicorrModel, epsilon: float, reps: int, seed: i
     null = block_model(cs, [0.0] * cs.M)
     groups = model.residual_groups
     w = np.empty(reps, dtype=np.float64)
-    for lo, hi in _chunks(reps, block_stat_words(model), _CHUNK_SCALARS):
+    for lo, hi in _chunks(reps, block_stat_words(model)):
         s1, t, _ = block_stat_rows(null, 0.0, seed, range(lo, hi), groups)
         w[lo:hi] = loglr_stat_rows(s1, t, model, 0.0)
 

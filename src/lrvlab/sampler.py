@@ -125,12 +125,14 @@ def raw_rows(master_seed: int, replication_ids, width: int) -> np.ndarray:
     return out
 
 
-def _chunks(reps: int, width: int, budget: int):
-    """(lo, hi) replication ranges of about `budget` scalars at `width` per row.
+def _chunks(reps: int, width: int):
+    """(lo, hi) replication ranges of about _CHUNK_SCALARS scalars at `width`
+    per row.
 
-    The boundaries depend only on the arguments, never on the worker count.
+    The boundaries depend only on the arguments and _CHUNK_SCALARS (read at
+    call time, so tests can narrow it), never on the worker count.
     """
-    size = max(1, budget // max(1, width))
+    size = max(1, _CHUNK_SCALARS // max(1, width))
     for lo in range(0, reps, size):
         yield lo, min(lo + size, reps)
 

@@ -246,8 +246,9 @@ class TestStats:
             '{"n": 3, "edges": [5]}',
             '{"n": 3, "edges": [[0, null]]}',
             '{"n": null, "edges": []}',
+            '{"n": 3, "edges": 5}',
         ],
-        ids=["out-of-range", "one-endpoint", "bare-int", "null-endpoint", "null-n"],
+        ids=["out-of-range", "one-endpoint", "bare-int", "null-endpoint", "null-n", "int-edges"],
     )
     def test_malformed_graph_file_exits_one(self, tmp_path, text):
         path = tmp_path / "bad.json"

@@ -89,6 +89,12 @@ def test_build_structure_starts_and_arrays():
     assert cs.sizes_array.tolist() == [3, 1, 2]
 
 
+@pytest.mark.parametrize("sizes", [[1.9, 2.1], [2.0], ["2"], 5])
+def test_build_structure_refuses_non_integer_sizes(sizes):
+    with pytest.raises(InvalidInputError):
+        build_structure(sizes)
+
+
 def test_build_structure_rejects_bad_sizes():
     with pytest.raises(InvalidInputError):
         build_structure([])

@@ -126,6 +126,13 @@ def test_generate_graph_examples():
         generate_graph("cluster")
 
 
+@pytest.mark.parametrize("n", [3.7, "4"])
+def test_generated_graph_node_count_is_checked(n):
+    # a float n is refused, not truncated, as make_graph refuses it
+    with pytest.raises(InvalidInputError):
+        generate_graph("star", n=n)
+
+
 def test_serialization_round_trip():
     rng = np.random.default_rng(5002)
     for _ in range(10):

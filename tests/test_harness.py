@@ -11,8 +11,9 @@ import json
 import pytest
 
 from lrvlab import InvalidInputError
-from lrvlab import harness
+from lrvlab import sampler
 from lrvlab.harness import (
+    config_hash,
     load_config,
     report_to_dict,
     run_sweep,
@@ -74,7 +75,14 @@ class TestLoadConfig:
         )
         assert seed == 99
         assert len(entries) == 2
-        assert all(e.master_seed == 99 for e in entries)
+
+    def test_single_object_is_a_one_entry_sweep(self):
+        entry = pairs_config()
+        del entry["master_seed"]
+        single = load_config(pairs_config())
+        sweep = load_config({"master_seed": 6001, "experiments": [entry]})
+        assert single == sweep
+        assert config_hash(*single) == config_hash(*sweep)
 
     def test_sweep_entry_must_not_carry_seed(self):
         with pytest.raises(InvalidInputError):
@@ -344,6 +352,43 @@ class TestQuarantine:
         (cell,) = run_from(cfg).cells
         assert cell.error is not None and "mu entry" in cell.error
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("test_size_power", "tests", ["sign", "sign"]),
+            ("test_size_power", "mu", [0.0, 0]),
+            ("estimator_consistency", "estimators", ["cluster", "cluster"]),
+            ("graph_estimation", "graphs", [{"id": "g", "kind": "empty"}, {"id": "g", "kind": "star"}]),
+        ],
+        ids=["same-test", "same-mu", "same-estimator", "same-graph-id"],
+    )
+    def test_repeated_metric_names_are_quarantined(self, kind, field, value):
+        # a repeated name would add its rejections twice or overwrite
+        # another graph's accumulator, so the cell must not report
+        cfg = pairs_config(replications=100, experiment=kind, n_grid=[10])
+        cfg["design"] = {"structure": {"pattern": "singletons"}, field: value}
+        (cell,) = run_from(cfg).cells
+        assert cell.error is not None and "metric names repeat" in cell.error
+        assert cell.metrics == ()
+
+    @pytest.mark.parametrize(
+        "kind, field, value, message",
+        [
+            ("test_size_power", "tests", 5, "design.tests"),
+            ("estimator_consistency", "estimators", "cluster", "design.estimators"),
+            ("estimator_consistency", "estimators", None, "design.estimators"),
+            ("graph_estimation", "graphs", [5], "design.graphs"),
+            ("graph_estimation", "graphs", [{"id": [1], "kind": "empty"}], "graph id"),
+        ],
+        ids=["tests-int", "estimators-string", "estimators-null", "graphs-int", "graph-id-list"],
+    )
+    def test_design_lists_are_type_checked(self, kind, field, value, message):
+        cfg = pairs_config(replications=100, experiment=kind, n_grid=[10])
+        cfg["design"] = {"structure": {"pattern": "singletons"}, field: value}
+        (cell,) = run_from(cfg).cells
+        assert cell.error is not None
+        assert cell.error.startswith("InvalidInputError: ") and message in cell.error
+
 
 class TestReports:
     def test_csv_shape(self):
@@ -437,7 +482,7 @@ class TestReports:
             ],
         }
         wide = run_from(cfg)
-        monkeypatch.setattr(harness, "_CHUNK_SCALARS", 64)
+        monkeypatch.setattr(sampler, "_CHUNK_SCALARS", 64)
         narrow = run_from(cfg)
         assert summarize(wide, "csv") == summarize(narrow, "csv")
         assert summarize(wide, "json") == summarize(narrow, "json")

@@ -425,11 +425,11 @@ class TestLrDiagnostics:
             lr_diagnostics(model, 0.1, 1000, seed=97)
 
     def test_chunk_size_does_not_move_diagnostics(self, monkeypatch):
-        from lrvlab import likelihood
+        from lrvlab import sampler
 
         model = block_model(build_structure([3, 1, 4, 3]), [0.2, 0.0, -0.1, 0.2])
         wide = lr_diagnostics(model, 0.1, 1200, seed=98)
-        monkeypatch.setattr(likelihood, "_CHUNK_SCALARS", 64)
+        monkeypatch.setattr(sampler, "_CHUNK_SCALARS", 64)
         assert lr_diagnostics(model, 0.1, 1200, seed=98) == wide
 
     def test_validation(self):
