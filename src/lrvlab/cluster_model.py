@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import math
-import operator
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .errors import (
     InvalidInputError,
     ModelInvalidError,
     StructureMismatchError,
+    require_int,
 )
 
 # Dense-matrix operations (oracles/validators only) refuse larger inputs.
@@ -70,10 +70,10 @@ def build_structure(sizes) -> ClusterStructure:
     """Validate a list of cluster sizes and derive the summary statistics.
 
     Raises InvalidInputError on an empty list, a size that is not an
-    integer (a float is refused, not truncated) or any size < 1.
+    integer (a float or bool is refused, not converted) or any size < 1.
     """
     try:
-        sizes = tuple(operator.index(s) for s in sizes)
+        sizes = tuple(require_int(s, "cluster size") for s in sizes)
     except TypeError:
         raise InvalidInputError(f"cluster sizes must be integers, got {sizes!r}") from None
     if not sizes:
@@ -127,6 +127,19 @@ class BlockEquicorrModel:
             if k >= 2:
                 groups[m] = index.setdefault(d, len(index))
         return groups
+
+    @cached_property
+    def residual_params(self) -> tuple[np.ndarray, np.ndarray]:
+        """(delta_g, nu_g) per residual group: the group's delta and its
+        degrees of freedom nu_g = sum of (k_m - 1) over the group's blocks."""
+        groups = self.residual_groups
+        multi = groups >= 0
+        count = int(np.max(groups, initial=-1)) + 1
+        deltas = np.zeros(count)
+        deltas[groups[multi]] = self.deltas_array[multi]
+        sizes = self.structure.sizes_array
+        nu = np.bincount(groups[multi], weights=sizes[multi] - 1.0, minlength=count)
+        return deltas, nu
 
 
 def block_model(
@@ -249,33 +262,6 @@ def long_run_variance(model: BlockEquicorrModel) -> float:
     return total / cs.n
 
 
-def residual_group_params(model: BlockEquicorrModel, groups):
-    """(delta_g, nu_g) per residual group: the group's delta and its degrees
-    of freedom nu_g = sum of (k_m - 1) over the group's blocks.
-
-    groups[m] is the group of block m, -1 exactly for singletons, with labels
-    0..G-1 all in use.  Raises InvalidInputError when the grouping is
-    malformed or the model's delta varies within a group.
-    """
-    cs = model.structure
-    groups = np.asarray(groups, dtype=np.intp)
-    sizes = cs.sizes_array
-    if groups.shape != (cs.M,) or np.any((groups >= 0) != (sizes >= 2)):
-        raise InvalidInputError(
-            "residual groups need one label per block, -1 exactly for singletons"
-        )
-    multi = groups >= 0
-    count = int(groups.max()) + 1 if np.any(multi) else 0
-    if np.any(np.bincount(groups[multi], minlength=count) == 0):
-        raise InvalidInputError("residual group labels must be 0..G-1, all in use")
-    deltas = np.zeros(count)
-    deltas[groups[multi]] = model.deltas_array[multi]
-    if np.any(deltas[groups[multi]] != model.deltas_array[multi]):
-        raise InvalidInputError("delta must be constant within each residual group")
-    nu = np.bincount(groups[multi], weights=sizes[multi] - 1.0, minlength=count)
-    return deltas, nu
-
-
 def block_sums(X, cs: ClusterStructure) -> np.ndarray:
     """S1: the sum of each row of a (B, n) matrix over each block, (B, M)."""
     if cs.M == cs.n:
@@ -289,7 +275,8 @@ def block_stats(X, cs: ClusterStructure, groups):
     T_g sums sum_{i in m} (x_i - xbar_m)^2 over the blocks m of group g.  It
     is computed in two passes, block means first and then centred squares,
     so it stays accurate when the block means are large.  groups labels the
-    blocks as in residual_group_params (e.g. model.residual_groups).
+    blocks as BlockEquicorrModel.residual_groups does: -1 for singletons and
+    0..G-1 for the groups of the other blocks.
     """
     X = np.asarray(X, dtype=np.float64)
     sizes = cs.sizes_array

@@ -1,8 +1,10 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and its one integer reader.
 
 All exceptions derive from ValueError so callers that only want "bad input"
 semantics can catch one base class.
 """
+
+import operator
 
 
 class InvalidInputError(ValueError):
@@ -27,3 +29,18 @@ class FactorizationError(ValueError):
 
 class DegenerateDataError(ValueError):
     """Data admits no well-defined statistic (e.g. zero variance)."""
+
+
+def require_int(value, name: str) -> int:
+    """value as an int, or InvalidInputError naming it.
+
+    Anything operator.index accepts (Python and numpy integers) passes except
+    bool: JSON's true/false must not stand in for 1/0.  Floats and strings
+    are refused, not converted.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInputError(f"{name} must be an integer, got {value!r}")

@@ -9,14 +9,13 @@ composite ratio d_max^2 * d_avg / n.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .cluster_model import ClusterStructure, build_structure
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_int
 
 # Exact max-clique search is confined to graphs this small; beyond it a
 # flagged greedy lower bound is returned instead.
@@ -56,8 +55,9 @@ def make_graph(n: int, edges) -> DependencyGraph:
     """Validate and normalize an edge list into a DependencyGraph.
 
     Edges are deduplicated and stored with i < j; an n that is not an
-    integer, edges that are not a list of integer pairs, self-loops and
-    out-of-range endpoints raise InvalidInputError.
+    integer, edges that are not a list of integer pairs (a float or bool
+    endpoint is refused), self-loops and out-of-range endpoints raise
+    InvalidInputError.
     """
     n = _node_count(n)
     try:
@@ -67,7 +67,7 @@ def make_graph(n: int, edges) -> DependencyGraph:
     normalized = set()
     for e in edges:
         try:
-            i, j = map(operator.index, e)
+            i, j = (require_int(v, "edge endpoint") for v in e)
         except (TypeError, ValueError):
             raise InvalidInputError(f"edge {e!r} is not a pair of integers") from None
         if i == j:
@@ -79,10 +79,7 @@ def make_graph(n: int, edges) -> DependencyGraph:
 
 
 def _node_count(n) -> int:
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise InvalidInputError(f"graph n must be an integer, got {n!r}") from None
+    n = require_int(n, "graph n")
     if n < 1:
         raise InvalidInputError(f"graph needs at least one node, got n = {n}")
     return n

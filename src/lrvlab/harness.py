@@ -8,13 +8,14 @@ master seed regardless of the worker count.
 
 Stream allocation: cells are enumerated in config order; cell i draws its
 replications from streams keyed (master_seed + i, replication_index).
-Estimator, contiguity and test cells draw each replication's block sums and
-residual masses directly (sampler.block_stat_rows): M + G + 1 words, where
-G counts the distinct deltas among blocks of size >= 2 (for contiguity, the
-alternative's deltas, on null data) and the last word is the randomization
-uniform of test cells.  Estimator and test cells draw each chunk at
+Estimator, contiguity and test cells draw each replication's standard block
+statistics (sampler.standard_block_rows): M + G + 1 words, where G counts
+the model's residual groups (the distinct deltas among blocks of size >= 2)
+and the last word is the randomization uniform of test cells.  Estimator and
+test cells scale them to the cell's model (sampler.block_stat_rows) at
 mu_bar = 0 and add k mu_bar to the block sums per mean, which is
-bit-identical to a draw at mu_bar.  Graph cells consume n normals per
+bit-identical to a draw at mu_bar; contiguity cells scale them to null
+N(0, I) data (likelihood.lr_diagnostics).  Graph cells consume n normals per
 replication (the O(n) mixing path, which the graph estimator needs).
 
 Each estimator and test is one kernel over the drawn statistics, looked up
@@ -64,6 +65,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -78,7 +80,7 @@ from .cluster_model import (
     long_run_variance,
     max_cluster_share,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_int
 from .estimators import (
     cluster_stat_rows,
     graph_rows,
@@ -156,7 +158,7 @@ def load_config(source) -> tuple[int, list[ExperimentConfig]]:
     if "experiments" not in obj:
         entry = dict(obj)
         obj = {"master_seed": entry.pop("master_seed", None), "experiments": [entry]}
-    seed = _as_int(obj.get("master_seed"), "top-level master_seed")
+    seed = require_int(obj.get("master_seed"), "top-level master_seed")
     raw_entries = obj["experiments"]
     if not isinstance(raw_entries, list) or not raw_entries:
         raise InvalidInputError("experiments must be a nonempty list")
@@ -170,15 +172,16 @@ def load_config(source) -> tuple[int, list[ExperimentConfig]]:
     return seed, entries
 
 
-def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInputError(f"{name} must be an integer")
-    return value
-
-
 def _as_float(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidInputError(f"{name} must be a number, got {value!r}")
+    """A finite number.  JSON's NaN and Infinity tokens are refused, and so
+    are integers beyond the float range (the comparison with the largest
+    float is exact and is False for NaN)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
+    ):
+        raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -194,10 +197,10 @@ def _parse_entry(raw: dict, pos: int) -> ExperimentConfig:
     n_grid = raw.get("n_grid")
     if not isinstance(n_grid, list) or not n_grid:
         raise InvalidInputError("n_grid must be a nonempty list")
-    n_grid = tuple(_as_int(n, "n_grid entry") for n in n_grid)
+    n_grid = tuple(require_int(n, "n_grid entry") for n in n_grid)
     if any(n < 1 for n in n_grid):
         raise InvalidInputError("n_grid entries must be >= 1")
-    reps = _as_int(raw.get("replications"), "replications")
+    reps = require_int(raw.get("replications"), "replications")
     if reps < 100:
         raise InvalidInputError("replications must be >= 100")
     alpha = _as_float(raw.get("alpha", 0.05), "alpha")
@@ -255,7 +258,7 @@ def _resolve_structure(spec, n: int) -> ClusterStructure:
     if pattern == "singletons":
         return build_structure([1] * n)
     if pattern == "equal":
-        k = _as_int(spec.get("clusters"), "clusters")
+        k = require_int(spec.get("clusters"), "clusters")
         if k < 1 or n % k:
             raise InvalidInputError(f"equal pattern needs n divisible by clusters={k}")
         return build_structure([n // k] * k)
@@ -356,8 +359,8 @@ def _resolve_cell(entry: ExperimentConfig, cs: ClusterStructure):
 
 
 def _kernel_names(names, kernels: dict, what: str):
-    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-        raise InvalidInputError(f"design.{what}s must be a list of names, got {names!r}")
+    if not (isinstance(names, list) and names and all(isinstance(name, str) for name in names)):
+        raise InvalidInputError(f"design.{what}s must be a nonempty list of names, got {names!r}")
     for name in names:
         if name not in kernels:
             raise InvalidInputError(f"unknown {what} {name!r}")

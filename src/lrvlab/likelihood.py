@@ -9,7 +9,8 @@ evaluation never materializes a rotation.  loglr_stat_rows is the one kernel
 over those statistics, with T summed over the model's residual groups (blocks
 sharing a delta share the coefficient of T); loglr_cluster_rows reduces data
 rows with cluster_model.block_stats and calls it, and lr_diagnostics calls it
-on statistics drawn directly, O(M) per replication.
+on null statistics from the standard draw sampler.standard_block_rows,
+S1 = sqrt(k) Z and T = C, O(M) per replication.
 
 For one block of size k with parameter delta (a = 1 + (k-1) delta,
 b = 1 - delta):
@@ -40,23 +41,17 @@ from .cluster_model import (
     block_model,
     block_stats,
     build_structure,
-    residual_group_params,
 )
 from .errors import (
     DegenerateDataError,
     FactorizationError,
     InvalidInputError,
 )
-from .sampler import _chunks, block_stat_rows, block_stat_words
+from .sampler import _chunks, block_stat_words, standard_block_rows
 
 # Agreement demanded between the two dense log-LR routes (absolute, scaled up
 # by |value| once values leave the unit range).
 _DENSE_AGREEMENT = 1e-8
-
-
-def normal_cdf(x) -> np.ndarray | float:
-    """Standard normal CDF via the error function (1e-12 class accuracy)."""
-    return 0.5 * (1.0 + erf(np.asarray(x, dtype=np.float64) / math.sqrt(2.0)))
 
 
 def chi2_cdf_1df(t) -> np.ndarray | float:
@@ -80,7 +75,7 @@ def loglr_stat_rows(
         + np.sum(-sizes * mu_bar * mu_bar / (2.0 * a))
     )
     coef_s1sq = (sizes - 1.0) * deltas / (2.0 * a * sizes)
-    group_deltas, _ = residual_group_params(model, model.residual_groups)
+    group_deltas, _ = model.residual_params
     coef_t = -group_deltas / (2.0 * (1.0 - group_deltas))
     quadratic = np.einsum("...m,...m->...", s1, s1 * coef_s1sq + mu_bar / a)
     return const + quadratic + np.einsum("...g,g->...", t, coef_t)
@@ -238,7 +233,7 @@ class LimitLaw:
         w = np.asarray(w, dtype=np.float64)
         t = 2.0 * (1.0 + self.delta) * (w - self.support_bound) / self.delta
         if self.delta > 0.0:
-            out = np.where(t > 0.0, erf(np.sqrt(np.maximum(t, 0.0) / 2.0)), 0.0)
+            out = chi2_cdf_1df(t)
         else:
             out = np.where(t > 0.0, erfc(np.sqrt(np.maximum(t, 0.0) / 2.0)), 1.0)
         if out.ndim == 0:
@@ -265,8 +260,9 @@ def ks_distance(values: np.ndarray, cdf) -> float:
 def lr_diagnostics(model: BlockEquicorrModel, epsilon: float, reps: int, seed: int) -> dict:
     """Monte Carlo diagnostics of the likelihood ratio under N(0, I).
 
-    Draws the block statistics of `reps` independent replications (streams
-    keyed (seed, rep), see sampler.block_stat_rows), and evaluates
+    Draws the null block statistics of `reps` independent replications from
+    the standard draw (streams keyed (seed, rep), see
+    sampler.standard_block_rows), and evaluates
     W = log dN(0, Sigma)/dN(0, I).  Reports the mean of exp(W)
     (identically 1 in expectation), its (1+epsilon)-th moment, and — when the
     model is a single non-singleton cluster whose n*delta lies in the limit
@@ -289,13 +285,12 @@ def lr_diagnostics(model: BlockEquicorrModel, epsilon: float, reps: int, seed: i
         raise InvalidInputError("lr diagnostics need reps >= 1000")
     cs = model.structure
     n = cs.n
-    # Null data: N(0, I), with residual masses grouped as the model needs them.
-    null = block_model(cs, [0.0] * cs.M)
-    groups = model.residual_groups
+    # Null data N(0, I): S1 = sqrt(k) Z, and T = C over the model's groups.
+    sqrt_sizes = np.sqrt(cs.sizes_array)
     w = np.empty(reps, dtype=np.float64)
     for lo, hi in _chunks(reps, block_stat_words(model)):
-        s1, t, _ = block_stat_rows(null, 0.0, seed, range(lo, hi), groups)
-        w[lo:hi] = loglr_stat_rows(s1, t, model, 0.0)
+        z, c, _ = standard_block_rows(model, seed, range(lo, hi))
+        w[lo:hi] = loglr_stat_rows(sqrt_sizes * z, c, model, 0.0)
 
     with np.errstate(over="ignore"):
         lr = np.exp(w)

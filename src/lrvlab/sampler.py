@@ -26,20 +26,24 @@ contributes (1 - delta)(delta_ij - 1/k) and the gbar part (1 + (k-1) delta)/k,
 summing to delta_ij (1 - delta) + delta.  This works for negative delta all
 the way down to the positive-definiteness boundary, where an additive
 "common shock" construction would not.  The data paths (sample, sample_rows,
-sample_rows_and_uniform, normal_rows) draw n words per replication, plus one
-for the randomization uniform, and serve the graph estimator, the scalar API
-and the oracle tests.
+sample_rows_and_uniform) draw n words per replication, plus one for the
+randomization uniform, and serve the graph estimator, the scalar API and the
+oracle tests.
 
 Every other statistic the lab computes depends on a draw only through the
 block sums S1_m and the residual masses T (see block_stats), and those have
 an exact law of their own: S1_m ~ N(k mu_bar, k (1 + (k-1) delta)), and the
 residual mass of a block is (1 - delta) chi^2(k-1), independent of S1_m.
 Independent chi-squares with one scale add up, so the blocks of size >= 2
-that share a delta form one residual group g with nu_g = sum (k_m - 1).
-block_stat_rows draws them directly from M + G + 1 words per replication:
-word m < M gives S1_m = k mu_bar + sqrt(k (1 + (k-1) delta)) ndtri(u), word
-M + g gives T_g = 2 (1 - delta_g) gammaincinv(nu_g / 2, u), and the last
-word is the randomization uniform.  Pairs thus cost one gammaincinv per
+that share a delta form one residual group g with nu_g = sum (k_m - 1); the
+model owns that grouping (BlockEquicorrModel.residual_groups and
+residual_params).  standard_block_rows is the one draw of these statistics:
+from M + G + 1 words per replication, word m < M gives a standard normal
+Z_m = ndtri(u), word M + g a chi-square C_g = 2 gammaincinv(nu_g / 2, u), and
+the last word is the randomization uniform.  block_stat_rows scales it to the
+model, S1_m = k mu_bar + sqrt(k (1 + (k-1) delta)) Z_m and
+T_g = (1 - delta_g) C_g; likelihood.lr_diagnostics scales it to null N(0, I)
+data, S1_m = sqrt(k) Z_m and T_g = C_g.  Pairs thus cost one gammaincinv per
 replication, not n/2, and one large cluster costs three words instead of n.
 """
 
@@ -48,7 +52,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaincinv, ndtri
 
-from .cluster_model import DENSE_N_CAP, BlockEquicorrModel, residual_group_params
+from .cluster_model import DENSE_N_CAP, BlockEquicorrModel
 from .errors import FactorizationError, InvalidInputError, ModelInvalidError
 
 _U64_MASK = (1 << 64) - 1
@@ -200,14 +204,6 @@ def sample_rows(
     return _mix_rows(ndtri(_to_uniform(raw)), model, float(mu_bar))
 
 
-def normal_rows(master_seed: int, replication_ids, n: int) -> np.ndarray:
-    """iid standard-normal rows, one replication per row, n draws each.
-
-    Row r is bit-identical to derive_stream(master_seed, ids[r]).normals(n).
-    """
-    return ndtri(_to_uniform(raw_rows(master_seed, replication_ids, n)))
-
-
 def sample_rows_and_uniform(
     model: BlockEquicorrModel,
     mu_bar: float,
@@ -229,8 +225,22 @@ def sample_rows_and_uniform(
 
 
 def block_stat_words(model: BlockEquicorrModel) -> int:
-    """Raw words block_stat_rows(model, ...) draws per replication: M + G + 1."""
-    return model.structure.M + int(np.max(model.residual_groups, initial=-1)) + 2
+    """Raw words standard_block_rows(model, ...) draws per replication: M + G + 1."""
+    return model.structure.M + model.residual_params[1].size + 1
+
+
+def standard_block_rows(model: BlockEquicorrModel, master_seed: int, replication_ids):
+    """The standard draw behind block_stat_rows, one replication per row.
+
+    Returns (Z, C, u) with shapes (B, M), (B, G) and (B,): standard normals
+    per block, chi^2(nu_g) draws per residual group of the model, and a
+    uniform.  Each replication consumes M + G + 1 words of its own stream
+    (see the module docstring), so row r depends only on (master_seed, ids[r]).
+    """
+    _, nu = model.residual_params
+    m, g = model.structure.M, nu.size
+    u = _to_uniform(raw_rows(master_seed, replication_ids, m + g + 1))
+    return ndtri(u[:, :m]), 2.0 * gammaincinv(0.5 * nu, u[:, m : m + g]), u[:, m + g]
 
 
 def block_stat_rows(
@@ -238,31 +248,20 @@ def block_stat_rows(
     mu_bar: float,
     master_seed: int,
     replication_ids,
-    groups=None,
 ):
     """Block sums, residual masses and a randomization uniform per replication.
 
     Returns (S1, T, u) with shapes (B, M), (B, G) and (B,), distributed
-    exactly as block_stats of a draw from N(mu_bar 1, Sigma(model)) with the
-    same groups, plus an independent uniform.  Each replication consumes
-    M + G + 1 words of its own stream (see the module docstring), so row r
-    depends only on (master_seed, ids[r]).  groups defaults to the model's
-    own residual groups; any grouping over which the model's delta is
-    constant may be passed instead (lr_diagnostics draws null data grouped
-    by the alternative's deltas).
+    exactly as block_stats of a draw from N(mu_bar 1, Sigma(model)) over the
+    model's residual groups, plus an independent uniform: the standard draw
+    of standard_block_rows, scaled to the model.
     """
-    if groups is None:
-        groups = model.residual_groups
     _check_positive_definite(model)
-    group_deltas, nu = residual_group_params(model, groups)
+    z, c, u = standard_block_rows(model, master_seed, replication_ids)
     sizes = model.structure.sizes_array
-    m = sizes.size
-    g = nu.size
-    u = _to_uniform(raw_rows(master_seed, replication_ids, m + g + 1))
     scale = np.sqrt(sizes * (1.0 + (sizes - 1) * model.deltas_array))
-    s1 = sizes * float(mu_bar) + scale * ndtri(u[:, :m])
-    t = 2.0 * (1.0 - group_deltas) * gammaincinv(0.5 * nu, u[:, m : m + g])
-    return s1, t, u[:, m + g]
+    group_deltas, _ = model.residual_params
+    return sizes * float(mu_bar) + scale * z, (1.0 - group_deltas) * c, u
 
 
 def sample_dense(mean, sigma, stream: RandomStream) -> np.ndarray:

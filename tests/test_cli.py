@@ -151,6 +151,9 @@ class TestRun:
             ("epsilon", -0.1),
             ("alpha", None),
             ("epsilon", [0.1]),
+            # json.dumps writes the Infinity token, which Python's JSON reader
+            # accepts
+            ("epsilon", math.inf),
         ],
     )
     def test_out_of_range_alpha_or_epsilon_fails_cleanly(self, tmp_path, field, value):
@@ -247,8 +250,13 @@ class TestStats:
             '{"n": 3, "edges": [[0, null]]}',
             '{"n": null, "edges": []}',
             '{"n": 3, "edges": 5}',
+            '{"n": true, "edges": []}',
+            '{"n": 3, "edges": [[true, 2]]}',
         ],
-        ids=["out-of-range", "one-endpoint", "bare-int", "null-endpoint", "null-n", "int-edges"],
+        ids=[
+            "out-of-range", "one-endpoint", "bare-int", "null-endpoint", "null-n", "int-edges",
+            "bool-n", "bool-endpoint",
+        ],
     )
     def test_malformed_graph_file_exits_one(self, tmp_path, text):
         path = tmp_path / "bad.json"

@@ -89,7 +89,7 @@ def test_build_structure_starts_and_arrays():
     assert cs.sizes_array.tolist() == [3, 1, 2]
 
 
-@pytest.mark.parametrize("sizes", [[1.9, 2.1], [2.0], ["2"], 5])
+@pytest.mark.parametrize("sizes", [[1.9, 2.1], [2.0], ["2"], 5, [True, 2]])
 def test_build_structure_refuses_non_integer_sizes(sizes):
     with pytest.raises(InvalidInputError):
         build_structure(sizes)

@@ -126,9 +126,9 @@ def test_generate_graph_examples():
         generate_graph("cluster")
 
 
-@pytest.mark.parametrize("n", [3.7, "4"])
+@pytest.mark.parametrize("n", [3.7, "4", True])
 def test_generated_graph_node_count_is_checked(n):
-    # a float n is refused, not truncated, as make_graph refuses it
+    # a float or bool n is refused, not converted, as make_graph refuses it
     with pytest.raises(InvalidInputError):
         generate_graph("star", n=n)
 

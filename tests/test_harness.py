@@ -6,7 +6,9 @@ because the per-replication streams and the fixed aggregation order are what
 make sweep results reproducible.
 """
 
+import hashlib
 import json
+import math
 
 import pytest
 
@@ -379,8 +381,13 @@ class TestQuarantine:
             ("estimator_consistency", "estimators", None, "design.estimators"),
             ("graph_estimation", "graphs", [5], "design.graphs"),
             ("graph_estimation", "graphs", [{"id": [1], "kind": "empty"}], "graph id"),
+            ("test_size_power", "tests", [], "design.tests"),
+            ("estimator_consistency", "estimators", [], "design.estimators"),
         ],
-        ids=["tests-int", "estimators-string", "estimators-null", "graphs-int", "graph-id-list"],
+        ids=[
+            "tests-int", "estimators-string", "estimators-null", "graphs-int", "graph-id-list",
+            "tests-empty", "estimators-empty",
+        ],
     )
     def test_design_lists_are_type_checked(self, kind, field, value, message):
         cfg = pairs_config(replications=100, experiment=kind, n_grid=[10])
@@ -388,6 +395,34 @@ class TestQuarantine:
         (cell,) = run_from(cfg).cells
         assert cell.error is not None
         assert cell.error.startswith("InvalidInputError: ") and message in cell.error
+
+    @pytest.mark.parametrize(
+        "kind, design, field",
+        [
+            ("test_size_power", {"mu": [0.0, math.nan]}, "mu entry"),
+            ("test_size_power", {"mu": [math.inf]}, "mu entry"),
+            ("test_size_power", {"mu": [{"drift": math.nan}]}, "drift"),
+            ("test_size_power", {"tests": ["z"], "z_bound": math.nan}, "z_bound"),
+            (
+                "estimator_consistency",
+                {"deltas": {"scheme": "constant", "value": math.nan}},
+                "delta value",
+            ),
+            (
+                "estimator_consistency",
+                {"deltas": {"scheme": "explicit", "values": [-math.inf] * 5}},
+                "delta value",
+            ),
+        ],
+        ids=["mu-nan", "mu-inf", "drift-nan", "z-bound-nan", "delta-nan", "deltas-minus-inf"],
+    )
+    def test_non_finite_numbers_are_quarantined(self, kind, design, field):
+        # Python's JSON reader turns NaN and Infinity tokens into these floats
+        cfg = pairs_config(replications=100, experiment=kind, n_grid=[10])
+        cfg["design"] = {"structure": {"pattern": "pairs"}, **design}
+        (cell,) = run_from(cfg).cells
+        assert cell.error is not None and cell.metrics == ()
+        assert cell.error.startswith(f"InvalidInputError: {field} must be a finite number")
 
 
 class TestReports:
@@ -490,3 +525,108 @@ class TestReports:
     def test_run_sweep_validates_threads(self):
         with pytest.raises(InvalidInputError):
             run_sweep([], 1, threads=0)
+
+
+# A sweep that reaches every report path: a contiguity cell with G = 4
+# residual groups (mixed deltas, a delta = 0 group of non-singletons and
+# singletons), single-block contiguity cells on both branches of the limit
+# law (ks metric), a test cell with a mu grid (numbers and a drift), an
+# estimator cell with all three estimators and a graph cell with two graphs.
+MIXED_SIZES = [3, 1, 4, 2, 5, 1, 3, 6]
+PINNED_SWEEP = {
+    "master_seed": 8800,
+    "experiments": [
+        {
+            "experiment": "contiguity",
+            "design": {
+                "id": "mixed-delta",
+                "structure": {"pattern": "explicit", "sizes": MIXED_SIZES},
+                "deltas": {
+                    "scheme": "explicit",
+                    "values": [0.1, 0.0, -0.05, 0.0, 0.1, 0.0, -0.05, 0.02],
+                },
+            },
+            "n_grid": [25],
+            "replications": 2000,
+        },
+        {
+            "experiment": "contiguity",
+            "design": {
+                "id": "limit-law",
+                "structure": {"pattern": "single"},
+                "deltas": {"scheme": "delta-over-n", "value": 0.5},
+            },
+            "n_grid": [50],
+            "replications": 2000,
+        },
+        {
+            "experiment": "contiguity",
+            "design": {
+                "id": "limit-law-negative",
+                "structure": {"pattern": "single"},
+                "deltas": {"scheme": "delta-over-n", "value": -0.5},
+            },
+            "n_grid": [50],
+            "replications": 2000,
+        },
+        {
+            "experiment": "test_size_power",
+            "design": {
+                "id": "four-clusters",
+                "structure": {"pattern": "equal", "clusters": 4},
+                "deltas": {"scheme": "common-variance", "value": 2.0},
+                "tests": ["sign", "cluster_t", "z"],
+                "mu": [0.0, 0.3, {"drift": 2.0}],
+            },
+            "n_grid": [40],
+            "replications": 500,
+        },
+        {
+            "experiment": "estimator_consistency",
+            "design": {
+                "id": "mixed-estimators",
+                "structure": {"pattern": "explicit", "sizes": MIXED_SIZES},
+                "deltas": {
+                    "scheme": "explicit",
+                    "values": [0.3, 0.0, -0.2, 0.0, 0.3, 0.0, -0.2, 0.0],
+                },
+                "mu": [0.2],
+                "estimators": ["cluster", "sample_variance", "second_moment"],
+            },
+            "n_grid": [25],
+            "replications": 500,
+        },
+        {
+            "experiment": "graph_estimation",
+            "design": {
+                "id": "pairs-graph",
+                "structure": {"pattern": "pairs"},
+                "deltas": {"scheme": "constant", "value": 0.4},
+                "graphs": [{"id": "true", "kind": "cluster"}, {"id": "star", "kind": "star"}],
+            },
+            "n_grid": [20],
+            "replications": 200,
+        },
+    ],
+}
+
+
+PINNED_SHA256 = {
+    "csv": "fa8104d7bceb1d70bc00d9fd6daa2acb0d8fd23cfeacdd12219df6b8ca063f5a",
+    "json": "80a8870abb797ba53ccef1bf175d7a868f05d513fbeca73bd740c867d28d67b2",
+}
+
+
+def test_report_bytes_are_pinned():
+    """The report of PINNED_SWEEP must not move by a byte.
+
+    A refactor that claims identical numbers is checked here, not by hand.
+    The digests depend on numpy's Philox and on scipy's ndtri and
+    gammaincinv, so a change of those libraries may move them too; a
+    deliberate change of the numbers re-records them and says why.
+    """
+    report = run_from(PINNED_SWEEP)
+    assert all(cell.error is None for cell in report.cells)
+    for fmt, digest in PINNED_SHA256.items():
+        text = summarize(report, fmt)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, fmt

@@ -25,6 +25,7 @@ from lrvlab import (
     ModelInvalidError,
     block_model,
     build_structure,
+    derive_stream,
     limit_law_cdf,
     loglr_cluster,
     loglr_dense,
@@ -32,13 +33,7 @@ from lrvlab import (
     lr_diagnostics,
 )
 from lrvlab.cluster_model import dense_sigma
-from lrvlab.likelihood import (
-    chi2_cdf_1df,
-    ks_distance,
-    loglr_cluster_rows,
-    normal_cdf,
-)
-from lrvlab.sampler import normal_rows
+from lrvlab.likelihood import chi2_cdf_1df, ks_distance, loglr_cluster_rows
 
 
 def dense_loglr_oracle(x, mu0, mu1, sigma0, sigma1):
@@ -54,8 +49,6 @@ def random_spd(rng, n, jitter=0.5):
 
 
 def test_cdf_helpers_match_scipy():
-    grid = np.linspace(-6.0, 6.0, 41)
-    assert_allclose(normal_cdf(grid), scipy.stats.norm.cdf(grid), rtol=0, atol=1e-12)
     tgrid = np.linspace(0.0, 30.0, 31)
     assert_allclose(
         chi2_cdf_1df(tgrid), scipy.stats.chi2.cdf(tgrid, df=1), rtol=0, atol=1e-12
@@ -442,7 +435,7 @@ class TestLrDiagnostics:
 
 def test_batched_loglr_rows_match_scalar():
     model = block_model(build_structure([2, 3]), [0.4, -0.3])
-    x = normal_rows(17, range(8), 5)
+    x = np.stack([derive_stream(17, r).normals(5) for r in range(8)])
     w = loglr_cluster_rows(x, model, 0.25)
     for r in range(8):
         assert_allclose(

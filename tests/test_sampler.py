@@ -23,20 +23,15 @@ from lrvlab import (
     sample,
     sample_dense,
 )
-from lrvlab.cluster_model import (
-    BlockEquicorrModel,
-    block_stats,
-    dense_sigma,
-    residual_group_params,
-)
+from lrvlab.cluster_model import BlockEquicorrModel, block_stats, dense_sigma
 from lrvlab.sampler import (
     _to_uniform,
     block_stat_rows,
     block_stat_words,
-    normal_rows,
     raw_rows,
     sample_rows,
     sample_rows_and_uniform,
+    standard_block_rows,
 )
 
 
@@ -99,12 +94,6 @@ def test_batched_rows_and_uniform_split_one_stream():
         stream = derive_stream(5, rep)
         assert_array_equal(x[rep], sample(model, 0.0, stream))
         assert u[rep] == stream.uniforms(1)[0]
-
-
-def test_normal_rows_matches_streams():
-    rows = normal_rows(13, range(4), 17)
-    for rep in range(4):
-        assert_array_equal(rows[rep], derive_stream(13, rep).normals(17))
 
 
 class TestRawRows:
@@ -298,7 +287,7 @@ class TestBlockStatRows:
     def test_mixed_design_groups_by_delta_in_order_of_appearance(self):
         model = self.model("mixed")
         assert_array_equal(model.residual_groups, [0, -1, 1, 2, 0, -1, 1, 2])
-        deltas, nu = residual_group_params(model, model.residual_groups)
+        deltas, nu = model.residual_params
         assert_array_equal(deltas, [0.3, -0.2, 0.0])
         assert_array_equal(nu, [2 + 4, 3 + 2, 1 + 5])
         assert block_stat_words(model) == 8 + 3 + 1
@@ -316,7 +305,7 @@ class TestBlockStatRows:
         se_var = var * np.sqrt(2.0 / (reps - 1))
         assert np.all(np.abs(s1.var(axis=0, ddof=1) - var) < 6.0 * se_var)
 
-        deltas, nu = residual_group_params(model, model.residual_groups)
+        deltas, nu = model.residual_params
         assert t.shape == (reps, nu.size)
         mean_t = (1.0 - deltas) * nu
         var_t = 2.0 * (1.0 - deltas) ** 2 * nu
@@ -364,14 +353,23 @@ class TestBlockStatRows:
             assert_array_equal(got, want[::-1])
 
     def test_words_follow_the_documented_layout(self):
+        from scipy.special import gammaincinv
+
         model = self.model("mixed")
         ids = range(5)
-        s1, t, u = block_stat_rows(model, 1.25, 31, ids)
         m, g = 8, 3
         words = _to_uniform(raw_rows(31, ids, m + g + 1))
+        deltas, nu = model.residual_params
+        z, c, u = standard_block_rows(model, 31, ids)
+        assert_array_equal(z, ndtri(words[:, :m]))
+        assert_array_equal(c, 2.0 * gammaincinv(nu / 2.0, words[:, m : m + g]))
+        assert_array_equal(u, words[:, m + g])
+
+        s1, t, u = block_stat_rows(model, 1.25, 31, ids)
         sizes = model.structure.sizes_array
         scale = np.sqrt(sizes * (1.0 + (sizes - 1) * model.deltas_array))
-        assert_array_equal(s1, sizes * 1.25 + scale * ndtri(words[:, :m]))
+        assert_array_equal(s1, sizes * 1.25 + scale * z)
+        assert_array_equal(t, (1.0 - deltas) * c)
         assert_array_equal(u, words[:, m + g])
 
     @pytest.mark.parametrize("nu", [1, 19, 9999])
@@ -386,22 +384,8 @@ class TestBlockStatRows:
         back = gammainc(nu / 2.0, t[:, 0] / (2.0 * (1.0 - delta)))
         assert_allclose(back, u, rtol=0, atol=1e-13)
 
-    def test_null_draw_grouped_by_another_model(self):
-        alternative = self.model("mixed")
-        cs = alternative.structure
-        null = block_model(cs, [0.0] * cs.M)
-        s1, t, _ = block_stat_rows(null, 0.0, 5, range(4), alternative.residual_groups)
-        assert s1.shape == (4, 8) and t.shape == (4, 3)
-
-    def test_rejects_unvalidated_models_and_bad_groups(self):
+    def test_rejects_unvalidated_models(self):
         bad = BlockEquicorrModel(structure=build_structure([3]), deltas=(1.5,), c_bound=None)
         with pytest.raises(ModelInvalidError):
             block_stat_rows(bad, 0.0, 0, range(2))
-        model = self.model("mixed")
-        with pytest.raises(InvalidInputError):  # delta varies within a group
-            block_stat_rows(model, 0.0, 0, range(2), np.where(model.residual_groups >= 0, 0, -1))
-        with pytest.raises(InvalidInputError):  # a singleton in a group
-            block_stat_rows(model, 0.0, 0, range(2), np.zeros(8, dtype=int))
-        with pytest.raises(InvalidInputError):  # wrong length
-            block_stat_rows(model, 0.0, 0, range(2), model.residual_groups[:-1])
 
