@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from .cluster_model import block_model, build_structure, long_run_variance, spectral_block
+from .cluster_model import block_model, build_structure, long_run_variance
 from .errors import InvalidInputError
 from .graphs import graph_from_dict, graph_stats
 from .harness import load_config, run_sweep, summarize
@@ -90,13 +90,15 @@ def _cmd_spectral(args) -> int:
     cs = build_structure(sizes)
     model = block_model(cs, deltas)
     log_det = 0.0
-    for m, (k, d) in enumerate(zip(cs.sizes, model.deltas)):
-        spec = spectral_block(k, d)
-        parts = [f"{spec.top_eigenvalue!r} (x{spec.top_multiplicity})"]
-        if spec.base_multiplicity:
-            parts.append(f"{spec.base_eigenvalue!r} (x{spec.base_multiplicity})")
+    for m, (k, d, top, base) in enumerate(
+        zip(cs.sizes, model.deltas, model.top.tolist(), model.base.tolist())
+    ):
+        parts = [f"{top!r} (x1)"]
+        if k > 1:
+            parts.append(f"{base!r} (x{k - 1})")
         print(f"block {m}: size {k}, delta {d!r} -> eigenvalues {', '.join(parts)}")
-        log_det += math.log(spec.det())
+        # summed as logs: the product top * base^(k-1) underflows for large blocks
+        log_det += math.log(top) + (k - 1) * math.log(base)
     print(f"n: {cs.n}  n_star: {cs.n_star}  M: {cs.M}  h: {cs.heterogeneity!r}")
     print(f"long-run variance: {long_run_variance(model)!r}")
     print(f"log det: {log_det!r}")

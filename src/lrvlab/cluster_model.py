@@ -7,6 +7,12 @@ with equicorrelated blocks::
 
     Sigma_m = (1 - delta_m) I + delta_m 11'
 
+Each block has two eigenvalues, top_m = 1 + (n_m - 1) delta_m on the ones
+direction and base_m = 1 - delta_m with multiplicity n_m - 1.  A
+BlockEquicorrModel checks on construction that both are positive and carries
+them as arrays, so the sampler, the likelihood and the CLI read them rather
+than derive them.
+
 Everything on the production path is closed-form and O(n); dense matrices
 appear only in oracles and validators and are capped at DENSE_N_CAP.
 """
@@ -98,20 +104,67 @@ def max_cluster_share(cs: ClusterStructure) -> float:
 
 @dataclass(frozen=True)
 class BlockEquicorrModel:
-    """A validated block-equicorrelation covariance model.
+    """A block-equicorrelation covariance model, validated on construction.
 
-    deltas holds one correlation per cluster, in cluster order; singleton
-    clusters always carry 0.0.  c_bound, when set, certifies that every
-    eigenvalue of Sigma - I lies in [-c_bound, c_bound].
+    deltas holds one correlation per cluster, in cluster order; deltas given
+    for singleton clusters are ignored and stored as 0.0.  Every instance is
+    positive definite: 1 - delta_m > 0 and 1 + (n_m - 1) delta_m > 0 for each
+    cluster, else ModelInvalidError naming the first offending cluster.
+    c_bound, when set, certifies that every eigenvalue of Sigma - I (that is,
+    -delta_m and (n_m - 1) delta_m) lies in [-c_bound, c_bound], else
+    BudgetExceededError.  A wrong number of deltas or a c_bound that is not a
+    nonnegative number raises InvalidInputError.  dataclasses.replace
+    re-validates, so no invalid model can be built.
     """
 
     structure: ClusterStructure
     deltas: tuple[float, ...]
     c_bound: float | None = None
 
+    def __post_init__(self):
+        cs = self.structure
+        deltas = [float(d) for d in self.deltas]
+        if len(deltas) != cs.M:
+            raise InvalidInputError(
+                f"expected {cs.M} deltas (one per cluster), got {len(deltas)}"
+            )
+        c = self.c_bound
+        if c is not None:
+            c = float(c)
+            if not (c >= 0.0):
+                raise InvalidInputError(f"c_bound must be nonnegative, got {c}")
+        deltas = tuple(d if k > 1 else 0.0 for k, d in zip(cs.sizes, deltas))
+        object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "c_bound", c)
+        invalid = ~((self.top > 0.0) & (self.base > 0.0))
+        over = False
+        if c is not None:
+            magnitude = np.abs(self.deltas_array)
+            over = (magnitude > c) | ((cs.sizes_array - 1) * magnitude > c)
+        for m in np.flatnonzero(invalid | over)[:1]:  # the first offending cluster
+            k, d = cs.sizes[m], deltas[m]
+            if invalid[m]:
+                raise ModelInvalidError(
+                    f"cluster {m} (size {k}, delta {d}) is not positive definite: "
+                    f"requires 1 - delta > 0 and 1 + (k-1) delta > 0"
+                )
+            raise BudgetExceededError(
+                f"cluster {m} (size {k}, delta {d}) exceeds eigenvalue budget c = {c}"
+            )
+
     @cached_property
     def deltas_array(self) -> np.ndarray:
         return np.asarray(self.deltas, dtype=np.float64)
+
+    @cached_property
+    def top(self) -> np.ndarray:
+        """1 + (n_m - 1) delta_m per block: the eigenvalue on the ones direction."""
+        return 1.0 + (self.structure.sizes_array - 1) * self.deltas_array
+
+    @cached_property
+    def base(self) -> np.ndarray:
+        """1 - delta_m per block: the eigenvalue of multiplicity n_m - 1."""
+        return 1.0 - self.deltas_array
 
     @cached_property
     def residual_groups(self) -> np.ndarray:
@@ -142,45 +195,7 @@ class BlockEquicorrModel:
         return deltas, nu
 
 
-def block_model(
-    cs: ClusterStructure, deltas, c_bound: float | None = None
-) -> BlockEquicorrModel:
-    """Build and validate a block-equicorrelation model.
-
-    Positive definiteness requires 1 - delta_m > 0 and 1 + (n_m - 1) delta_m > 0
-    for every non-singleton cluster; violations raise ModelInvalidError naming
-    the offending cluster.  With c_bound given, the eigenvalues of Sigma - I
-    (that is, -delta_m and (n_m - 1) delta_m) must lie within [-c, c], else
-    BudgetExceededError.  Deltas supplied for singleton clusters are ignored
-    and stored as 0.
-    """
-    deltas = [float(d) for d in deltas]
-    if len(deltas) != cs.M:
-        raise InvalidInputError(
-            f"expected {cs.M} deltas (one per cluster), got {len(deltas)}"
-        )
-    if c_bound is not None:
-        c_bound = float(c_bound)
-        if c_bound < 0:
-            raise InvalidInputError("c_bound must be nonnegative")
-    normalized = []
-    for m, (k, d) in enumerate(zip(cs.sizes, deltas)):
-        if k == 1:
-            normalized.append(0.0)
-            continue
-        if not (1.0 - d > 0.0) or not (1.0 + (k - 1) * d > 0.0):
-            raise ModelInvalidError(
-                f"cluster {m} (size {k}, delta {d}) is not positive definite: "
-                f"requires 1 - delta > 0 and 1 + (k-1) delta > 0"
-            )
-        if c_bound is not None:
-            if abs(d) > c_bound or abs((k - 1) * d) > c_bound:
-                raise BudgetExceededError(
-                    f"cluster {m} (size {k}, delta {d}) exceeds eigenvalue "
-                    f"budget c = {c_bound}"
-                )
-        normalized.append(d)
-    return BlockEquicorrModel(structure=cs, deltas=tuple(normalized), c_bound=c_bound)
+block_model = BlockEquicorrModel
 
 
 @dataclass(frozen=True)
@@ -227,39 +242,29 @@ class BlockSpectrum:
 
 
 def spectral_block(k: int, delta: float) -> BlockSpectrum:
-    """Closed-form spectrum of (1 - delta) I_k + delta 11'.
+    """Closed-form spectrum of (1 - delta) I_k + delta 11': the one block of
+    BlockEquicorrModel(build_structure([k]), [delta]).
 
-    Raises ModelInvalidError when the block is not positive definite.  For
-    k = 1 the block is the 1x1 identity regardless of delta.
+    Raises InvalidInputError when k is not an integer >= 1 and
+    ModelInvalidError when the block is not positive definite.  For k = 1 the
+    block is the 1x1 identity regardless of delta.
     """
-    k = int(k)
-    if k < 1:
-        raise InvalidInputError(f"block size must be >= 1, got {k}")
-    delta = float(delta)
-    if k == 1:
-        return BlockSpectrum(
-            size=1, delta=0.0, top_eigenvalue=1.0, base_eigenvalue=1.0,
-            top_multiplicity=1, base_multiplicity=0,
-        )
-    top = 1.0 + (k - 1) * delta
-    base = 1.0 - delta
-    if not (base > 0.0) or not (top > 0.0):
-        raise ModelInvalidError(
-            f"block of size {k} with delta {delta} is not positive definite"
-        )
+    model = BlockEquicorrModel(build_structure([k]), [delta])
+    k = model.structure.n
     return BlockSpectrum(
-        size=k, delta=delta, top_eigenvalue=top, base_eigenvalue=base,
-        top_multiplicity=1, base_multiplicity=k - 1,
+        size=k, delta=model.deltas[0], top_eigenvalue=float(model.top[0]),
+        base_eigenvalue=float(model.base[0]), top_multiplicity=1, base_multiplicity=k - 1,
     )
 
 
 def long_run_variance(model: BlockEquicorrModel) -> float:
-    """Variance of the normalized sum: (1/n) 1' Sigma 1 = sum (n_m/n)(1 + (n_m-1) delta_m)."""
+    """Variance of the normalized sum: (1/n) 1' Sigma 1 = sum (n_m/n)(1 + (n_m-1) delta_m).
+
+    The terms n_m top_m are added in cluster order (cumsum is sequential), so
+    the value does not depend on numpy's pairwise summation.
+    """
     cs = model.structure
-    total = 0.0
-    for k, d in zip(cs.sizes, model.deltas):
-        total += k * (1.0 + (k - 1) * d)
-    return total / cs.n
+    return float(np.cumsum(cs.sizes_array * model.top)[-1]) / cs.n
 
 
 def block_sums(X, cs: ClusterStructure) -> np.ndarray:

@@ -169,7 +169,7 @@ def z_test_stat_rows(s1: np.ndarray, sizes: np.ndarray, alpha: float, c: float):
     """(z, normal quantile at 1 - alpha, p = 1{z > quantile}) per row, with
     z = sqrt(n) xbar / sqrt(c).  Requires c > 0 and alpha in (0, 1)."""
     c = float(c)
-    if c <= 0.0:
+    if not (c > 0.0):
         raise InvalidInputError(f"variance bound c must be positive, got {c}")
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):

@@ -12,8 +12,8 @@ rows with cluster_model.block_stats and calls it, and lr_diagnostics calls it
 on null statistics from the standard draw sampler.standard_block_rows,
 S1 = sqrt(k) Z and T = C, O(M) per replication.
 
-For one block of size k with parameter delta (a = 1 + (k-1) delta,
-b = 1 - delta):
+For one block of size k with parameter delta (a = 1 + (k-1) delta and
+b = 1 - delta, the block's eigenvalues BlockEquicorrModel.top and .base):
 
     log LR = -log(a)/2 - (k-1) log(b)/2
              + (k-1) delta S1^2 / (2 a k) - delta T / (2 b)
@@ -68,7 +68,7 @@ def loglr_stat_rows(
     mu_bar = float(mu_bar)
     sizes = model.structure.sizes_array.astype(np.float64)
     deltas = model.deltas_array
-    a = 1.0 + (sizes - 1.0) * deltas
+    a = model.top
     const = float(
         np.sum(-0.5 * np.log1p((sizes - 1.0) * deltas))
         + np.sum(-0.5 * (sizes - 1.0) * np.log1p(-deltas))
@@ -279,8 +279,8 @@ def lr_diagnostics(model: BlockEquicorrModel, epsilon: float, reps: int, seed: i
     """
     epsilon = float(epsilon)
     reps = int(reps)
-    if epsilon <= 0.0:
-        raise InvalidInputError("epsilon must be positive")
+    if not (epsilon > 0.0):
+        raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
     if reps < 1000:
         raise InvalidInputError("lr diagnostics need reps >= 1000")
     cs = model.structure

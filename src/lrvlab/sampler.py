@@ -25,10 +25,11 @@ which has Var(X_i) = 1 and Cov(X_i, X_j) = delta exactly: the centered part
 contributes (1 - delta)(delta_ij - 1/k) and the gbar part (1 + (k-1) delta)/k,
 summing to delta_ij (1 - delta) + delta.  This works for negative delta all
 the way down to the positive-definiteness boundary, where an additive
-"common shock" construction would not.  The data paths (sample, sample_rows,
-sample_rows_and_uniform) draw n words per replication, plus one for the
-randomization uniform, and serve the graph estimator, the scalar API and the
-oracle tests.
+"common shock" construction would not.  The two square roots are those of
+the block's eigenvalues, which the model carries (BlockEquicorrModel.base and
+.top); models are validated on construction, so none is checked here.  The
+data paths (sample, sample_rows) draw n words per replication and serve the
+graph estimator, the scalar API and the oracle tests.
 
 Every other statistic the lab computes depends on a draw only through the
 block sums S1_m and the residual masses T (see block_stats), and those have
@@ -41,7 +42,7 @@ residual_params).  standard_block_rows is the one draw of these statistics:
 from M + G + 1 words per replication, word m < M gives a standard normal
 Z_m = ndtri(u), word M + g a chi-square C_g = 2 gammaincinv(nu_g / 2, u), and
 the last word is the randomization uniform.  block_stat_rows scales it to the
-model, S1_m = k mu_bar + sqrt(k (1 + (k-1) delta)) Z_m and
+model, S1_m = k mu_bar + sqrt(k top_m) Z_m and
 T_g = (1 - delta_g) C_g; likelihood.lr_diagnostics scales it to null N(0, I)
 data, S1_m = sqrt(k) Z_m and T_g = C_g.  Pairs thus cost one gammaincinv per
 replication, not n/2, and one large cluster costs three words instead of n.
@@ -53,7 +54,7 @@ import numpy as np
 from scipy.special import gammaincinv, ndtri
 
 from .cluster_model import DENSE_N_CAP, BlockEquicorrModel
-from .errors import FactorizationError, InvalidInputError, ModelInvalidError
+from .errors import FactorizationError, InvalidInputError
 
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
@@ -141,28 +142,6 @@ def _chunks(reps: int, width: int):
         yield lo, min(lo + size, reps)
 
 
-def _mixing_coefficients(model: BlockEquicorrModel):
-    """Per-observation mixing factors, repeated along each cluster's range."""
-    cs = model.structure
-    sizes = cs.sizes_array
-    deltas = model.deltas_array
-    a = np.sqrt(1.0 - deltas)
-    b = np.sqrt(1.0 + (sizes - 1) * deltas)
-    return (
-        cs.starts,
-        sizes,
-        np.repeat(a, sizes),
-        np.repeat(b, sizes),
-    )
-
-
-def _check_positive_definite(model: BlockEquicorrModel) -> None:
-    deltas = model.deltas_array
-    sizes = model.structure.sizes_array
-    if np.any(1.0 - deltas <= 0.0) or np.any(1.0 + (sizes - 1) * deltas <= 0.0):
-        raise ModelInvalidError("covariance model is not positive definite")
-
-
 def _mix_rows(g: np.ndarray, model: BlockEquicorrModel, mu_bar: float) -> np.ndarray:
     """Apply the within-cluster mixing to each row of an iid-normal matrix.
 
@@ -173,12 +152,12 @@ def _mix_rows(g: np.ndarray, model: BlockEquicorrModel, mu_bar: float) -> np.nda
         # Identity covariance: the mixing formula collapses to X = mu_bar + g,
         # and taking the shortcut keeps that collapse exact.
         return mu_bar + g
-    _check_positive_definite(model)
-    starts, sizes, a_full, b_full = _mixing_coefficients(model)
-    sums = np.add.reduceat(g, starts, axis=-1)
-    means = sums / sizes
-    means_full = np.repeat(means, sizes, axis=-1)
-    return mu_bar + a_full * (g - means_full) + b_full * means_full
+    cs = model.structure
+    sizes = cs.sizes_array
+    means = np.repeat(np.add.reduceat(g, cs.starts, axis=-1) / sizes, sizes, axis=-1)
+    a = np.repeat(np.sqrt(model.base), sizes)
+    b = np.repeat(np.sqrt(model.top), sizes)
+    return mu_bar + a * (g - means) + b * means
 
 
 def sample(model: BlockEquicorrModel, mu_bar: float, stream: RandomStream) -> np.ndarray:
@@ -202,26 +181,6 @@ def sample_rows(
     """
     raw = raw_rows(master_seed, replication_ids, model.structure.n)
     return _mix_rows(ndtri(_to_uniform(raw)), model, float(mu_bar))
-
-
-def sample_rows_and_uniform(
-    model: BlockEquicorrModel,
-    mu_bar: float,
-    master_seed: int,
-    replication_ids,
-):
-    """Batched draws plus one randomization uniform per replication.
-
-    Each replication consumes n + 1 raw words from its stream: the first n
-    become the data row (exactly as in sample_rows), the last becomes a
-    uniform in (0, 1) for randomized tests.  Returns (X, u) with shapes
-    (B, n) and (B,).
-    """
-    n = model.structure.n
-    raw = raw_rows(master_seed, replication_ids, n + 1)
-    g = ndtri(_to_uniform(raw[:, :n]))
-    u = _to_uniform(raw[:, n])
-    return _mix_rows(g, model, float(mu_bar)), u
 
 
 def block_stat_words(model: BlockEquicorrModel) -> int:
@@ -256,12 +215,10 @@ def block_stat_rows(
     model's residual groups, plus an independent uniform: the standard draw
     of standard_block_rows, scaled to the model.
     """
-    _check_positive_definite(model)
     z, c, u = standard_block_rows(model, master_seed, replication_ids)
     sizes = model.structure.sizes_array
-    scale = np.sqrt(sizes * (1.0 + (sizes - 1) * model.deltas_array))
     group_deltas, _ = model.residual_params
-    return sizes * float(mu_bar) + scale * z, (1.0 - group_deltas) * c, u
+    return sizes * float(mu_bar) + np.sqrt(sizes * model.top) * z, (1.0 - group_deltas) * c, u
 
 
 def sample_dense(mean, sigma, stream: RandomStream) -> np.ndarray:

@@ -203,6 +203,14 @@ class TestSpectral:
         want = math.log(1.4) + 2 * math.log(0.8) + math.log(0.7) + 3 * math.log(1.1)
         assert log_det == pytest.approx(want, abs=1e-12)
 
+    def test_log_det_of_a_large_block_does_not_underflow(self):
+        # 0.001^99999 underflows to 0, so the log det is summed as logs
+        code, out, err = invoke(["spectral", "--sizes", "100000", "--deltas", "0.999"])
+        assert code == 0 and err == ""
+        log_det = float(out.strip().split("\n")[-1].removeprefix("log det: "))
+        want = math.log(99900.001) + 99999 * math.log(1.0 - 0.999)
+        assert log_det == pytest.approx(want, rel=1e-12)
+
     def test_invalid_model_exits_one(self):
         code, _, err = invoke(["spectral", "--sizes", "4", "--deltas", "1.5"])
         assert code == 1 and err.startswith("lrvlab:")

@@ -136,6 +136,7 @@ def test_block_model_validation_and_normalization():
     cs = build_structure([2, 1])
     model = block_model(cs, [0.3, 0.9])
     assert model.deltas == (0.3, 0.0)  # singleton delta is ignored
+    assert model.top.tolist() == [1.0 + 0.3, 1.0] and model.base.tolist() == [1.0 - 0.3, 1.0]
 
     with pytest.raises(ModelInvalidError):
         block_model(build_structure([3]), [-0.5])
@@ -155,6 +156,39 @@ def test_block_model_eigenvalue_budget():
     assert model.c_bound == 1.25
     with pytest.raises(InvalidInputError):
         block_model(cs, [0.1], c_bound=-0.5)
+    with pytest.raises(InvalidInputError):
+        block_model(build_structure([3]), [0.2], c_bound=float("nan"))
+    # clusters are checked in order: cluster 0's budget fails before
+    # cluster 1's positive definiteness is looked at
+    with pytest.raises(BudgetExceededError):
+        block_model(build_structure([4, 3]), [0.4, 1.5], c_bound=1.0)
+
+
+def first_invalid_cluster(sizes, deltas, c_bound):
+    """(error type, cluster) that a per-cluster loop finds first, or None."""
+    for m, (k, d) in enumerate(zip(sizes, deltas)):
+        if k == 1:
+            continue
+        if not (1.0 - d > 0.0 and 1.0 + (k - 1) * d > 0.0):
+            return ModelInvalidError, m
+        if c_bound is not None and (abs(d) > c_bound or abs((k - 1) * d) > c_bound):
+            return BudgetExceededError, m
+    return None
+
+
+def test_block_model_validation_matches_a_per_cluster_loop():
+    rng = np.random.default_rng(1005)
+    for _ in range(500):
+        sizes = rng.integers(1, 6, size=rng.integers(1, 6)).tolist()
+        deltas = rng.uniform(-1.2, 1.2, size=len(sizes)).tolist()
+        c_bound = None if rng.random() < 0.3 else float(rng.uniform(0.0, 3.0))
+        want = first_invalid_cluster(sizes, deltas, c_bound)
+        if want is None:
+            block_model(build_structure(sizes), deltas, c_bound=c_bound)
+            continue
+        with pytest.raises(want[0]) as info:
+            block_model(build_structure(sizes), deltas, c_bound=c_bound)
+        assert str(info.value).startswith(f"cluster {want[1]} ")
 
 
 def test_spectral_block_closed_form():
@@ -172,6 +206,10 @@ def test_spectral_block_closed_form():
         spectral_block(3, -0.5)
     with pytest.raises(InvalidInputError):
         spectral_block(0, 0.1)
+    with pytest.raises(InvalidInputError):
+        spectral_block(2.7, 0.1)
+    with pytest.raises(InvalidInputError):
+        spectral_block(True, 0.5)
 
 
 def test_spectral_block_matches_dense_eigensolver():
@@ -201,6 +239,18 @@ def test_long_run_variance_closed_form():
     assert long_run_variance(block_model(build_structure([4]), [0.1])) == pytest.approx(1.3)
     model = block_model(build_structure([2, 2]), [0.5, -0.5])
     assert long_run_variance(model) == pytest.approx(1.0)
+
+
+def test_long_run_variance_adds_clusters_in_order():
+    # report bytes depend on the summation order: the value must equal the
+    # sequential sum over clusters exactly, not just to rounding
+    rng = np.random.default_rng(1006)
+    sizes = rng.integers(1, 9, size=300).tolist()
+    deltas = [random_valid_delta(rng, k) for k in sizes]
+    total = 0.0
+    for k, d in zip(sizes, deltas):
+        total += k * (1.0 + (k - 1) * d)
+    assert long_run_variance(block_model(build_structure(sizes), deltas)) == total / sum(sizes)
 
 
 def test_long_run_variance_matches_dense_quadratic_form():

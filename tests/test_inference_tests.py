@@ -29,9 +29,16 @@ from lrvlab import (
     student_t_quantile,
 )
 from lrvlab.inference_tests import cluster_t_rows, sign_test_rows, z_test_rows
-from lrvlab.sampler import sample_rows, sample_rows_and_uniform
+from lrvlab.sampler import _to_uniform, raw_rows, sample_rows
 
 ALPHA = 0.05
+
+
+def rows_and_uniform(model, seed, reps):
+    """Null data rows and, from word n of the same streams, one uniform each."""
+    n = model.structure.n
+    u = _to_uniform(raw_rows(seed, range(reps), n + 1)[:, n])
+    return sample_rows(model, 0.0, seed, range(reps)), u
 
 
 def t_quantile_by_quadrature(df, p):
@@ -90,7 +97,7 @@ class TestSignTest:
     def test_size_is_alpha_under_the_null(self):
         model = block_model(build_structure([1] * 100), [0.0] * 100)
         reps = 10_000
-        x, u = sample_rows_and_uniform(model, 0.0, 4002, range(reps))
+        x, u = rows_and_uniform(model, 4002, reps)
         rate = float(sign_test_rows(x, ALPHA, u).mean())
         se = math.sqrt(ALPHA * (1.0 - ALPHA) / reps)
         assert abs(rate - ALPHA) < 3.0 * se
@@ -100,7 +107,7 @@ class TestSignTest:
         # climbs to 2 alpha and stops there
         model = block_model(build_structure([50]), [0.3])
         reps = 10_000
-        x, u = sample_rows_and_uniform(model, 0.0, 4003, range(reps))
+        x, u = rows_and_uniform(model, 4003, reps)
         rate = float(sign_test_rows(x + 10.0, ALPHA, u).mean())
         cap = 2.0 * ALPHA
         se = math.sqrt(cap * (1.0 - cap) / reps)
@@ -205,6 +212,8 @@ class TestKnownBoundZTest:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             known_bound_z_test([1.0], 0.0, ALPHA)
+        with pytest.raises(InvalidInputError):
+            known_bound_z_test([5.0] * 10, math.nan, ALPHA)
         with pytest.raises(InvalidInputError):
             known_bound_z_test([1.0], 1.0, 0.0)
 

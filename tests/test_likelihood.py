@@ -430,6 +430,8 @@ class TestLrDiagnostics:
         with pytest.raises(InvalidInputError):
             lr_diagnostics(model, 0.0, 2000, seed=0)
         with pytest.raises(InvalidInputError):
+            lr_diagnostics(model, math.nan, 1000, seed=1)
+        with pytest.raises(InvalidInputError):
             lr_diagnostics(model, 0.1, 999, seed=0)
 
 

@@ -5,6 +5,7 @@ against the model covariance with explicit standard-error budgets; exactness
 checks (bit-identical replay, the identity-covariance collapse) use equality.
 """
 
+import dataclasses
 import sys
 import threading
 
@@ -30,7 +31,6 @@ from lrvlab.sampler import (
     block_stat_words,
     raw_rows,
     sample_rows,
-    sample_rows_and_uniform,
     standard_block_rows,
 )
 
@@ -84,18 +84,6 @@ def test_scalar_sample_matches_batched_rows_bitwise():
         assert_array_equal(one, batch[rep])
 
 
-def test_batched_rows_and_uniform_split_one_stream():
-    """Row r of (X, u) is the first n normals then one uniform of stream r."""
-    model = block_model(build_structure([2, 2]), [0.4, 0.1])
-    x, u = sample_rows_and_uniform(model, 0.0, 5, range(6))
-    assert x.shape == (6, 4)
-    assert u.shape == (6,)
-    for rep in range(6):
-        stream = derive_stream(5, rep)
-        assert_array_equal(x[rep], sample(model, 0.0, stream))
-        assert u[rep] == stream.uniforms(1)[0]
-
-
 class TestRawRows:
     """raw_rows re-keys one generator per call; rows must equal fresh streams."""
 
@@ -115,7 +103,8 @@ class TestRawRows:
     def test_negative_and_large_master_seeds(self, seed):
         self.assert_rows_match_streams(seed, [0, 3, 1, 2**63 + 1], 6)
 
-    # 13 is n + 1 for an n = 12 model: the width a test cell draws.
+    # Each width stops one word into Philox's four-word block, so a buffer
+    # left over from the previous row would show up in the next one.
     @pytest.mark.parametrize("width", [1, 5, 13])
     def test_widths(self, width):
         self.assert_rows_match_streams(2026, list(range(8)) + [4], width)
@@ -198,12 +187,13 @@ def test_negative_delta_near_boundary():
 
 
 def test_sampling_an_unvalidated_model_raises():
-    # constructing the dataclass directly bypasses block_model's checks;
-    # the sampler still refuses to produce a non-positive-definite draw
+    # the dataclass validates itself, so the sampler never sees a
+    # non-positive-definite model, however it was built
     cs = build_structure([3])
-    bad = BlockEquicorrModel(structure=cs, deltas=(1.5,), c_bound=None)
     with pytest.raises(ModelInvalidError):
-        sample(bad, 0.0, derive_stream(0, 0))
+        BlockEquicorrModel(structure=cs, deltas=(1.5,), c_bound=None)
+    with pytest.raises(ModelInvalidError):
+        dataclasses.replace(block_model(cs, [0.2]), deltas=(1.5,))
 
 
 class TestSampleDense:
@@ -385,7 +375,8 @@ class TestBlockStatRows:
         assert_allclose(back, u, rtol=0, atol=1e-13)
 
     def test_rejects_unvalidated_models(self):
-        bad = BlockEquicorrModel(structure=build_structure([3]), deltas=(1.5,), c_bound=None)
         with pytest.raises(ModelInvalidError):
-            block_stat_rows(bad, 0.0, 0, range(2))
+            BlockEquicorrModel(structure=build_structure([3]), deltas=(1.5,), c_bound=None)
+        with pytest.raises(ModelInvalidError):
+            dataclasses.replace(self.model("single"), deltas=(1.5,))
 
