@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -90,15 +89,13 @@ def _cmd_spectral(args) -> int:
     cs = build_structure(sizes)
     model = block_model(cs, deltas)
     log_det = 0.0
-    for m, (k, d, top, base) in enumerate(
-        zip(cs.sizes, model.deltas, model.top.tolist(), model.base.tolist())
-    ):
-        parts = [f"{top!r} (x1)"]
+    for m, (k, d) in enumerate(zip(cs.sizes, model.deltas)):
+        spec = model.spectrum(m)
+        parts = [f"{spec.top_eigenvalue!r} (x1)"]
         if k > 1:
-            parts.append(f"{base!r} (x{k - 1})")
+            parts.append(f"{spec.base_eigenvalue!r} (x{k - 1})")
         print(f"block {m}: size {k}, delta {d!r} -> eigenvalues {', '.join(parts)}")
-        # summed as logs: the product top * base^(k-1) underflows for large blocks
-        log_det += math.log(top) + (k - 1) * math.log(base)
+        log_det += spec.log_det()
     print(f"n: {cs.n}  n_star: {cs.n_star}  M: {cs.M}  h: {cs.heterogeneity!r}")
     print(f"long-run variance: {long_run_variance(model)!r}")
     print(f"log det: {log_det!r}")

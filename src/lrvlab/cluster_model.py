@@ -194,6 +194,14 @@ class BlockEquicorrModel:
         nu = np.bincount(groups[multi], weights=sizes[multi] - 1.0, minlength=count)
         return deltas, nu
 
+    def spectrum(self, m: int) -> BlockSpectrum:
+        """The closed-form spectrum of block m."""
+        k = self.structure.sizes[m]
+        return BlockSpectrum(
+            size=k, delta=self.deltas[m], top_eigenvalue=float(self.top[m]),
+            base_eigenvalue=float(self.base[m]), top_multiplicity=1, base_multiplicity=k - 1,
+        )
+
 
 block_model = BlockEquicorrModel
 
@@ -204,7 +212,8 @@ class BlockSpectrum:
 
     Eigenvalue 1 + (k-1) delta has multiplicity 1 with eigenvector ones/sqrt(k);
     eigenvalue 1 - delta has multiplicity k - 1 on the orthogonal complement of
-    ones.  det = top * base^(k-1).
+    ones.  log det = log(top) + (k-1) log(base), summed as logs because the
+    product top * base^(k-1) underflows for large blocks.
     """
 
     size: int
@@ -220,8 +229,10 @@ class BlockSpectrum:
             ([self.top_eigenvalue], np.full(self.base_multiplicity, self.base_eigenvalue))
         )
 
-    def det(self) -> float:
-        return self.top_eigenvalue * self.base_eigenvalue ** self.base_multiplicity
+    def log_det(self) -> float:
+        return math.log(self.top_eigenvalue) + self.base_multiplicity * math.log(
+            self.base_eigenvalue
+        )
 
     def basis(self) -> np.ndarray:
         """The canonical orthonormal eigenbasis (columns), first column ones/sqrt(k).
@@ -249,12 +260,7 @@ def spectral_block(k: int, delta: float) -> BlockSpectrum:
     ModelInvalidError when the block is not positive definite.  For k = 1 the
     block is the 1x1 identity regardless of delta.
     """
-    model = BlockEquicorrModel(build_structure([k]), [delta])
-    k = model.structure.n
-    return BlockSpectrum(
-        size=k, delta=model.deltas[0], top_eigenvalue=float(model.top[0]),
-        base_eigenvalue=float(model.base[0]), top_multiplicity=1, base_multiplicity=k - 1,
-    )
+    return BlockEquicorrModel(build_structure([k]), [delta]).spectrum(0)
 
 
 def long_run_variance(model: BlockEquicorrModel) -> float:

@@ -9,12 +9,25 @@ uniform u = ((w >> 11) + 0.5) * 2**-53, strictly inside (0, 1), and the normal
 is the inverse standard-normal CDF of u.  Determinism across platforms and
 batch sizes is the point; both steps are elementwise.
 
-Batched rows (raw_rows and the row samplers built on it) come from one Philox
-generator per call that is re-keyed for each replication: its key is set to
-the replication's pair and its counter and buffer are reset, which is exactly
-the state a freshly keyed generator starts in.  Row r therefore equals the
-per-replication stream derive_stream(master_seed, ids[r]) word for word,
-without paying for a new generator (and its entropy read) per replication.
+Batched rows (raw_rows and the row samplers built on it) take one of two
+paths, and on both row r equals the per-replication stream
+derive_stream(master_seed, ids[r]) word for word:
+
+- Rows of at most _VECTOR_WIDTH = 96 words evaluate Philox4x64-10 with numpy,
+  one lane per (replication, 4-word block): the key is (master_seed, id) mod
+  2**64, block j is the image of the counter (j + 1, 0, 0, 0), each of the
+  ten rounds takes the high words of its products from 32-bit limbs, and the
+  key is bumped between rounds.  Lanes run _PHILOX_LANES at a time into one
+  preallocated output, so the temporaries stay small, and numpy releases the
+  GIL, so threads overlap.
+- Wider rows come from one numpy Philox generator per call that is re-keyed
+  for each replication: its key is set to the replication's pair and its
+  counter and buffer are reset, which is exactly the state a freshly keyed
+  generator starts in.  This avoids a new generator (and its entropy read)
+  per replication, but runs a Python step per replication.
+
+The vectorized path costs per word and the loop per replication, so they
+break even near _VECTOR_WIDTH words; BENCH_10.json records the timings.
 
 Within a cluster of size k with parameter delta, a draw is mixed from iid
 normals g_1..g_k with mean gbar as
@@ -58,6 +71,24 @@ from .errors import FactorizationError, InvalidInputError
 
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
+
+# Philox4x64-10 as numpy.random.Philox computes it (Salmon et al., SC 2011):
+# the round multipliers and the Weyl increments that bump the key between
+# rounds.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+# raw_rows evaluates Philox with numpy across replications for rows of at most
+# this many words, and re-keys numpy's generator per replication for wider
+# ones; the two paths break even near this width (see the module docstring).
+_VECTOR_WIDTH = 96
+
+# Lanes (one replication's 4-word block each) per vectorized sub-batch: every
+# temporary array is then 64 KiB, small enough to stay in cache and to be
+# reused from the heap instead of mapped afresh.
+_PHILOX_LANES = 1 << 13
 
 # Scalars drawn per Monte Carlo chunk; fixed so chunk boundaries (and hence
 # floating-point reduction order) never depend on the worker count.
@@ -106,10 +137,14 @@ def raw_rows(master_seed: int, replication_ids, width: int) -> np.ndarray:
     """The first `width` raw words of each replication's stream, one row each.
 
     Row r equals derive_stream(master_seed, ids[r]).raw(width) bit for bit.
-    The generator is local to the call, so concurrent calls share no state.
+    Rows of at most _VECTOR_WIDTH words come from _philox_rows, wider ones
+    from one numpy generator re-keyed per replication.  Either way all state
+    is local to the call, so concurrent calls share none.
     """
-    ids = list(replication_ids)
     width = int(width)
+    if width <= _VECTOR_WIDTH:
+        return _philox_rows(master_seed, replication_ids, width)
+    ids = list(replication_ids)
     out = np.empty((len(ids), width), dtype=np.uint64)
     key = np.array([int(master_seed) & _U64_MASK, 0], dtype=np.uint64)
     # The state of a Philox generator that has just been keyed: zero counter,
@@ -127,6 +162,61 @@ def raw_rows(master_seed: int, replication_ids, width: int) -> np.ndarray:
         key[1] = int(rep) & _U64_MASK
         bits.state = state
         out[r] = bits.random_raw(width)
+    return out
+
+
+def _key_words(replication_ids) -> np.ndarray:
+    """The replication ids mod 2**64, as uint64 key words."""
+    if isinstance(replication_ids, range):
+        r = replication_ids
+        steps = np.arange(len(r), dtype=np.uint64) * np.uint64(r.step & _U64_MASK)
+        return np.uint64(r.start & _U64_MASK) + steps
+    return np.array([int(rep) & _U64_MASK for rep in replication_ids], dtype=np.uint64)
+
+
+def _mulhilo(a: int, b: np.ndarray):
+    """(hi, lo): the two 64-bit halves of each 128-bit product a * b.
+
+    hi is assembled from 32-bit limbs; no partial sum exceeds 64 bits.
+    """
+    a0, a1 = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    b0, b1 = b & _LO32, b >> _SHIFT32
+    t = a1 * b0 + ((a0 * b0) >> _SHIFT32)
+    w = a0 * b1 + (t & _LO32)
+    return a1 * b1 + (t >> _SHIFT32) + (w >> _SHIFT32), np.uint64(a) * b
+
+
+def _philox_blocks(seed: int, reps: np.ndarray, blocks: int) -> np.ndarray:
+    """The first `blocks` 4-word Philox4x64-10 blocks under each key
+    (seed, reps[r]), as a (len(reps), 4 * blocks) array.
+
+    One lane per (replication, block).  numpy's generator increments its
+    counter before it generates, so block j is the image of the counter
+    (j + 1, 0, 0, 0).
+    """
+    zero = np.zeros(1, dtype=np.uint64)
+    x0, x1, x2, x3 = np.arange(1, blocks + 1, dtype=np.uint64), zero, zero, zero
+    k0, k1 = seed, reps[:, np.newaxis]
+    for i in range(10):
+        if i:
+            k0 = (k0 + _PHILOX_W[0]) & _U64_MASK
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ k1, lo0
+    return np.stack((x0, x1, x2, x3), axis=-1).reshape(reps.size, 4 * blocks)
+
+
+def _philox_rows(master_seed: int, replication_ids, width: int) -> np.ndarray:
+    """raw_rows evaluated lane-parallel, _PHILOX_LANES lanes at a time, into
+    one preallocated output (read at call time, so tests can narrow it)."""
+    reps = _key_words(replication_ids)
+    out = np.empty((reps.size, width), dtype=np.uint64)
+    blocks = -(-width // 4)
+    step = max(1, _PHILOX_LANES // max(1, blocks))
+    seed = int(master_seed) & _U64_MASK
+    for lo in range(0, reps.size, step):
+        out[lo : lo + step] = _philox_blocks(seed, reps[lo : lo + step], blocks)[:, :width]
     return out
 
 

@@ -197,7 +197,10 @@ def test_spectral_block_closed_form():
     assert spec.base_eigenvalue == pytest.approx(0.9)
     assert spec.top_multiplicity == 1
     assert spec.base_multiplicity == 4
-    assert spec.det() == pytest.approx(1.4 * 0.9**4)
+    assert spec.log_det() == pytest.approx(np.log(1.4 * 0.9**4))
+    # the det of this block, 99900.001 * 0.001**99999, underflows to 0.0
+    big = spectral_block(100000, 0.999)
+    assert big.log_det() == pytest.approx(np.log(99900.001) + 99999 * np.log(0.001), rel=1e-12)
 
     one = spectral_block(1, 0.7)  # 1x1 block ignores delta
     assert one.eigenvalues().tolist() == [1.0]

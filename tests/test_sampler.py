@@ -23,9 +23,11 @@ from lrvlab import (
     derive_stream,
     sample,
     sample_dense,
+    sampler,
 )
 from lrvlab.cluster_model import BlockEquicorrModel, block_stats, dense_sigma
 from lrvlab.sampler import (
+    _VECTOR_WIDTH,
     _to_uniform,
     block_stat_rows,
     block_stat_words,
@@ -136,6 +138,70 @@ class TestRawRows:
         assert len(results) == 40
         for (seed, _), rows in results.items():
             assert_array_equal(rows, jobs[seed])
+
+    def test_concurrent_calls_on_the_loop_path_share_no_generator(self):
+        # width 5 above takes the vectorized path; this width takes the
+        # re-keyed generator loop
+        width = _VECTOR_WIDTH + 5
+        ids = list(range(200))
+        jobs = {seed: raw_rows(seed, ids, width) for seed in (101, 202)}
+        results, errors = {}, []
+
+        def work(seed):
+            try:
+                for attempt in range(10):
+                    results[(seed, attempt)] = raw_rows(seed, ids, width)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in jobs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(results) == 20
+        for (seed, _), rows in results.items():
+            assert_array_equal(rows, jobs[seed])
+
+
+class TestPhiloxPaths:
+    """Both raw_rows paths against fresh streams: the vectorized Philox at
+    widths up to _VECTOR_WIDTH and the re-keyed generator loop above it."""
+
+    # Keys reduce mod 2**64, so the ids cover negatives, ids past 2**63,
+    # repeats and descending order, given in each form callers pass.
+    IDS = {
+        "list": [9, 2, 2, 0, -1, -(2**63), 2**63, 2**63 + 17, 2**64 - 1, 9, 5],
+        "range across 2**63": range(2**63 - 3, 2**63 + 3),
+        "descending range": range(4, -9, -3),
+        "numpy uint64": np.array([7, 2**63 + 1, 7, 2**64 - 1, 3], dtype=np.uint64),
+        "numpy int64": np.array([-4, 11, -4, -(2**63)], dtype=np.int64),
+        "numpy scalars": [np.uint64(2**64 - 1), np.int64(-2), np.int32(6), np.uint8(6)],
+    }
+
+    @pytest.mark.parametrize(
+        "width", [1, 4, 5, 8, _VECTOR_WIDTH, _VECTOR_WIDTH + 1, 100, 1001]
+    )
+    @pytest.mark.parametrize("seed", [-(2**63), 0, 2**63, 2**64 - 1])
+    def test_rows_equal_fresh_streams(self, seed, width):
+        for ids in self.IDS.values():
+            TestRawRows.assert_rows_match_streams(seed, ids, width)
+
+    @pytest.mark.parametrize("lanes", [1, 3, 7, 64])
+    def test_narrow_sub_batches_change_no_row(self, monkeypatch, lanes):
+        ids = list(range(37)) + [2**64 - 1, -1, 2**63]
+        widths = [1, 5, 13, _VECTOR_WIDTH]
+        want = {w: raw_rows(2026, ids, w) for w in widths}
+        monkeypatch.setattr(sampler, "_PHILOX_LANES", lanes)
+        for w in widths:
+            assert_array_equal(raw_rows(2026, ids, w), want[w])
 
 
 def test_pair_covariance():
