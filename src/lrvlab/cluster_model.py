@@ -167,32 +167,34 @@ class BlockEquicorrModel:
         return 1.0 - self.deltas_array
 
     @cached_property
-    def residual_groups(self) -> np.ndarray:
-        """The residual group of each block (length M); -1 for singletons.
+    def classes(self) -> np.ndarray:
+        """The class of each block (length M).
 
-        Blocks of size >= 2 that share a delta share a group, and groups are
-        numbered 0, 1, ... in order of first appearance.  Residual masses are
-        drawn and evaluated per group (see block_stats).
+        Blocks that share (n_m, delta_m) are exchangeable and form one class;
+        classes are numbered 0, 1, ... in order of first appearance.  Every
+        statistic but the graph estimator reads a draw only through the
+        class statistics of class_stats.
         """
         index = {}
-        groups = np.full(self.structure.M, -1, dtype=np.intp)
-        for m, (k, d) in enumerate(zip(self.structure.sizes, self.deltas)):
-            if k >= 2:
-                groups[m] = index.setdefault(d, len(index))
-        return groups
+        keys = zip(self.structure.sizes, self.deltas)
+        return np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
 
     @cached_property
-    def residual_params(self) -> tuple[np.ndarray, np.ndarray]:
-        """(delta_g, nu_g) per residual group: the group's delta and its
-        degrees of freedom nu_g = sum of (k_m - 1) over the group's blocks."""
-        groups = self.residual_groups
-        multi = groups >= 0
-        count = int(np.max(groups, initial=-1)) + 1
-        deltas = np.zeros(count)
-        deltas[groups[multi]] = self.deltas_array[multi]
-        sizes = self.structure.sizes_array
-        nu = np.bincount(groups[multi], weights=sizes[multi] - 1.0, minlength=count)
-        return deltas, nu
+    def class_first(self) -> np.ndarray:
+        """The first block of each class (length H); indexing a per-block
+        array (sizes_array, deltas_array, top, base) with it gives the
+        class's value."""
+        return np.unique(self.classes, return_index=True)[1]
+
+    @cached_property
+    def class_sizes(self) -> np.ndarray:
+        """k_h: the block size of each class."""
+        return self.structure.sizes_array[self.class_first]
+
+    @cached_property
+    def class_counts(self) -> np.ndarray:
+        """M_h: the number of blocks in each class."""
+        return np.bincount(self.classes)
 
     def spectrum(self, m: int) -> BlockSpectrum:
         """The closed-form spectrum of block m."""
@@ -280,27 +282,47 @@ def block_sums(X, cs: ClusterStructure) -> np.ndarray:
     return np.add.reduceat(X, cs.starts, axis=-1)
 
 
-def block_stats(X, cs: ClusterStructure, groups):
-    """(S1, T): block sums (B, M) and residual masses (B, G) of each row.
+def class_stats(X, model: BlockEquicorrModel):
+    """(A, Q, T): the class statistics of each row of a (B, n) matrix, each (B, H).
 
-    T_g sums sum_{i in m} (x_i - xbar_m)^2 over the blocks m of group g.  It
-    is computed in two passes, block means first and then centred squares,
-    so it stays accurate when the block means are large.  groups labels the
-    blocks as BlockEquicorrModel.residual_groups does: -1 for singletons and
-    0..G-1 for the groups of the other blocks.
+    Over the M_h blocks m of class h (BlockEquicorrModel.classes), with block
+    sums S1_m: the class sum A_h = sum S1_m, the within-class square mass
+    Q_h = sum (S1_m - A_h / M_h)^2 and the residual mass
+    T_h = sum sum_{i in m} (x_i - S1_m / k_h)^2.  Q and T are computed in two
+    passes, means first and then centred squares, so they stay accurate when
+    the means are large.
     """
     X = np.asarray(X, dtype=np.float64)
-    sizes = cs.sizes_array
-    groups = np.asarray(groups, dtype=np.intp)
+    cs = model.structure
     s1 = block_sums(X, cs)
-    multi = np.flatnonzero(groups >= 0)
-    if multi.size == 0:
-        return s1, np.zeros(X.shape[:-1] + (0,))
-    dev = X - np.repeat(s1 / sizes, sizes, axis=-1)
-    t_block = np.add.reduceat(dev * dev, cs.starts, axis=-1)
-    order = multi[np.argsort(groups[multi], kind="stable")]
-    bounds = np.flatnonzero(np.diff(groups[order], prepend=-1))
-    return s1, np.add.reduceat(t_block[..., order], bounds, axis=-1)
+    order = np.argsort(model.classes, kind="stable")
+    bounds = np.flatnonzero(np.diff(model.classes[order], prepend=-1))
+
+    def per_class(v):
+        return np.add.reduceat(v[..., order], bounds, axis=-1)
+
+    a = per_class(s1)
+    dev = s1 - (a / model.class_counts)[..., model.classes]
+    if cs.M == cs.n:  # all singletons: no residual mass
+        return a, per_class(dev * dev), np.zeros_like(a)
+    resid = X - np.repeat(s1 / cs.sizes_array, cs.sizes_array, axis=-1)
+    t_block = np.add.reduceat(resid * resid, cs.starts, axis=-1)
+    return a, per_class(dev * dev), per_class(t_block)
+
+
+def row_stats(X, cs: ClusterStructure | None = None):
+    """(A, Q, T, model) of data rows X (B, n), in the argument order of the
+    estimator and test kernels: class_stats under the identity model on cs,
+    or on n singletons when cs is None.  The kernels read only the class
+    sizes and counts of that model, so the deltas do not matter.  Raises
+    InvalidInputError when the rows do not have length cs.n."""
+    X = np.asarray(X, dtype=np.float64)
+    if cs is None:
+        cs = build_structure([1] * X.shape[-1])
+    if X.shape[-1] != cs.n:
+        raise InvalidInputError(f"data has length {X.shape[-1]}, structure has n = {cs.n}")
+    model = BlockEquicorrModel(cs, (0.0,) * cs.M)
+    return (*class_stats(X, model), model)
 
 
 def permutation_average(delta_dense: np.ndarray, cs: ClusterStructure):

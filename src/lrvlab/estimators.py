@@ -13,13 +13,14 @@ Estimates are reported raw — the cross-product estimators are not truncated
 at zero — with a negative_flag instead.  Each scalar operation delegates to a
 row kernel that evaluates whole (replications, n) batches.
 
-All but the graph estimator depend on the data only through the block sums
-S1 and residual masses T of cluster_model.block_stats, and each has exactly
-one kernel over them, *_stat_rows(S1, T, sizes) (the cluster estimator
-ignores T; the shared signature lets the harness look kernels up by name).
-The data-row forms reduce X first and call that kernel; the harness calls it
-on the statistics it draws directly.  Without a structure, every observation
-is its own block: S1 = X and T is empty.
+All but the graph estimator depend on the data only through the class
+statistics (A, Q, T) of cluster_model.class_stats, and each has exactly one
+kernel over them, *_stat_rows(A, Q, T, model), which reads the model's class
+sizes and counts (the cluster estimator ignores T; the test kernels of
+inference_tests share the signature, so the harness looks kernels up by
+name).  The data-row forms reduce X with cluster_model.row_stats and call
+that kernel; the harness calls it on the statistics it draws directly.
+Without a structure, every observation is its own block.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .cluster_model import ClusterStructure, block_sums
+from .cluster_model import BlockEquicorrModel, ClusterStructure, row_stats
 from .errors import InvalidInputError
 from .graphs import DependencyGraph
 
@@ -55,41 +56,42 @@ def _as_rows(x) -> np.ndarray:
     return x[np.newaxis, :]
 
 
-def _centred_block_sums(s1: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """sum_{i in m} (x_i - xbar) = S1_m - k_m xbar, per row and block."""
-    xbar = s1.sum(axis=-1, keepdims=True) / sizes.sum()
-    return s1 - sizes * xbar
+def _centred_block_mass(a: np.ndarray, q: np.ndarray, model: BlockEquicorrModel) -> np.ndarray:
+    """sum over the blocks m of each class of (S1_m - k_m xbar)^2, per row.
 
-
-def sample_variance_stat_rows(s1: np.ndarray, t: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """(1/n) sum (x - xbar)^2 from block statistics.
-
-    The total square mass about xbar splits into the within-block residual
-    masses and the between-block part sum_m (S1_m - k_m xbar)^2 / k_m.
+    Over a class it is Q_h + M_h d_h^2 with d_h = A_h / M_h - k_h xbar, the
+    within-class square mass plus the class's offset from the grand mean.
     """
-    d = _centred_block_sums(s1, sizes)
-    return (t.sum(axis=-1) + np.einsum("...m,...m->...", d, d / sizes)) / sizes.sum()
+    xbar = a.sum(axis=-1, keepdims=True) / model.structure.n
+    d = a / model.class_counts - model.class_sizes * xbar
+    return q + model.class_counts * d * d
 
 
-def cluster_stat_rows(s1: np.ndarray, t, sizes: np.ndarray) -> np.ndarray:
-    """(1/n) sum_m (S1_m - k_m xbar)^2 from block sums; t is unused."""
-    d = _centred_block_sums(s1, sizes)
-    return np.einsum("...m,...m->...", d, d) / sizes.sum()
+def sample_variance_stat_rows(a, q, t, model: BlockEquicorrModel) -> np.ndarray:
+    """(1/n) sum (x - xbar)^2 from class statistics.
+
+    The total square mass about xbar splits into the residual masses and the
+    between-block part sum_m (S1_m - k_m xbar)^2 / k_m.
+    """
+    block = _centred_block_mass(a, q, model) / model.class_sizes
+    return (t.sum(axis=-1) + block.sum(axis=-1)) / model.structure.n
 
 
-def second_moment_stat_rows(s1: np.ndarray, t: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """(1/n) sum x^2 = (sum_g T_g + sum_m S1_m^2 / k_m) / n from block statistics."""
-    return (t.sum(axis=-1) + np.einsum("...m,...m->...", s1, s1 / sizes)) / sizes.sum()
+def cluster_stat_rows(a, q, t, model: BlockEquicorrModel) -> np.ndarray:
+    """(1/n) sum_m (S1_m - k_m xbar)^2 from class statistics; t is unused."""
+    return _centred_block_mass(a, q, model).sum(axis=-1) / model.structure.n
 
 
-def _singletons(X: np.ndarray):
-    """(S1, T, sizes) of data rows with every observation its own block."""
-    return X, X[..., :0], np.ones(X.shape[-1])
+def second_moment_stat_rows(a, q, t, model: BlockEquicorrModel) -> np.ndarray:
+    """(1/n) sum x^2 = (sum T + sum_m S1_m^2 / k_m) / n from class statistics,
+    with sum over a class of S1_m^2 = Q_h + A_h^2 / M_h."""
+    block = (q + a * a / model.class_counts) / model.class_sizes
+    return (t.sum(axis=-1) + block.sum(axis=-1)) / model.structure.n
 
 
 def sample_variance_rows(X: np.ndarray) -> np.ndarray:
     """(1/n) sum (x - xbar)^2 for each row of a (B, n) matrix."""
-    return sample_variance_stat_rows(*_singletons(X))
+    return sample_variance_stat_rows(*row_stats(X))
 
 
 def cluster_rows(X: np.ndarray, cs: ClusterStructure) -> np.ndarray:
@@ -98,7 +100,7 @@ def cluster_rows(X: np.ndarray, cs: ClusterStructure) -> np.ndarray:
     The double sum over pairs inside each cluster collapses to the square of
     the cluster total of deviations, giving an O(n) evaluation.
     """
-    return cluster_stat_rows(block_sums(X, cs), None, cs.sizes_array)
+    return cluster_stat_rows(*row_stats(X, cs))
 
 
 def graph_rows(X: np.ndarray, g: DependencyGraph) -> np.ndarray:
@@ -110,7 +112,7 @@ def graph_rows(X: np.ndarray, g: DependencyGraph) -> np.ndarray:
 
 def second_moment_rows(X: np.ndarray) -> np.ndarray:
     """(1/n) sum x^2 for each row; no centering (mean assumed known zero)."""
-    return second_moment_stat_rows(*_singletons(X))
+    return second_moment_stat_rows(*row_stats(X))
 
 
 def _neighborhood_operator(g: DependencyGraph) -> scipy.sparse.csr_array:
@@ -133,12 +135,7 @@ def lrv_sample_variance(x) -> LrvEstimate:
 
 def lrv_cluster(x, cs: ClusterStructure) -> LrvEstimate:
     """The cluster estimator; equals lrv_sample_variance when all clusters are singletons."""
-    rows = _as_rows(x)
-    if rows.shape[-1] != cs.n:
-        raise InvalidInputError(
-            f"data has length {rows.shape[-1]}, structure has n = {cs.n}"
-        )
-    return _make(cluster_rows(rows, cs)[0], "cluster")
+    return _make(cluster_rows(_as_rows(x), cs)[0], "cluster")
 
 
 def lrv_graph(x, g: DependencyGraph) -> LrvEstimate:

@@ -8,21 +8,24 @@ master seed regardless of the worker count.
 
 Stream allocation: cells are enumerated in config order; cell i draws its
 replications from streams keyed (master_seed + i, replication_index).
-Estimator, contiguity and test cells draw each replication's standard block
-statistics (sampler.standard_block_rows): M + G + 1 words, where G counts
-the model's residual groups (the distinct deltas among blocks of size >= 2)
-and the last word is the randomization uniform of test cells.  Estimator and
-test cells scale them to the cell's model (sampler.block_stat_rows) at
-mu_bar = 0 and add k mu_bar to the block sums per mean, which is
-bit-identical to a draw at mu_bar; contiguity cells scale them to null
-N(0, I) data (likelihood.lr_diagnostics).  Graph cells consume n normals per
-replication (the O(n) mixing path, which the graph estimator needs).
+Estimator, contiguity and test cells draw each replication's class
+statistics (sampler.class_stat_rows): 3H + 1 words, where H counts the
+model's classes (the distinct (k, delta) among its blocks) and the last word
+is the randomization uniform of test cells.  Estimator and test cells draw
+them at mu_bar = 0 and add M_h k_h mu_bar to each class sum A_h per mean,
+which is bit-identical to a draw at mu_bar; contiguity cells turn them into
+null N(0, I) statistics (likelihood.lr_diagnostics).  Graph cells consume n
+normals per replication (the O(n) mixing path, which the graph estimator
+needs).
 
-Each estimator and test is one kernel over the drawn statistics, looked up
-by its config name (estimators.*_stat_rows, inference_tests.*_stat_rows).  A
-test rejects in a replication when its rejection probability p exceeds the
-replication's uniform u: p = 2 alpha 1{xbar >= 0} for the sign test and
-p = 1{statistic > critical} for the cluster t and z tests.
+Each estimator and test is one kernel over the drawn class statistics,
+looked up by its config name (estimators.*_stat_rows,
+inference_tests.*_stat_rows).  A test rejects in a replication when its
+rejection probability p exceeds the replication's uniform u:
+p = 2 alpha 1{xbar >= 0} for the sign test and p = 1{statistic > critical}
+for the cluster t and z tests.  A cell whose metric has a value or standard
+error that is not finite is quarantined (DegenerateDataError), since the JSON
+report could not hold it.
 
 Config schema (JSON; a sweep {"master_seed": ..., "experiments": [...]}, or
 a single experiment object carrying its master_seed, which is read as a
@@ -80,7 +83,7 @@ from .cluster_model import (
     long_run_variance,
     max_cluster_share,
 )
-from .errors import InvalidInputError, require_int
+from .errors import DegenerateDataError, InvalidInputError, require_int
 from .estimators import (
     cluster_stat_rows,
     graph_rows,
@@ -90,7 +93,7 @@ from .estimators import (
 from .graphs import generate_graph
 from .inference_tests import cluster_t_stat_rows, sign_test_stat_rows, z_test_stat_rows
 from .likelihood import lr_diagnostics
-from .sampler import _chunks, block_stat_rows, block_stat_words, sample_rows
+from .sampler import _chunks, _class_chunks, class_stat_rows, sample_rows
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -367,15 +370,15 @@ def _kernel_names(names, kernels: dict, what: str):
     return names
 
 
-def _block_stat_chunks(model, seed: int, reps: int, mu_points):
-    """(lo, hi, label, S1, T, u) per chunk of replications and per mu point;
-    each chunk is drawn once at mu_bar = 0 and S1 shifted by k mu_bar."""
-    sizes = model.structure.sizes_array
-    for lo, hi in _chunks(reps, block_stat_words(model)):
-        s1_0, t, u = block_stat_rows(model, 0.0, seed, range(lo, hi))
+def _class_stat_chunks(model, seed: int, reps: int, mu_points):
+    """(lo, hi, label, A, Q, T, u) per chunk of replications and per mu point;
+    each chunk is drawn once at mu_bar = 0 and A shifted by M_h k_h mu_bar."""
+    mass = model.class_counts * model.class_sizes
+    for lo, hi in _class_chunks(model, reps):
+        a_0, q, t, u = class_stat_rows(model, 0.0, seed, range(lo, hi))
         for label, mu_bar in mu_points:
-            s1 = s1_0 + sizes * mu_bar if mu_bar != 0.0 else s1_0
-            yield lo, hi, label, s1, t, u
+            a = a_0 + mass * mu_bar if mu_bar != 0.0 else a_0
+            yield lo, hi, label, a, q, t, u
 
 
 def _run_estimator_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
@@ -392,9 +395,9 @@ def _run_estimator_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int
     )
     reps = entry.replications
     acc = {name: np.empty(reps) for name in names}
-    for lo, hi, _, s1, t, _ in _block_stat_chunks(model, seed, reps, mu_points):
+    for lo, hi, _, a, q, t, _ in _class_stat_chunks(model, seed, reps, mu_points):
         for name in names:
-            acc[name][lo:hi] = kernels[name](s1, t, cs.sizes_array)
+            acc[name][lo:hi] = kernels[name](a, q, t, model)
     metrics = []
     for name in names:
         metrics.extend(_moment_metrics(name, acc[name], sigma_sq))
@@ -423,9 +426,9 @@ def _run_test_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
     c = sigma_sq if z_bound == "oracle" else _as_float(z_bound, "z_bound")
     reps = entry.replications
     counts = {(name, label): 0 for name in tests for label, _ in mu_points}
-    for _, _, label, s1, _, u in _block_stat_chunks(model, seed, reps, mu_points):
+    for _, _, label, a, q, t, u in _class_stat_chunks(model, seed, reps, mu_points):
         for name in tests:
-            p = kernels[name](s1, cs.sizes_array, entry.alpha, c)[-1]
+            p = kernels[name](a, q, t, model, entry.alpha, c)[-1]
             counts[(name, label)] += int(np.count_nonzero(p > u))
     return [
         Metric(
@@ -481,6 +484,9 @@ def _evaluate_cell(entry: ExperimentConfig, n: int, seed: int) -> CellResult:
         names = [m.metric for m in metrics]
         if len(set(names)) != len(names):
             raise InvalidInputError(f"metric names repeat: {names}")
+        for m in metrics:
+            if not (math.isfinite(m.value) and math.isfinite(m.se)):
+                raise DegenerateDataError(f"metric {m.metric} is not finite: {m.value} +- {m.se}")
         n_star, M, h, share = cs.n_star, cs.M, cs.heterogeneity, max_cluster_share(cs)
     except Exception as exc:  # quarantine the cell, keep the sweep going
         metrics, error = (), f"{type(exc).__name__}: {exc}"

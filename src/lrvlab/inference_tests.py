@@ -8,16 +8,17 @@
 - known_bound_z_test: the one-sided z-test available once an upper bound c on
   the long-run variance is known a priori.
 
-Each test is computed by one kernel over the block sums S1 (B, M),
-*_stat_rows(S1, sizes, alpha, c), returning the statistic, the critical value
-and a per-row rejection probability p: 2 alpha 1{V = +1} for the sign test,
-1{statistic > critical} for the others.  A row rejects when p > u for its
-randomization uniform u, which the sampler draws strictly inside (0, 1).  The
-kernels share one signature (only the z-test uses its bound c), so the
-harness looks them up by name.  The scalar operations (returning a
-TestOutcome) and the *_rows forms (per-row rejection indicators of a (B, n)
-batch) reduce the data to block sums, singletons for the sign and z tests,
-and call the same kernel.
+Each test is computed by one kernel over the class statistics (A, Q, T) of
+cluster_model.class_stats, *_stat_rows(A, Q, T, model, alpha, c): the
+estimator kernels' signature plus the level and the bound (only the z-test
+uses c, and only the cluster t-test reads Q).  It returns the statistic, the
+critical value and a per-row rejection probability p: 2 alpha 1{V = +1} for
+the sign test, 1{statistic > critical} for the others.  A row rejects when
+p > u for its randomization uniform u, which the sampler draws strictly
+inside (0, 1).  The harness looks the kernels up by name.  The scalar
+operations (returning a TestOutcome) and the *_rows forms (per-row rejection
+indicators of a (B, n) batch) reduce the data with cluster_model.row_stats,
+over singletons for the sign and z tests, and call the same kernel.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri, stdtrit
 
-from .cluster_model import ClusterStructure, block_sums
+from .cluster_model import BlockEquicorrModel, ClusterStructure, block_sums, row_stats
 from .errors import DegenerateDataError, InvalidInputError
 
 
@@ -68,13 +69,6 @@ def _as_row(x) -> np.ndarray:
     return x[np.newaxis, :]
 
 
-def _block_sums_row(x, cs: ClusterStructure) -> np.ndarray:
-    row = _as_row(x)
-    if row.shape[-1] != cs.n:
-        raise InvalidInputError(f"data has length {row.shape[-1]}, structure has n = {cs.n}")
-    return block_sums(row, cs)
-
-
 def _outcome(kernel_out, alpha: float, u: float = 0.0) -> TestOutcome:
     """The TestOutcome of a one-row kernel evaluation; it rejects when p > u."""
     statistic, critical, p = kernel_out
@@ -82,13 +76,14 @@ def _outcome(kernel_out, alpha: float, u: float = 0.0) -> TestOutcome:
     return TestOutcome(float(statistic[0]), p, p > u, float(critical), float(alpha))
 
 
-def sign_test_stat_rows(s1: np.ndarray, sizes: np.ndarray, alpha: float, c=None):
-    """(V, 0, p) per row from block sums: V = sgn(xbar), the tie counted as +1,
-    and p = 2 alpha 1{V = +1}.  Requires alpha in (0, 1/2); c is unused."""
+def sign_test_stat_rows(a, q, t, model: BlockEquicorrModel, alpha: float, c=None):
+    """(V, 0, p) per row from class statistics: V = sgn(xbar), the tie counted
+    as +1, and p = 2 alpha 1{V = +1}.  Requires alpha in (0, 1/2); q, t and c
+    are unused."""
     alpha = float(alpha)
     if not (0.0 < alpha < 0.5):
         raise InvalidInputError(f"alpha must lie in (0, 1/2), got {alpha}")
-    nonnegative = s1.sum(axis=-1) / sizes.sum() >= 0.0
+    nonnegative = a.sum(axis=-1) / model.structure.n >= 0.0
     return np.where(nonnegative, 1.0, -1.0), 0.0, np.where(nonnegative, 2.0 * alpha, 0.0)
 
 
@@ -103,44 +98,56 @@ def sign_test(x, alpha: float, u: float) -> TestOutcome:
     u = float(u)
     if not (0.0 <= u <= 1.0):
         raise InvalidInputError(f"randomization input u must lie in [0, 1], got {u}")
-    return _outcome(sign_test_stat_rows(row, np.ones(row.shape[-1]), alpha), alpha, u)
+    return _outcome(sign_test_stat_rows(*row_stats(row), alpha), alpha, u)
 
 
 def sign_test_rows(X: np.ndarray, alpha: float, u: np.ndarray) -> np.ndarray:
     """Row-wise rejection indicators of the sign test (one uniform per row)."""
-    p = sign_test_stat_rows(X, np.ones(X.shape[-1]), alpha)[-1]
+    p = sign_test_stat_rows(*row_stats(X), alpha)[-1]
     return p > np.asarray(u, dtype=np.float64)
 
 
-def _xi_moments(s1: np.ndarray, sizes: np.ndarray):
-    """xi = S1 / sqrt(k) per block, and per row their mean U' and sample
-    variance T' (divisor M - 1; 0 for a single cluster)."""
-    xi = s1 / np.sqrt(sizes)
-    u_prime = xi.mean(axis=-1)
-    if sizes.size < 2:
-        return xi, u_prime, np.zeros_like(u_prime)
-    return xi, u_prime, xi.var(axis=-1, ddof=1)
+def _xi_moments(a: np.ndarray, q: np.ndarray, model: BlockEquicorrModel):
+    """The mean U' and sample variance T' (divisor M - 1; 0 for a single
+    cluster) of xi = S1 / sqrt(k) over the blocks, per row.
+
+    The square mass of xi about U' splits into the within-class part
+    sum_h Q_h / k_h and the between-class part sum_h M_h (xibar_h - U')^2,
+    with xibar_h = A_h / (M_h sqrt(k_h)) the class mean of xi.  Both are sums
+    of squares of centred terms, so T' stays accurate when the mean is large.
+    """
+    m = model.structure.M
+    root_k = np.sqrt(model.class_sizes)
+    u_prime = (a / root_k).sum(axis=-1) / m
+    if m < 2:
+        return u_prime, np.zeros_like(u_prime)
+    offset = a / (model.class_counts * root_k) - u_prime[..., np.newaxis]
+    mass = q / model.class_sizes + model.class_counts * offset * offset
+    return u_prime, mass.sum(axis=-1) / (m - 1)
 
 
 def cluster_summary(x, cs: ClusterStructure) -> ClusterSummary:
     """The per-cluster normalized means xi and their moments U', T'."""
-    xi, u_prime, t_prime = _xi_moments(_block_sums_row(x, cs), cs.sizes_array)
+    row = _as_row(x)
+    a, q, _, model = row_stats(row, cs)
+    u_prime, t_prime = _xi_moments(a, q, model)
+    xi = block_sums(row, cs)[0] / np.sqrt(cs.sizes_array)
     return ClusterSummary(
-        xi=tuple(float(v) for v in xi[0]), U_prime=float(u_prime[0]), T_prime=float(t_prime[0])
+        xi=tuple(float(v) for v in xi), U_prime=float(u_prime[0]), T_prime=float(t_prime[0])
     )
 
 
-def cluster_t_stat_rows(s1: np.ndarray, sizes: np.ndarray, alpha: float, c=None):
+def cluster_t_stat_rows(a, q, t, model: BlockEquicorrModel, alpha: float, c=None):
     """(V', t(M-1) quantile at 1 - alpha, p = 1{V' > quantile}) per row, with
     V' = sqrt(M) U'/sqrt(T') (+-inf or nan where T' = 0).  Requires alpha in
-    (0, 1) and M >= 2; c is unused."""
+    (0, 1) and M >= 2; t and c are unused."""
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
-    m = sizes.size
+    m = model.structure.M
     if m < 2:
         raise InvalidInputError("the cluster t-test needs at least two clusters")
-    _, u_prime, t_prime = _xi_moments(s1, sizes)
+    u_prime, t_prime = _xi_moments(a, q, model)
     critical = student_t_quantile(m - 1, 1.0 - alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
         statistic = math.sqrt(m) * u_prime / np.sqrt(t_prime)
@@ -153,42 +160,41 @@ def cluster_t_test(x, cs: ClusterStructure, alpha: float) -> TestOutcome:
     Needs M >= 2 clusters; constant cluster means (T' = 0) raise
     DegenerateDataError.
     """
-    s1 = _block_sums_row(x, cs)
-    outcome = _outcome(cluster_t_stat_rows(s1, cs.sizes_array, alpha), alpha)
-    if _xi_moments(s1, cs.sizes_array)[2][0] == 0.0:
+    outcome = _outcome(cluster_t_stat_rows(*row_stats(_as_row(x), cs), alpha), alpha)
+    if not math.isfinite(outcome.statistic):  # T' = 0
         raise DegenerateDataError("all cluster means are equal; T' = 0")
     return outcome
 
 
 def cluster_t_rows(X: np.ndarray, cs: ClusterStructure, alpha: float) -> np.ndarray:
     """Row-wise rejection indicators of the cluster t-test."""
-    return cluster_t_stat_rows(block_sums(X, cs), cs.sizes_array, alpha)[-1]
+    return cluster_t_stat_rows(*row_stats(X, cs), alpha)[-1]
 
 
-def z_test_stat_rows(s1: np.ndarray, sizes: np.ndarray, alpha: float, c: float):
+def z_test_stat_rows(a, q, t, model: BlockEquicorrModel, alpha: float, c: float):
     """(z, normal quantile at 1 - alpha, p = 1{z > quantile}) per row, with
-    z = sqrt(n) xbar / sqrt(c).  Requires c > 0 and alpha in (0, 1)."""
+    z = sqrt(n) xbar / sqrt(c).  Requires c > 0 and alpha in (0, 1); q and t
+    are unused."""
     c = float(c)
     if not (c > 0.0):
         raise InvalidInputError(f"variance bound c must be positive, got {c}")
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
-    n = sizes.sum()
+    n = model.structure.n
     critical = float(ndtri(1.0 - alpha))
-    statistic = math.sqrt(n) * (s1.sum(axis=-1) / n) / math.sqrt(c)
+    statistic = math.sqrt(n) * (a.sum(axis=-1) / n) / math.sqrt(c)
     return statistic, critical, statistic > critical
 
 
 def known_bound_z_test(x, c: float, alpha: float) -> TestOutcome:
     """One-sided z-test using a known upper bound c on the long-run variance."""
-    row = _as_row(x)
-    return _outcome(z_test_stat_rows(row, np.ones(row.shape[-1]), alpha, c), alpha)
+    return _outcome(z_test_stat_rows(*row_stats(_as_row(x)), alpha, c), alpha)
 
 
 def z_test_rows(X: np.ndarray, c: float, alpha: float) -> np.ndarray:
     """Row-wise rejection indicators of the known-bound z-test."""
-    return z_test_stat_rows(X, np.ones(X.shape[-1]), alpha, c)[-1]
+    return z_test_stat_rows(*row_stats(X), alpha, c)[-1]
 
 
 def student_t_quantile(df: int, p: float) -> float:

@@ -5,12 +5,12 @@ block-equicorrelation Sigma.  Rotating one block of size k by any orthogonal
 basis whose first vector is ones/sqrt(k) diagonalizes the block, and the
 rotated coordinates enter only through two row statistics — the block sum S1
 (Z_1 = S1/sqrt(k)) and the residual square mass T = S2 - S1^2/k — so the
-evaluation never materializes a rotation.  loglr_stat_rows is the one kernel
-over those statistics, with T summed over the model's residual groups (blocks
-sharing a delta share the coefficient of T); loglr_cluster_rows reduces data
-rows with cluster_model.block_stats and calls it, and lr_diagnostics calls it
-on null statistics from the standard draw sampler.standard_block_rows,
-S1 = sqrt(k) Z and T = C, O(M) per replication.
+evaluation never materializes a rotation.  Blocks that share (k, delta)
+share every coefficient, so the log-LR reads a draw only through the class
+statistics (A, Q, T) of cluster_model.class_stats.  loglr_stat_rows is the
+one kernel over them; loglr_cluster_rows reduces data rows with class_stats
+and calls it, and lr_diagnostics calls it on null statistics from the class
+draw sampler.class_stat_rows, O(H) per replication for H classes.
 
 For one block of size k with parameter delta (a = 1 + (k-1) delta and
 b = 1 - delta, the block's eigenvalues BlockEquicorrModel.top and .base):
@@ -39,15 +39,15 @@ from .cluster_model import (
     BlockEquicorrModel,
     ClusterStructure,
     block_model,
-    block_stats,
     build_structure,
+    class_stats,
 )
 from .errors import (
     DegenerateDataError,
     FactorizationError,
     InvalidInputError,
 )
-from .sampler import _chunks, block_stat_words, standard_block_rows
+from .sampler import _class_chunks, class_stat_rows
 
 # Agreement demanded between the two dense log-LR routes (absolute, scaled up
 # by |value| once values leave the unit range).
@@ -60,31 +60,26 @@ def chi2_cdf_1df(t) -> np.ndarray | float:
     return np.where(t > 0.0, erf(np.sqrt(np.maximum(t, 0.0) / 2.0)), 0.0)
 
 
-def loglr_stat_rows(
-    s1: np.ndarray, t: np.ndarray, model: BlockEquicorrModel, mu_bar: float
-) -> np.ndarray:
-    """log dN(mu_bar 1, Sigma)/dN(0, I) from block sums S1 (B, M) and the
-    residual masses T (B, G) of the model's residual groups."""
+def loglr_stat_rows(a, q, t, model: BlockEquicorrModel, mu_bar: float) -> np.ndarray:
+    """log dN(mu_bar 1, Sigma)/dN(0, I) from the class statistics (A, Q, T),
+    each (B, H), of the model's classes: every block term is the same
+    function of (k, delta) and the block sum of squares S1_m^2 adds up over
+    a class to Q_h + A_h^2 / M_h."""
     mu_bar = float(mu_bar)
-    sizes = model.structure.sizes_array.astype(np.float64)
-    deltas = model.deltas_array
-    a = model.top
-    const = float(
-        np.sum(-0.5 * np.log1p((sizes - 1.0) * deltas))
-        + np.sum(-0.5 * (sizes - 1.0) * np.log1p(-deltas))
-        + np.sum(-sizes * mu_bar * mu_bar / (2.0 * a))
-    )
-    coef_s1sq = (sizes - 1.0) * deltas / (2.0 * a * sizes)
-    group_deltas, _ = model.residual_params
-    coef_t = -group_deltas / (2.0 * (1.0 - group_deltas))
-    quadratic = np.einsum("...m,...m->...", s1, s1 * coef_s1sq + mu_bar / a)
-    return const + quadratic + np.einsum("...g,g->...", t, coef_t)
+    first, counts = model.class_first, model.class_counts
+    k = model.class_sizes.astype(np.float64)
+    deltas, top, base = model.deltas_array[first], model.top[first], model.base[first]
+    log_det = np.log1p((k - 1.0) * deltas) + (k - 1.0) * np.log1p(-deltas)
+    const = -float(np.sum(counts * (0.5 * log_det + k * mu_bar * mu_bar / (2.0 * top))))
+    coef_s1sq = (k - 1.0) * deltas / (2.0 * top * k)
+    coef_t = -deltas / (2.0 * base)
+    per_class = coef_s1sq * (q + a * a / counts) + (mu_bar / top) * a + coef_t * t
+    return const + per_class.sum(axis=-1)
 
 
 def loglr_cluster_rows(X: np.ndarray, model: BlockEquicorrModel, mu_bar: float) -> np.ndarray:
     """log dN(mu_bar 1, Sigma)/dN(0, I) evaluated on each row of a (B, n) matrix."""
-    s1, t = block_stats(X, model.structure, model.residual_groups)
-    return loglr_stat_rows(s1, t, model, mu_bar)
+    return loglr_stat_rows(*class_stats(X, model), model, mu_bar)
 
 
 def loglr_equicorr(x, mu_bar: float, delta: float) -> float:
@@ -260,9 +255,9 @@ def ks_distance(values: np.ndarray, cdf) -> float:
 def lr_diagnostics(model: BlockEquicorrModel, epsilon: float, reps: int, seed: int) -> dict:
     """Monte Carlo diagnostics of the likelihood ratio under N(0, I).
 
-    Draws the null block statistics of `reps` independent replications from
-    the standard draw (streams keyed (seed, rep), see
-    sampler.standard_block_rows), and evaluates
+    Draws the null class statistics of `reps` independent replications
+    from the class draw (streams keyed (seed, rep), see
+    sampler.class_stat_rows), and evaluates
     W = log dN(0, Sigma)/dN(0, I).  Reports the mean of exp(W)
     (identically 1 in expectation), its (1+epsilon)-th moment, and — when the
     model is a single non-singleton cluster whose n*delta lies in the limit
@@ -285,12 +280,14 @@ def lr_diagnostics(model: BlockEquicorrModel, epsilon: float, reps: int, seed: i
         raise InvalidInputError("lr diagnostics need reps >= 1000")
     cs = model.structure
     n = cs.n
-    # Null data N(0, I): S1 = sqrt(k) Z, and T = C over the model's groups.
-    sqrt_sizes = np.sqrt(cs.sizes_array)
+    # Null data N(0, I) are Sigma^{-1/2} X for X drawn from the model; on a
+    # class that divides A by sqrt(top), Q by top and T by base.
+    first = model.class_first
+    top, base = model.top[first], model.base[first]
     w = np.empty(reps, dtype=np.float64)
-    for lo, hi in _chunks(reps, block_stat_words(model)):
-        z, c, _ = standard_block_rows(model, seed, range(lo, hi))
-        w[lo:hi] = loglr_stat_rows(sqrt_sizes * z, c, model, 0.0)
+    for lo, hi in _class_chunks(model, reps):
+        a, q, t, _ = class_stat_rows(model, 0.0, seed, range(lo, hi))
+        w[lo:hi] = loglr_stat_rows(a / np.sqrt(top), q / top, t / base, model, 0.0)
 
     with np.errstate(over="ignore"):
         lr = np.exp(w)

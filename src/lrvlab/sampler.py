@@ -1,5 +1,6 @@
 """Exact Gaussian sampling for block-equicorrelation models: O(n) draws of
-the data and O(M) draws of its per-block sufficient statistics.
+the data and O(H) draws of its sufficient statistics over H exchangeable
+classes of blocks.
 
 Random streams are counter-based (Philox) and keyed by the pair
 (master_seed, replication_id), so any replication can be regenerated in
@@ -45,20 +46,19 @@ data paths (sample, sample_rows) draw n words per replication and serve the
 graph estimator, the scalar API and the oracle tests.
 
 Every other statistic the lab computes depends on a draw only through the
-block sums S1_m and the residual masses T (see block_stats), and those have
-an exact law of their own: S1_m ~ N(k mu_bar, k (1 + (k-1) delta)), and the
-residual mass of a block is (1 - delta) chi^2(k-1), independent of S1_m.
-Independent chi-squares with one scale add up, so the blocks of size >= 2
-that share a delta form one residual group g with nu_g = sum (k_m - 1); the
-model owns that grouping (BlockEquicorrModel.residual_groups and
-residual_params).  standard_block_rows is the one draw of these statistics:
-from M + G + 1 words per replication, word m < M gives a standard normal
-Z_m = ndtri(u), word M + g a chi-square C_g = 2 gammaincinv(nu_g / 2, u), and
-the last word is the randomization uniform.  block_stat_rows scales it to the
-model, S1_m = k mu_bar + sqrt(k top_m) Z_m and
-T_g = (1 - delta_g) C_g; likelihood.lr_diagnostics scales it to null N(0, I)
-data, S1_m = sqrt(k) Z_m and T_g = C_g.  Pairs thus cost one gammaincinv per
-replication, not n/2, and one large cluster costs three words instead of n.
+class statistics of cluster_model.class_stats.  Blocks that share
+(k, delta) form a class h of M_h exchangeable blocks
+(BlockEquicorrModel.classes), and its statistics have an exact joint law.
+The block sums S1_m are iid N(k mu_bar, k top), so the class sum
+A_h ~ N(M_h k mu_bar, M_h k top) and the within-class square mass
+Q_h ~ k top chi^2(M_h - 1) are independent; the residual mass of a block is
+base chi^2(k - 1), independent of its sum, so T_h ~ base chi^2(M_h (k - 1)).
+class_stat_rows is the one draw of these statistics, from 3H + 1 words per
+replication: word h < H gives A_h through ndtri(u), words H + h and 2H + h
+give the chi-squares of Q_h and T_h as 2 gammaincinv(nu / 2, u) (exactly 0
+when nu = 0), and the last word is the randomization uniform.  A replication
+thus costs O(H) whatever the number of blocks: 1000 pairs cost four words,
+not 2000.
 """
 
 from __future__ import annotations
@@ -273,42 +273,36 @@ def sample_rows(
     return _mix_rows(ndtri(_to_uniform(raw)), model, float(mu_bar))
 
 
-def block_stat_words(model: BlockEquicorrModel) -> int:
-    """Raw words standard_block_rows(model, ...) draws per replication: M + G + 1."""
-    return model.structure.M + model.residual_params[1].size + 1
-
-
-def standard_block_rows(model: BlockEquicorrModel, master_seed: int, replication_ids):
-    """The standard draw behind block_stat_rows, one replication per row.
-
-    Returns (Z, C, u) with shapes (B, M), (B, G) and (B,): standard normals
-    per block, chi^2(nu_g) draws per residual group of the model, and a
-    uniform.  Each replication consumes M + G + 1 words of its own stream
-    (see the module docstring), so row r depends only on (master_seed, ids[r]).
-    """
-    _, nu = model.residual_params
-    m, g = model.structure.M, nu.size
-    u = _to_uniform(raw_rows(master_seed, replication_ids, m + g + 1))
-    return ndtri(u[:, :m]), 2.0 * gammaincinv(0.5 * nu, u[:, m : m + g]), u[:, m + g]
-
-
-def block_stat_rows(
+def class_stat_rows(
     model: BlockEquicorrModel,
     mu_bar: float,
     master_seed: int,
     replication_ids,
 ):
-    """Block sums, residual masses and a randomization uniform per replication.
+    """Class statistics and a randomization uniform per replication.
 
-    Returns (S1, T, u) with shapes (B, M), (B, G) and (B,), distributed
-    exactly as block_stats of a draw from N(mu_bar 1, Sigma(model)) over the
-    model's residual groups, plus an independent uniform: the standard draw
-    of standard_block_rows, scaled to the model.
+    Returns (A, Q, T, u) with shapes (B, H), (B, H), (B, H) and (B,),
+    distributed exactly as class_stats of a draw from N(mu_bar 1,
+    Sigma(model)), plus an independent uniform.  Each replication consumes
+    3H + 1 words of its own stream (see the module docstring), so row r
+    depends only on (master_seed, ids[r]).
     """
-    z, c, u = standard_block_rows(model, master_seed, replication_ids)
-    sizes = model.structure.sizes_array
-    group_deltas, _ = model.residual_params
-    return sizes * float(mu_bar) + np.sqrt(sizes * model.top) * z, (1.0 - group_deltas) * c, u
+    sizes, counts = model.class_sizes, model.class_counts
+    top, base = model.top[model.class_first], model.base[model.class_first]
+    h = counts.size
+    w = _to_uniform(raw_rows(master_seed, replication_ids, 3 * h + 1))
+    dof = np.concatenate((counts - 1, counts * (sizes - 1)))
+    live = dof > 0  # gammaincinv(0, u) is nan; a chi-square with 0 dof is 0
+    chi2 = np.zeros((w.shape[0], 2 * h))
+    chi2[:, live] = 2.0 * gammaincinv(0.5 * dof[live], w[:, h : 3 * h][:, live])
+    mass = counts * sizes
+    a = mass * float(mu_bar) + np.sqrt(mass * top) * ndtri(w[:, :h])
+    return a, sizes * top * chi2[:, :h], base * chi2[:, h:], w[:, 3 * h]
+
+
+def _class_chunks(model: BlockEquicorrModel, reps: int):
+    """_chunks for class_stat_rows, which draws 3H + 1 words per replication."""
+    return _chunks(reps, 3 * model.class_counts.size + 1)
 
 
 def sample_dense(mean, sigma, stream: RandomStream) -> np.ndarray:

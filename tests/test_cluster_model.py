@@ -23,7 +23,7 @@ from lrvlab import (
     permutation_average,
     spectral_block,
 )
-from lrvlab.cluster_model import block_stats
+from lrvlab.cluster_model import class_stats
 from lrvlab.sampler import sample_rows
 
 
@@ -405,33 +405,35 @@ def test_common_variance_deltas_equalize_simulated_cluster_sums():
         assert abs(var - sigma_sq) < 3.0 * se
 
 
-def test_block_stats_against_per_block_sums():
-    """S1 and grouped residual masses equal plain per-block loops."""
+def test_class_stats_against_per_block_loops():
+    """A, Q and T equal plain loops over the blocks of each class."""
     rng = np.random.default_rng(3301)
-    cs = build_structure([3, 1, 4, 2, 5])
-    groups = np.array([1, -1, 0, 1, 0])
+    cs = build_structure([3, 1, 4, 3, 1, 2, 4])
+    model = block_model(cs, [0.2, 0.0, -0.1, 0.2, 0.0, 0.3, 0.4])
     x = rng.normal(size=(6, cs.n)) * 3.0 + 2.0
-    s1, t = block_stats(x, cs, groups)
-    want_s1 = np.empty((6, cs.M))
-    want_t = np.zeros((6, 2))
-    for m, (start, k) in enumerate(zip(cs.starts, cs.sizes)):
-        block = x[:, start : start + k]
-        want_s1[:, m] = block.sum(axis=1)
-        if groups[m] >= 0:
-            want_t[:, groups[m]] += ((block - block.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
-    assert_allclose(s1, want_s1, rtol=1e-13)
+    a, q, t = class_stats(x, model)
+    want_a, want_q, want_t = np.zeros((3, 6, model.class_counts.size))
+    blocks = [(h, x[:, s : s + k]) for h, s, k in zip(model.classes, cs.starts, cs.sizes)]
+    for h, block in blocks:
+        want_a[:, h] += block.sum(axis=1)
+        want_t[:, h] += ((block - block.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+    for h, block in blocks:
+        want_q[:, h] += (block.sum(axis=1) - want_a[:, h] / model.class_counts[h]) ** 2
+    assert_allclose(a, want_a, rtol=1e-13)
+    assert_allclose(q, want_q, rtol=1e-12)
     assert_allclose(t, want_t, rtol=1e-12)
-    # one group for every non-singleton block
-    _, total = block_stats(x, cs, np.where(groups >= 0, 0, -1))
-    assert_allclose(total[:, 0], want_t.sum(axis=1), rtol=1e-12)
-    # all singletons: no residual masses at all
-    s1, t = block_stats(x, build_structure([1] * cs.n), np.full(cs.n, -1))
-    assert s1.shape == x.shape and t.shape == (6, 0)
+    # all singletons: one class, with no residual mass
+    ones = block_model(build_structure([1] * cs.n), [0.0] * cs.n)
+    a, q, t = class_stats(x, ones)
+    assert_allclose(a[:, 0], x.sum(axis=1), rtol=1e-13)
+    assert_allclose(q[:, 0], ((x - x.mean(axis=1, keepdims=True)) ** 2).sum(axis=1), rtol=1e-12)
+    assert np.all(t == 0.0)
 
 
-def test_block_stats_residual_mass_survives_a_large_mean():
-    # the one-pass form S2 - S1^2/k loses every digit of T = 2 at this mean
-    x = 1e9 + np.array([[0.0, 1.0, 2.0]])
-    _, t = block_stats(x, build_structure([3]), [0])
+def test_class_stats_masses_survive_a_large_mean():
+    # the one-pass forms S2 - S1^2/k and sum S1^2 - A^2/M lose every digit
+    # of these masses at this mean
+    x = 1e9 + np.array([[0.0, 1.0, 2.0, 0.0, 0.0, 0.0]])
+    _, q, t = class_stats(x, block_model(build_structure([3, 3]), [0.1, 0.1]))
     assert t[0, 0] == 2.0
-
+    assert q[0, 0] == 4.5  # block sums 3e9 + 3 and 3e9 about their mean

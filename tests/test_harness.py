@@ -307,6 +307,27 @@ class TestQuarantine:
         assert cell.error.startswith("DegenerateDataError: ")
         assert cell.metrics == ()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_metrics_are_quarantined(self):
+        # the (1 + epsilon)-th moment of the likelihood ratio is finite here
+        # but its sample variance overflows, and a report cannot hold inf
+        cfg = {
+            "experiment": "contiguity",
+            "design": {
+                "structure": {"pattern": "single"},
+                "deltas": {"scheme": "constant", "value": 0.999},
+            },
+            "n_grid": [2],
+            "replications": 20000,
+            "epsilon": 100,
+            "master_seed": 5,
+        }
+        report = run_from(cfg)
+        (cell,) = report.cells
+        assert cell.metrics == ()
+        assert cell.error.startswith("DegenerateDataError: metric moment_1pe is not finite")
+        assert "Infinity" not in summarize(report, "json")
+
     def test_unknown_names_surface_as_cell_errors(self):
         cfg = pairs_config(replications=100)
         cfg["design"]["estimators"] = ["bootstrap"]
@@ -527,11 +548,12 @@ class TestReports:
             run_sweep([], 1, threads=0)
 
 
-# A sweep that reaches every report path: a contiguity cell with G = 4
-# residual groups (mixed deltas, a delta = 0 group of non-singletons and
-# singletons), single-block contiguity cells on both branches of the limit
-# law (ks metric), a test cell with a mu grid (numbers and a drift), an
-# estimator cell with all three estimators and a graph cell with two graphs.
+# A sweep that reaches every report path: a contiguity cell with H = 7
+# classes (mixed deltas, blocks of one size under two deltas, a delta = 0
+# class of non-singletons and a singleton class of two blocks), single-block
+# contiguity cells on both branches of the limit law (ks metric), a test
+# cell with a mu grid (numbers and a drift), an estimator cell with all three
+# estimators and a graph cell with two graphs.
 MIXED_SIZES = [3, 1, 4, 2, 5, 1, 3, 6]
 PINNED_SWEEP = {
     "master_seed": 8800,
@@ -612,8 +634,8 @@ PINNED_SWEEP = {
 
 
 PINNED_SHA256 = {
-    "csv": "fa8104d7bceb1d70bc00d9fd6daa2acb0d8fd23cfeacdd12219df6b8ca063f5a",
-    "json": "80a8870abb797ba53ccef1bf175d7a868f05d513fbeca73bd740c867d28d67b2",
+    "csv": "8a9b9a3e5f178d626651a9d6dde3d13137622e054b2e2a31e102d05c5e248e9a",
+    "json": "6793db7e762c1e44dd92f62660033270b35f761350d2d40ffb753874e7bd49f4",
 }
 
 

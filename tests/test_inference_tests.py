@@ -126,6 +126,21 @@ class TestClusterSummary:
         assert summary.xi == (2.0,)  # 4 / sqrt(4)
         assert summary.T_prime == 0.0  # single cluster: no variance defined
 
+    def test_moments_equal_the_direct_mean_and_variance_of_xi(self):
+        # U' and T' come from class statistics (T' as a within-class plus a
+        # between-class mass); the oracle is numpy on the per-block xi
+        rng = np.random.default_rng(4010)
+        for _ in range(20):
+            sizes = rng.choice([1, 2, 3, 5], size=int(rng.integers(2, 12))).tolist()
+            cs = build_structure(sizes)
+            x = rng.normal(size=cs.n)
+            for shift in (0.0, 1e6):
+                y = x + shift
+                xi = [y[s : s + k].sum() / math.sqrt(k) for s, k in zip(cs.starts, sizes)]
+                summary = cluster_summary(y, cs)
+                assert_allclose(summary.U_prime, np.mean(xi), rtol=1e-12)
+                assert_allclose(summary.T_prime, np.var(xi, ddof=1), rtol=1e-9)
+
 
 class TestClusterTTest:
     def test_two_singleton_example(self):

@@ -25,15 +25,13 @@ from lrvlab import (
     sample_dense,
     sampler,
 )
-from lrvlab.cluster_model import BlockEquicorrModel, block_stats, dense_sigma
+from lrvlab.cluster_model import BlockEquicorrModel, class_stats, dense_sigma
 from lrvlab.sampler import (
     _VECTOR_WIDTH,
     _to_uniform,
-    block_stat_rows,
-    block_stat_words,
+    class_stat_rows,
     raw_rows,
     sample_rows,
-    standard_block_rows,
 )
 
 
@@ -323,16 +321,18 @@ class TestSampleDense:
 
 
 class TestBlockStatRows:
-    """The O(M) draw of block statistics: exact moments, the O(n) path in
-    distribution, the per-replication stream contract and the chi-square
+    """The O(H) draw of the blocks' statistics by class
+    (sampler.class_stat_rows): exact moments, the O(n) path in distribution,
+    the per-replication stream contract, the word layout and the chi-square
     inversion."""
 
     DESIGNS = {
         "single": ([50], [0.3]),
         "pairs": ([2] * 20, [0.5] * 20),
-        # negative deltas, a delta = 0 group of non-singletons, singletons,
-        # and groups whose blocks are not adjacent
-        "mixed": ([3, 1, 4, 2, 5, 1, 3, 6], [0.3, 0.0, -0.2, 0.0, 0.3, 0.0, -0.2, 0.0]),
+        # classes that are not adjacent, a singleton class, one block size
+        # under two deltas, a delta = 0 class of non-singletons, a negative
+        # delta and classes of one block (no within-class mass)
+        "mixed": ([3, 1, 2, 3, 2, 1, 3, 4], [0.3, 0.9, -0.2, 0.3, -0.2, 0.0, -0.1, 0.0]),
     }
 
     @staticmethod
@@ -340,71 +340,75 @@ class TestBlockStatRows:
         sizes, deltas = TestBlockStatRows.DESIGNS[name]
         return block_model(build_structure(sizes), deltas)
 
-    def test_mixed_design_groups_by_delta_in_order_of_appearance(self):
+    @staticmethod
+    def laws(model):
+        """Per class: mean and variance of A at mu_bar = 1, scale and dof of
+        the chi-squares of Q and T."""
+        k, m = model.class_sizes, model.class_counts
+        top, base = model.top[model.class_first], model.base[model.class_first]
+        return m * k, m * k * top, k * top, m - 1, base, m * (k - 1)
+
+    def test_classes_are_numbered_by_first_appearance(self):
         model = self.model("mixed")
-        assert_array_equal(model.residual_groups, [0, -1, 1, 2, 0, -1, 1, 2])
-        deltas, nu = model.residual_params
-        assert_array_equal(deltas, [0.3, -0.2, 0.0])
-        assert_array_equal(nu, [2 + 4, 3 + 2, 1 + 5])
-        assert block_stat_words(model) == 8 + 3 + 1
-        assert block_stat_words(self.model("pairs")) == 20 + 1 + 1
+        # the singletons share a class: the delta given for one is ignored
+        assert_array_equal(model.classes, [0, 1, 2, 0, 2, 1, 3, 4])
+        assert_array_equal(model.class_first, [0, 1, 2, 6, 7])
+        assert_array_equal(model.class_sizes, [3, 1, 2, 3, 4])
+        assert_array_equal(model.class_counts, [2, 2, 2, 1, 1])
+        assert_array_equal(self.model("pairs").classes, np.zeros(20, dtype=int))
 
     @pytest.mark.parametrize("name", sorted(DESIGNS))
     def test_exact_moments_within_six_se(self, name):
         model = self.model(name)
         mu = 0.7
         reps = 40_000
-        s1, t, u = block_stat_rows(model, mu, 8080, range(reps))
-        sizes = model.structure.sizes_array
-        var = sizes * (1.0 + (sizes - 1) * model.deltas_array)
-        assert np.all(np.abs(s1.mean(axis=0) - sizes * mu) < 6.0 * np.sqrt(var / reps))
-        se_var = var * np.sqrt(2.0 / (reps - 1))
-        assert np.all(np.abs(s1.var(axis=0, ddof=1) - var) < 6.0 * se_var)
-
-        deltas, nu = model.residual_params
-        assert t.shape == (reps, nu.size)
-        mean_t = (1.0 - deltas) * nu
-        var_t = 2.0 * (1.0 - deltas) ** 2 * nu
-        assert np.all(np.abs(t.mean(axis=0) - mean_t) < 6.0 * np.sqrt(var_t / reps))
-        # a scaled chi-square has excess kurtosis 12/nu
-        se_var_t = var_t * np.sqrt((2.0 + 12.0 / nu) / reps)
-        assert np.all(np.abs(t.var(axis=0, ddof=1) - var_t) < 6.0 * se_var_t)
-
+        a, q, t, u = class_stat_rows(model, mu, 8080, range(reps))
+        mass, var_a, scale_q, dof_q, scale_t, dof_t = self.laws(model)
+        assert a.shape == q.shape == t.shape == (reps, mass.size)
+        assert np.all(np.abs(a.mean(axis=0) - mass * mu) < 6.0 * np.sqrt(var_a / reps))
+        se_var = var_a * np.sqrt(2.0 / (reps - 1))
+        assert np.all(np.abs(a.var(axis=0, ddof=1) - var_a) < 6.0 * se_var)
+        for stat, scale, dof in ((q, scale_q, dof_q), (t, scale_t, dof_t)):
+            live = dof > 0
+            stat, scale, dof = stat[:, live], scale[live], dof[live]
+            mean, var = scale * dof, 2.0 * scale**2 * dof
+            assert np.all(np.abs(stat.mean(axis=0) - mean) < 6.0 * np.sqrt(var / reps))
+            # a scaled chi-square has excess kurtosis 12/nu
+            se_var = var * np.sqrt((2.0 + 12.0 / dof) / reps)
+            assert np.all(np.abs(stat.var(axis=0, ddof=1) - var) < 6.0 * se_var)
         assert u.shape == (reps,)
         assert abs(u.mean() - 0.5) < 6.0 * np.sqrt(1.0 / 12.0 / reps)
 
     @pytest.mark.parametrize("name", sorted(DESIGNS))
-    def test_matches_block_stats_of_mixed_draws_in_distribution(self, name):
+    def test_matches_class_stats_of_mixed_draws_in_distribution(self, name):
         import scipy.stats
 
         model = self.model(name)
         reps = 20_000
-        s1, t, _ = block_stat_rows(model, -0.4, 9090, range(reps))
-        x = sample_rows(model, -0.4, 9091, range(reps))
-        s1_ref, t_ref = block_stats(x, model.structure, model.residual_groups)
-        assert s1_ref.shape == s1.shape and t_ref.shape == t.shape
-        for m in range(s1.shape[1]):
-            assert scipy.stats.ks_2samp(s1[:, m], s1_ref[:, m]).pvalue > 1e-6, m
-        for g in range(t.shape[1]):
-            assert scipy.stats.ks_2samp(t[:, g], t_ref[:, g]).pvalue > 1e-6, g
+        drawn = class_stat_rows(model, -0.4, 9090, range(reps))[:3]
+        reduced = class_stats(sample_rows(model, -0.4, 9091, range(reps)), model)
+        for got, want in zip(drawn, reduced):
+            assert got.shape == want.shape
+            for h in range(got.shape[1]):
+                assert scipy.stats.ks_2samp(got[:, h], want[:, h]).pvalue > 1e-6, h
 
     @pytest.mark.parametrize("name", sorted(DESIGNS))
     def test_rows_depend_only_on_their_own_stream(self, name):
         model = self.model(name)
         ids = [7, 3, 11, 0, 5, 2**63 + 1, 3]
-        batch = block_stat_rows(model, 0.2, 4242, ids)
+        batch = class_stat_rows(model, 0.2, 4242, ids)
         for r, rep in enumerate(ids):
-            one = block_stat_rows(model, 0.2, 4242, [rep])
+            one = class_stat_rows(model, 0.2, 4242, [rep])
             for got, want in zip(batch, one):
                 assert_array_equal(got[r], want[0])
         for width in (1, 2, 4):
             parts = [
-                block_stat_rows(model, 0.2, 4242, ids[lo : lo + width])
+                class_stat_rows(model, 0.2, 4242, ids[lo : lo + width])
                 for lo in range(0, len(ids), width)
             ]
             for k, got in enumerate(batch):
                 assert_array_equal(got, np.concatenate([p[k] for p in parts]))
-        reordered = block_stat_rows(model, 0.2, 4242, ids[::-1])
+        reordered = class_stat_rows(model, 0.2, 4242, ids[::-1])
         for got, want in zip(reordered, batch):
             assert_array_equal(got, want[::-1])
 
@@ -413,36 +417,53 @@ class TestBlockStatRows:
 
         model = self.model("mixed")
         ids = range(5)
-        m, g = 8, 3
-        words = _to_uniform(raw_rows(31, ids, m + g + 1))
-        deltas, nu = model.residual_params
-        z, c, u = standard_block_rows(model, 31, ids)
-        assert_array_equal(z, ndtri(words[:, :m]))
-        assert_array_equal(c, 2.0 * gammaincinv(nu / 2.0, words[:, m : m + g]))
-        assert_array_equal(u, words[:, m + g])
-
-        s1, t, u = block_stat_rows(model, 1.25, 31, ids)
-        sizes = model.structure.sizes_array
-        scale = np.sqrt(sizes * (1.0 + (sizes - 1) * model.deltas_array))
-        assert_array_equal(s1, sizes * 1.25 + scale * z)
-        assert_array_equal(t, (1.0 - deltas) * c)
-        assert_array_equal(u, words[:, m + g])
+        h = 5
+        words = _to_uniform(raw_rows(31, ids, 3 * h + 1))
+        mass, var_a, scale_q, dof_q, scale_t, dof_t = self.laws(model)
+        a, q, t, u = class_stat_rows(model, 1.25, 31, ids)
+        assert_array_equal(a, mass * 1.25 + np.sqrt(var_a) * ndtri(words[:, :h]))
+        for got, scale, dof, cols in (
+            (q, scale_q, dof_q, words[:, h : 2 * h]),
+            (t, scale_t, dof_t, words[:, 2 * h : 3 * h]),
+        ):
+            live = dof > 0
+            chi2 = 2.0 * gammaincinv(dof[live] / 2.0, cols[:, live])
+            assert_array_equal(got[:, live], scale[live] * chi2)
+        assert_array_equal(u, words[:, 3 * h])
+        # the harness draws at mu_bar = 0 and shifts A; that is the draw at mu_bar
+        assert_array_equal(class_stat_rows(model, 0.0, 31, ids)[0] + mass * 1.25, a)
 
     @pytest.mark.parametrize("nu", [1, 19, 9999])
     def test_residual_masses_invert_the_chi_square_cdf(self, nu):
         from scipy.special import gammainc
 
         delta = 0.25
-        model = block_model(build_structure([nu + 1]), [delta])
         ids = range(500)
-        _, t, _ = block_stat_rows(model, 0.0, 77, ids)
-        u = _to_uniform(raw_rows(77, ids, 3))[:, 1]
-        back = gammainc(nu / 2.0, t[:, 0] / (2.0 * (1.0 - delta)))
-        assert_allclose(back, u, rtol=0, atol=1e-13)
+        u = _to_uniform(raw_rows(77, ids, 4))
+        # one block of size nu + 1: T ~ (1 - delta) chi^2(nu), from word 2H = 2
+        one = block_model(build_structure([nu + 1]), [delta])
+        t = class_stat_rows(one, 0.0, 77, ids)[2][:, 0]
+        assert_allclose(gammainc(nu / 2.0, t / (2.0 * (1.0 - delta))), u[:, 2], rtol=0, atol=1e-13)
+        # nu + 1 pairs: Q ~ 2 (1 + delta) chi^2(nu), from word H = 1
+        pairs = block_model(build_structure([2] * (nu + 1)), [delta] * (nu + 1))
+        q = class_stat_rows(pairs, 0.0, 77, ids)[1][:, 0]
+        assert_allclose(gammainc(nu / 2.0, q / (4.0 * (1.0 + delta))), u[:, 1], rtol=0, atol=1e-13)
+
+    def test_zero_dof_classes_give_zero_not_nan(self):
+        ids = range(50)
+        # one block: no within-class mass; singletons: no residual mass
+        _, q, t, _ = class_stat_rows(self.model("single"), 0.3, 5, ids)
+        assert np.all(q == 0.0) and np.all(t > 0.0)
+        singles = block_model(build_structure([1] * 30), [0.0] * 30)
+        _, q, t, _ = class_stat_rows(singles, 0.3, 5, ids)
+        assert np.all(q > 0.0) and np.all(t == 0.0)
+        _, q, t, _ = class_stat_rows(self.model("mixed"), 0.3, 5, ids)
+        assert not np.any(np.isnan(q)) and not np.any(np.isnan(t))
+        assert_array_equal(q[:, 3:], 0.0)  # classes of one block
+        assert_array_equal(t[:, 1], 0.0)  # the singleton class
 
     def test_rejects_unvalidated_models(self):
         with pytest.raises(ModelInvalidError):
             BlockEquicorrModel(structure=build_structure([3]), deltas=(1.5,), c_bound=None)
         with pytest.raises(ModelInvalidError):
             dataclasses.replace(self.model("single"), deltas=(1.5,))
-
