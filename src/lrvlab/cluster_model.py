@@ -20,7 +20,7 @@ appear only in oracles and validators and are capped at DENSE_N_CAP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 import math
 
 import numpy as np
@@ -310,18 +310,26 @@ def class_stats(X, model: BlockEquicorrModel):
     return a, per_class(dev * dev), per_class(t_block)
 
 
+@lru_cache(maxsize=8)
+def _singletons_model(n: int) -> BlockEquicorrModel:
+    """The identity model on n singletons, built once per n."""
+    return BlockEquicorrModel(build_structure([1] * n), (0.0,) * n)
+
+
 def row_stats(X, cs: ClusterStructure | None = None):
     """(A, Q, T, model) of data rows X (B, n), in the argument order of the
     estimator and test kernels: class_stats under the identity model on cs,
-    or on n singletons when cs is None.  The kernels read only the class
-    sizes and counts of that model, so the deltas do not matter.  Raises
-    InvalidInputError when the rows do not have length cs.n."""
+    or on n singletons when cs is None (that model is shared by every call
+    at one n).  The kernels read only the class sizes and counts of that
+    model, so the deltas do not matter.  Raises InvalidInputError when the
+    rows do not have length cs.n."""
     X = np.asarray(X, dtype=np.float64)
     if cs is None:
-        cs = build_structure([1] * X.shape[-1])
-    if X.shape[-1] != cs.n:
+        model = _singletons_model(X.shape[-1])
+    elif X.shape[-1] != cs.n:
         raise InvalidInputError(f"data has length {X.shape[-1]}, structure has n = {cs.n}")
-    model = BlockEquicorrModel(cs, (0.0,) * cs.M)
+    else:
+        model = BlockEquicorrModel(cs, (0.0,) * cs.M)
     return (*class_stats(X, model), model)
 
 

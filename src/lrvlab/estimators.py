@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .cluster_model import BlockEquicorrModel, ClusterStructure, row_stats
 from .errors import InvalidInputError
@@ -104,25 +103,22 @@ def cluster_rows(X: np.ndarray, cs: ClusterStructure) -> np.ndarray:
 
 
 def graph_rows(X: np.ndarray, g: DependencyGraph) -> np.ndarray:
-    """(1/n) sum_i sum_{j in N(i) or j = i} (x_i - xbar)(x_j - xbar) per row."""
+    """(1/n) sum_i sum_{j in N(i) or j = i} (x_i - xbar)(x_j - xbar) per row.
+
+    Row-independent: the neighborhood sums s add each node's neighbors in
+    one fixed order, and the product d s is summed over each row of a
+    C-contiguous array, so a one-row call is bit-identical to the same row
+    inside any batch.
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
     d = X - X.mean(axis=-1, keepdims=True)
-    s = d @ _neighborhood_operator(g)
-    return np.einsum("...i,...i->...", d, s) / g.n
+    d *= d @ g.neighborhood_operator
+    return d.sum(axis=-1) / g.n
 
 
 def second_moment_rows(X: np.ndarray) -> np.ndarray:
     """(1/n) sum x^2 for each row; no centering (mean assumed known zero)."""
     return second_moment_stat_rows(*row_stats(X))
-
-
-def _neighborhood_operator(g: DependencyGraph) -> scipy.sparse.csr_array:
-    """Sparse A + I for the closed neighborhood sums of the graph estimator."""
-    edges = g.edge_array()
-    n = g.n
-    rows = np.concatenate((edges[:, 0], edges[:, 1], np.arange(n)))
-    cols = np.concatenate((edges[:, 1], edges[:, 0], np.arange(n)))
-    vals = np.ones(rows.shape[0], dtype=np.float64)
-    return scipy.sparse.csr_array((vals, (rows, cols)), shape=(n, n))
 
 
 def lrv_sample_variance(x) -> LrvEstimate:

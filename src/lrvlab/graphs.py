@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from .cluster_model import ClusterStructure, build_structure
 from .errors import InvalidInputError, require_int
@@ -41,6 +42,17 @@ class DependencyGraph:
     def edge_array(self) -> np.ndarray:
         """Edges as a deterministically ordered (E, 2) array."""
         return self._edge_array
+
+    @cached_property
+    def neighborhood_operator(self) -> scipy.sparse.csr_array:
+        """Sparse A + I (adjacency plus identity), built once per graph:
+        x @ it sums each node's closed neighborhood."""
+        edges = self.edge_array()
+        nodes = np.arange(self.n)
+        rows = np.concatenate((edges[:, 0], edges[:, 1], nodes))
+        cols = np.concatenate((edges[:, 1], edges[:, 0], nodes))
+        vals = np.ones(rows.shape[0], dtype=np.float64)
+        return scipy.sparse.csr_array((vals, (rows, cols)), shape=(self.n, self.n))
 
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n, dtype=np.intp)

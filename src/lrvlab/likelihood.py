@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.special import erf, erfc
 
 from .cluster_model import (
@@ -143,6 +142,8 @@ def _chol_quad(sigma: np.ndarray, resid: np.ndarray, name: str):
         lower = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"{name} is not positive definite: {exc}") from exc
+    import scipy.linalg  # the dense oracle only; no sweep pays for the import
+
     half = scipy.linalg.solve_triangular(lower, resid, lower=True)
     return 2.0 * float(np.sum(np.log(np.diagonal(lower)))), float(half @ half)
 
@@ -303,9 +304,12 @@ def lr_diagnostics(model: BlockEquicorrModel, epsilon: float, reps: int, seed: i
             f"(W in [{float(np.min(w)):.6g}, {float(np.max(w)):.6g}])"
         )
     se_mean_lr = float(np.std(lr, ddof=1) / math.sqrt(reps))
-    powered = lr ** (1.0 + epsilon)
-    moment_1pe = float(np.mean(powered))
-    se_moment_1pe = float(np.std(powered, ddof=1) / math.sqrt(reps))
+    # A heavy tail may overflow the power or its squares; the moment or its
+    # se is then not finite, and the harness quarantines the cell.
+    with np.errstate(over="ignore"):
+        powered = lr ** (1.0 + epsilon)
+        moment_1pe = float(np.mean(powered))
+        se_moment_1pe = float(np.std(powered, ddof=1) / math.sqrt(reps))
 
     ks = None
     if cs.M == 1 and n >= 2:

@@ -45,6 +45,16 @@ the block's eigenvalues, which the model carries (BlockEquicorrModel.base and
 data paths (sample, sample_rows) draw n words per replication and serve the
 graph estimator, the scalar API and the oracle tests.
 
+Sweeps draw replications in chunks of about _CHUNK_SCALARS = 2**16 scalars
+(_chunks; a row wider than that is a chunk of its own), so that a chunk's
+buffers stay in cache.  sample_rows keeps one float buffer per chunk: the raw
+words are shifted in place, converted once to floats, scaled, and passed
+through ndtri in place, and _mix_rows then mixes them in place.  Each step
+applies the same floating-point operation to the same operands as the
+formulas above, so the bits are those of sample.  Every row kernel is
+row-independent, so reports do not depend on the chunk size for any kind of
+cell; the chunk sets only the batch shapes and the memory a cell needs.
+
 Every other statistic the lab computes depends on a draw only through the
 class statistics of cluster_model.class_stats.  Blocks that share
 (k, delta) form a class h of M_h exchangeable blocks
@@ -90,9 +100,10 @@ _VECTOR_WIDTH = 96
 # reused from the heap instead of mapped afresh.
 _PHILOX_LANES = 1 << 13
 
-# Scalars drawn per Monte Carlo chunk; fixed so chunk boundaries (and hence
-# floating-point reduction order) never depend on the worker count.
-_CHUNK_SCALARS = 1 << 22
+# Scalars drawn per Monte Carlo chunk: 512 KiB per float buffer, so a graph
+# cell's draw, mixing and reduction stay in cache (chunks of 2**22 passed
+# through temporaries of up to 32 MiB).  Reports do not depend on it.
+_CHUNK_SCALARS = 1 << 16
 
 
 class RandomStream:
@@ -121,11 +132,17 @@ class RandomStream:
 
     def normals(self, count: int) -> np.ndarray:
         """Standard normals via the inverse-CDF transform."""
-        return ndtri(self.uniforms(count))
+        u = self.uniforms(count)
+        return ndtri(u, out=u)
 
 
 def _to_uniform(raw: np.ndarray) -> np.ndarray:
-    return ((raw >> np.uint64(11)) + np.float64(0.5)) * _INV_2_53
+    """((raw >> 11) + 0.5) * 2**-53 as a new float array; raw is shifted in
+    place, so it is spent.  Every step is exact."""
+    raw >>= np.uint64(11)
+    u = np.add(raw, 0.5)
+    u *= _INV_2_53
+    return u
 
 
 def derive_stream(master_seed: int, replication_id: int) -> RandomStream:
@@ -233,21 +250,29 @@ def _chunks(reps: int, width: int):
 
 
 def _mix_rows(g: np.ndarray, model: BlockEquicorrModel, mu_bar: float) -> np.ndarray:
-    """Apply the within-cluster mixing to each row of an iid-normal matrix.
+    """Apply the within-cluster mixing to each row of an iid-normal matrix,
+    in place, and return it.
 
-    Row-independent: row r of the output depends only on row r of g, so a
-    one-row call is bit-identical to the same row inside any batch.
+    Each step is one elementwise operation on the operands of
+    mu_bar + a (g - means) + b means, in its order of evaluation, so the
+    result is bit-identical to that expression.  Row-independent: row r of
+    the output depends only on row r of g, so a one-row call is bit-identical
+    to the same row inside any batch.
     """
     if not np.any(model.deltas_array):
         # Identity covariance: the mixing formula collapses to X = mu_bar + g,
         # and taking the shortcut keeps that collapse exact.
-        return mu_bar + g
+        g += mu_bar
+        return g
     cs = model.structure
     sizes = cs.sizes_array
     means = np.repeat(np.add.reduceat(g, cs.starts, axis=-1) / sizes, sizes, axis=-1)
-    a = np.repeat(np.sqrt(model.base), sizes)
-    b = np.repeat(np.sqrt(model.top), sizes)
-    return mu_bar + a * (g - means) + b * means
+    g -= means
+    g *= np.repeat(np.sqrt(model.base), sizes)
+    g += mu_bar
+    means *= np.repeat(np.sqrt(model.top), sizes)
+    g += means
+    return g
 
 
 def sample(model: BlockEquicorrModel, mu_bar: float, stream: RandomStream) -> np.ndarray:
@@ -267,10 +292,10 @@ def sample_rows(
 
     Row r equals sample(model, mu_bar, derive_stream(master_seed, ids[r]))
     bit-for-bit; this entry point just amortizes the inverse-CDF transform and
-    the mixing over the batch.
+    the mixing over the batch, which run in place in one float buffer.
     """
-    raw = raw_rows(master_seed, replication_ids, model.structure.n)
-    return _mix_rows(ndtri(_to_uniform(raw)), model, float(mu_bar))
+    u = _to_uniform(raw_rows(master_seed, replication_ids, model.structure.n))
+    return _mix_rows(ndtri(u, out=u), model, float(mu_bar))
 
 
 def class_stat_rows(

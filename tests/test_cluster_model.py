@@ -7,7 +7,7 @@ an oracle for itself.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from lrvlab import (
     BudgetExceededError,
@@ -23,7 +23,7 @@ from lrvlab import (
     permutation_average,
     spectral_block,
 )
-from lrvlab.cluster_model import class_stats
+from lrvlab.cluster_model import class_stats, row_stats
 from lrvlab.sampler import sample_rows
 
 
@@ -437,3 +437,13 @@ def test_class_stats_masses_survive_a_large_mean():
     _, q, t = class_stats(x, block_model(build_structure([3, 3]), [0.1, 0.1]))
     assert t[0, 0] == 2.0
     assert q[0, 0] == 4.5  # block sums 3e9 + 3 and 3e9 about their mean
+
+
+def test_row_stats_shares_one_singleton_model_per_n():
+    X = np.random.default_rng(2013).normal(size=(3, 50))
+    *stats, model = row_stats(X)
+    assert row_stats(X[:1])[3] is model
+    assert row_stats(X[:, :40])[3].structure.n == 40
+    fresh = block_model(build_structure([1] * 50), [0.0] * 50)
+    for got, want in zip(stats, class_stats(X, fresh)):
+        assert_array_equal(got, want)

@@ -209,10 +209,32 @@ def test_row_kernels_match_scalar_operations():
     for r in range(6):
         assert sv[r] == lrv_sample_variance(X[r]).value
         assert cl[r] == lrv_cluster(X[r], cs).value
-        # the sparse neighbor-sum may accumulate in a batch-shape-dependent
-        # order, so the graph kernel is compared to rounding not bit-for-bit
-        assert_allclose(gr[r], lrv_graph(X[r], g).value, rtol=1e-12, atol=0)
+        assert gr[r] == lrv_graph(X[r], g).value
         assert sm[r] == lrv_second_moment(X[r]).value
+
+
+def _irregular_graph(n: int, seed: int):
+    """About 3n random edges: uneven degrees and neighbors in no block order."""
+    edges = np.random.default_rng(seed).integers(0, n, size=(3 * n, 2))
+    return make_graph(n, edges[edges[:, 0] != edges[:, 1]].tolist())
+
+
+@pytest.mark.parametrize("n", [100, 101, 2000, 10_000])
+@pytest.mark.parametrize("kind", ["cluster", "empty", "irregular"])
+def test_graph_rows_do_not_depend_on_the_batch(n, kind):
+    """Each row's estimate is the same bits alone as inside any batch, so
+    reports do not depend on how replications are chunked."""
+    if kind == "cluster":
+        g = generate_graph("cluster", cs=[4] * (n // 4) + [n % 4] * (n % 4 > 0))
+    elif kind == "empty":
+        g = generate_graph("empty", n=n)
+    else:
+        g = _irregular_graph(n, 2012 + n)
+    X = np.random.default_rng(n).normal(loc=3.0, size=(7, n))
+    batch = graph_rows(X, g)
+    for r in range(7):
+        assert graph_rows(X[r : r + 1], g)[0] == batch[r]
+    assert_array_equal(np.concatenate((graph_rows(X[:3], g), graph_rows(X[3:], g))), batch)
 
 
 def test_sample_variance_on_one_long_iid_draw():

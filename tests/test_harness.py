@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from lrvlab import InvalidInputError
+from lrvlab import InvalidInputError, block_model, build_structure, lr_diagnostics
 from lrvlab import sampler
 from lrvlab.harness import (
     config_hash,
@@ -328,6 +328,13 @@ class TestQuarantine:
         assert cell.error.startswith("DegenerateDataError: metric moment_1pe is not finite")
         assert "Infinity" not in summarize(report, "json")
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_moments_are_computed_without_warnings(self):
+        # the overflow in the moment's variance is expected, not a warning
+        model = block_model(build_structure([2]), [0.999])
+        diag = lr_diagnostics(model, 100.0, 20000, seed=5)
+        assert not math.isfinite(diag["se_moment_1pe"])
+
     def test_unknown_names_surface_as_cell_errors(self):
         cfg = pairs_config(replications=100)
         cfg["design"]["estimators"] = ["bootstrap"]
@@ -535,6 +542,16 @@ class TestReports:
                     "n_grid": [9],
                     "replications": 110,
                 },
+                {
+                    "experiment": "graph_estimation",
+                    "design": {
+                        "structure": {"pattern": "pairs"},
+                        "deltas": {"scheme": "constant", "value": 0.4},
+                        "graphs": [{"kind": "cluster"}, {"kind": "star"}],
+                    },
+                    "n_grid": [100],
+                    "replications": 120,
+                },
             ],
         }
         wide = run_from(cfg)
@@ -634,8 +651,8 @@ PINNED_SWEEP = {
 
 
 PINNED_SHA256 = {
-    "csv": "8a9b9a3e5f178d626651a9d6dde3d13137622e054b2e2a31e102d05c5e248e9a",
-    "json": "6793db7e762c1e44dd92f62660033270b35f761350d2d40ffb753874e7bd49f4",
+    "csv": "cd1aa468de6ef74be5ffd3fcbb5809964e12613c0caee6a613b1a35af7f7ef80",
+    "json": "743ae7f90d248084770cb2210349c6323c32c2565daf7c5f35ee21e98155124f",
 }
 
 

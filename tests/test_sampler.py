@@ -84,6 +84,28 @@ def test_scalar_sample_matches_batched_rows_bitwise():
         assert_array_equal(one, batch[rep])
 
 
+@pytest.mark.parametrize(
+    "sizes,deltas,mu",
+    [([3, 1, 4], [0.3, 0.0, -0.2], 0.7), ([2] * 60, [0.4] * 60, 0.0), ([5, 5], [0.0, 0.0], -1.25)],
+)
+def test_in_place_rows_equal_the_documented_expressions(sizes, deltas, mu):
+    """sample_rows works in place; its rows must equal the out-of-place
+    transform ((w >> 11) + 0.5) 2**-53 -> ndtri and the mixing
+    mu + a (g - means) + b means (or mu + g at delta = 0) bit for bit."""
+    model = block_model(build_structure(sizes), deltas)
+    cs = model.structure
+    raw = raw_rows(13, range(9), cs.n)
+    g = ndtri(((raw >> np.uint64(11)) + np.float64(0.5)) * 2.0**-53)
+    if any(deltas):
+        means = np.repeat(np.add.reduceat(g, cs.starts, axis=-1) / cs.sizes_array, sizes, axis=-1)
+        a = np.repeat(np.sqrt(model.base), sizes)
+        b = np.repeat(np.sqrt(model.top), sizes)
+        want = mu + a * (g - means) + b * means
+    else:
+        want = mu + g
+    assert_array_equal(sample_rows(model, mu, 13, range(9)), want)
+
+
 class TestRawRows:
     """raw_rows re-keys one generator per call; rows must equal fresh streams."""
 
