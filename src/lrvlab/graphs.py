@@ -22,6 +22,10 @@ from .errors import InvalidInputError, require_int
 # flagged greedy lower bound is returned instead.
 EXACT_CLIQUE_CAP = 64
 
+# generate_graph refuses a graph with more edges than this before building
+# any: each edge is a Python tuple, and 10**6 of them take ~1.5 s to build.
+GENERATED_EDGE_CAP = 10**6
+
 # Number of highest-degree seeds the greedy lower bound grows cliques from.
 _GREEDY_SEEDS = 64
 
@@ -182,7 +186,9 @@ def generate_graph(kind: str, **params) -> DependencyGraph:
     """Deterministic named graphs: star, cluster, empty, complete.
 
     star/empty/complete take n; cluster takes cs (a ClusterStructure or a
-    list of sizes) and yields the disjoint union of complete blocks.
+    list of sizes) and yields the disjoint union of complete blocks.  A
+    complete or cluster graph of more than GENERATED_EDGE_CAP edges raises
+    InvalidInputError.
     """
     if kind == "star":
         n = _node_count(params.get("n"))
@@ -191,6 +197,7 @@ def generate_graph(kind: str, **params) -> DependencyGraph:
         return make_graph(_node_count(params.get("n")), ())
     if kind == "complete":
         n = _node_count(params.get("n"))
+        _check_edge_count(kind, n * (n - 1) // 2)
         return make_graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
     if kind == "cluster":
         cs = params.get("cs")
@@ -198,6 +205,7 @@ def generate_graph(kind: str, **params) -> DependencyGraph:
             raise InvalidInputError("cluster graph requires cs=<structure or sizes>")
         if not isinstance(cs, ClusterStructure):
             cs = build_structure(cs)
+        _check_edge_count(kind, sum(k * (k - 1) // 2 for k in cs.sizes))
         edges = []
         for start, k in zip(cs.starts, cs.sizes):
             for i in range(start, start + k):
@@ -205,6 +213,13 @@ def generate_graph(kind: str, **params) -> DependencyGraph:
                     edges.append((i, j))
         return make_graph(cs.n, edges)
     raise InvalidInputError(f"unknown graph kind {kind!r}")
+
+
+def _check_edge_count(kind: str, edges: int) -> None:
+    if edges > GENERATED_EDGE_CAP:
+        raise InvalidInputError(
+            f"{kind} graph would have {edges} edges, above the cap of {GENERATED_EDGE_CAP}"
+        )
 
 
 def graph_to_dict(g: DependencyGraph) -> dict:

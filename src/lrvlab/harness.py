@@ -6,17 +6,19 @@ every (design, n) cell with per-replication random streams and aggregates in
 replication-index order, so reports are byte-identical for a given config and
 master seed regardless of the worker count.
 
-Stream allocation: cells are enumerated in config order; cell i draws its
-replications from streams keyed (master_seed + i, replication_index).
-Estimator, contiguity and test cells draw each replication's class
-statistics (sampler.class_stat_rows): 3H + 1 words, where H counts the
-model's classes (the distinct (k, delta) among its blocks) and the last word
-is the randomization uniform of test cells.  Estimator and test cells draw
-them at mu_bar = 0 and add M_h k_h mu_bar to each class sum A_h per mean,
-which is bit-identical to a draw at mu_bar; contiguity cells turn them into
-null N(0, I) statistics (likelihood.lr_diagnostics).  Graph cells consume n
-normals per replication (the O(n) mixing path, which the graph estimator
-needs).
+Stream allocation: cells are enumerated in config order, and cell i draws
+with the cell seed master_seed + i.  Graph cells consume n normals per
+replication (the O(n) mixing path, which the graph estimator needs):
+replication r reads its own stream, keyed (cell seed, r).  Estimator,
+contiguity and test cells draw each replication's class statistics
+(sampler.class_stat_rows): 3H + 1 words, where H counts the model's classes
+(the distinct (k, delta) among its blocks) and the last word is the
+randomization uniform of test cells.  They all come from one stream per
+cell, keyed (cell seed, 2**64 - 1): replication r reads its Philox blocks
+[r b, (r + 1) b), b = ceil((3H + 1) / 4).  The draw is at mu_bar = 0;
+estimator and test cells add M_h k_h mu_bar to each class sum A_h per mean,
+and contiguity cells turn the statistics into null N(0, I) statistics
+(likelihood.lr_diagnostics).
 
 Each estimator and test is one kernel over the drawn class statistics,
 looked up by its config name (estimators.*_stat_rows,
@@ -375,7 +377,7 @@ def _class_stat_chunks(model, seed: int, reps: int, mu_points):
     each chunk is drawn once at mu_bar = 0 and A shifted by M_h k_h mu_bar."""
     mass = model.class_counts * model.class_sizes
     for lo, hi in _class_chunks(model, reps):
-        a_0, q, t, u = class_stat_rows(model, 0.0, seed, range(lo, hi))
+        a_0, q, t, u = class_stat_rows(model, seed, range(lo, hi))
         for label, mu_bar in mu_points:
             a = a_0 + mass * mu_bar if mu_bar != 0.0 else a_0
             yield lo, hi, label, a, q, t, u

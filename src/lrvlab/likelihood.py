@@ -257,7 +257,7 @@ def lr_diagnostics(model: BlockEquicorrModel, epsilon: float, reps: int, seed: i
     """Monte Carlo diagnostics of the likelihood ratio under N(0, I).
 
     Draws the null class statistics of `reps` independent replications
-    from the class draw (streams keyed (seed, rep), see
+    from the class draw (the class stream of `seed`, see
     sampler.class_stat_rows), and evaluates
     W = log dN(0, Sigma)/dN(0, I).  Reports the mean of exp(W)
     (identically 1 in expectation), its (1+epsilon)-th moment, and — when the
@@ -287,7 +287,7 @@ def lr_diagnostics(model: BlockEquicorrModel, epsilon: float, reps: int, seed: i
     top, base = model.top[first], model.base[first]
     w = np.empty(reps, dtype=np.float64)
     for lo, hi in _class_chunks(model, reps):
-        a, q, t, _ = class_stat_rows(model, 0.0, seed, range(lo, hi))
+        a, q, t, _ = class_stat_rows(model, seed, range(lo, hi))
         w[lo:hi] = loglr_stat_rows(a / np.sqrt(top), q / top, t / base, model, 0.0)
 
     with np.errstate(over="ignore"):

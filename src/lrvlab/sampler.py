@@ -4,31 +4,21 @@ classes of blocks.
 
 Random streams are counter-based (Philox) and keyed by the pair
 (master_seed, replication_id), so any replication can be regenerated in
-isolation and concurrent replications never share state.  Standard normals are
-produced by a fixed, documented transform: each 64-bit word w becomes the
-uniform u = ((w >> 11) + 0.5) * 2**-53, strictly inside (0, 1), and the normal
-is the inverse standard-normal CDF of u.  Determinism across platforms and
-batch sizes is the point; both steps are elementwise.
+isolation and concurrent replications never share state.  (Class draws read
+one stream per seed by counter instead; see the end of this docstring.)
+Standard normals are produced by a fixed, documented transform: each 64-bit
+word w becomes the uniform u = ((w >> 11) + 0.5) * 2**-53, strictly inside
+(0, 1), and the normal is the inverse standard-normal CDF of u.  Determinism
+across platforms and batch sizes is the point; both steps are elementwise.
 
-Batched rows (raw_rows and the row samplers built on it) take one of two
-paths, and on both row r equals the per-replication stream
-derive_stream(master_seed, ids[r]) word for word:
-
-- Rows of at most _VECTOR_WIDTH = 96 words evaluate Philox4x64-10 with numpy,
-  one lane per (replication, 4-word block): the key is (master_seed, id) mod
-  2**64, block j is the image of the counter (j + 1, 0, 0, 0), each of the
-  ten rounds takes the high words of its products from 32-bit limbs, and the
-  key is bumped between rounds.  Lanes run _PHILOX_LANES at a time into one
-  preallocated output, so the temporaries stay small, and numpy releases the
-  GIL, so threads overlap.
-- Wider rows come from one numpy Philox generator per call that is re-keyed
-  for each replication: its key is set to the replication's pair and its
-  counter and buffer are reset, which is exactly the state a freshly keyed
-  generator starts in.  This avoids a new generator (and its entropy read)
-  per replication, but runs a Python step per replication.
-
-The vectorized path costs per word and the loop per replication, so they
-break even near _VECTOR_WIDTH words; BENCH_10.json records the timings.
+Batched rows (raw_rows and the row samplers built on it) come from one numpy
+Philox generator per call that is re-keyed for each replication: its key is
+set to the replication's pair and its counter and buffer are reset, which is
+exactly the state a freshly keyed generator starts in.  So row r equals the
+per-replication stream derive_stream(master_seed, ids[r]) word for word, and
+no generator (nor its entropy read) is built per replication.  These rows are
+n words wide and serve graph cells, so the Python step per replication is
+small beside the row.
 
 Within a cluster of size k with parameter delta, a draw is mixed from iid
 normals g_1..g_k with mean gbar as
@@ -63,12 +53,22 @@ The block sums S1_m are iid N(k mu_bar, k top), so the class sum
 A_h ~ N(M_h k mu_bar, M_h k top) and the within-class square mass
 Q_h ~ k top chi^2(M_h - 1) are independent; the residual mass of a block is
 base chi^2(k - 1), independent of its sum, so T_h ~ base chi^2(M_h (k - 1)).
-class_stat_rows is the one draw of these statistics, from 3H + 1 words per
-replication: word h < H gives A_h through ndtri(u), words H + h and 2H + h
-give the chi-squares of Q_h and T_h as 2 gammaincinv(nu / 2, u) (exactly 0
-when nu = 0), and the last word is the randomization uniform.  A replication
+class_stat_rows is the one draw of these statistics, at mu_bar = 0 (a mean
+only adds M_h k mu_bar to A_h), from 3H + 1 words per replication: word
+h < H gives A_h through ndtri(u), words H + h and 2H + h give the
+chi-squares of Q_h and T_h as 2 gammaincinv(nu / 2, u) (exactly 0 when
+nu = 0), and the last word is the randomization uniform.  A replication
 thus costs O(H) whatever the number of blocks: 1000 pairs cost four words,
 not 2000.
+
+The class words of a cell come from one stream, the class stream keyed
+(master_seed, 2**64 - 1).  Philox is counter-based, so the stream can be
+addressed by block: replication r takes the first 3H + 1 words of its blocks
+[r b, (r + 1) b), where b = ceil((3H + 1) / 4) and block j is the j-th
+4-word block a freshly keyed generator emits.  A range of replications is
+then one numpy draw that starts at counter lo b, and row r is still a pure
+function of (master_seed, r): it does not depend on the range it is drawn
+in, and it can be regenerated alone.
 """
 
 from __future__ import annotations
@@ -81,24 +81,6 @@ from .errors import FactorizationError, InvalidInputError
 
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
-
-# Philox4x64-10 as numpy.random.Philox computes it (Salmon et al., SC 2011):
-# the round multipliers and the Weyl increments that bump the key between
-# rounds.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LO32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-
-# raw_rows evaluates Philox with numpy across replications for rows of at most
-# this many words, and re-keys numpy's generator per replication for wider
-# ones; the two paths break even near this width (see the module docstring).
-_VECTOR_WIDTH = 96
-
-# Lanes (one replication's 4-word block each) per vectorized sub-batch: every
-# temporary array is then 64 KiB, small enough to stay in cache and to be
-# reused from the heap instead of mapped afresh.
-_PHILOX_LANES = 1 << 13
 
 # Scalars drawn per Monte Carlo chunk: 512 KiB per float buffer, so a graph
 # cell's draw, mixing and reduction stay in cache (chunks of 2**22 passed
@@ -154,13 +136,9 @@ def raw_rows(master_seed: int, replication_ids, width: int) -> np.ndarray:
     """The first `width` raw words of each replication's stream, one row each.
 
     Row r equals derive_stream(master_seed, ids[r]).raw(width) bit for bit.
-    Rows of at most _VECTOR_WIDTH words come from _philox_rows, wider ones
-    from one numpy generator re-keyed per replication.  Either way all state
-    is local to the call, so concurrent calls share none.
+    All state is local to the call, so concurrent calls share none.
     """
     width = int(width)
-    if width <= _VECTOR_WIDTH:
-        return _philox_rows(master_seed, replication_ids, width)
     ids = list(replication_ids)
     out = np.empty((len(ids), width), dtype=np.uint64)
     key = np.array([int(master_seed) & _U64_MASK, 0], dtype=np.uint64)
@@ -179,61 +157,6 @@ def raw_rows(master_seed: int, replication_ids, width: int) -> np.ndarray:
         key[1] = int(rep) & _U64_MASK
         bits.state = state
         out[r] = bits.random_raw(width)
-    return out
-
-
-def _key_words(replication_ids) -> np.ndarray:
-    """The replication ids mod 2**64, as uint64 key words."""
-    if isinstance(replication_ids, range):
-        r = replication_ids
-        steps = np.arange(len(r), dtype=np.uint64) * np.uint64(r.step & _U64_MASK)
-        return np.uint64(r.start & _U64_MASK) + steps
-    return np.array([int(rep) & _U64_MASK for rep in replication_ids], dtype=np.uint64)
-
-
-def _mulhilo(a: int, b: np.ndarray):
-    """(hi, lo): the two 64-bit halves of each 128-bit product a * b.
-
-    hi is assembled from 32-bit limbs; no partial sum exceeds 64 bits.
-    """
-    a0, a1 = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    b0, b1 = b & _LO32, b >> _SHIFT32
-    t = a1 * b0 + ((a0 * b0) >> _SHIFT32)
-    w = a0 * b1 + (t & _LO32)
-    return a1 * b1 + (t >> _SHIFT32) + (w >> _SHIFT32), np.uint64(a) * b
-
-
-def _philox_blocks(seed: int, reps: np.ndarray, blocks: int) -> np.ndarray:
-    """The first `blocks` 4-word Philox4x64-10 blocks under each key
-    (seed, reps[r]), as a (len(reps), 4 * blocks) array.
-
-    One lane per (replication, block).  numpy's generator increments its
-    counter before it generates, so block j is the image of the counter
-    (j + 1, 0, 0, 0).
-    """
-    zero = np.zeros(1, dtype=np.uint64)
-    x0, x1, x2, x3 = np.arange(1, blocks + 1, dtype=np.uint64), zero, zero, zero
-    k0, k1 = seed, reps[:, np.newaxis]
-    for i in range(10):
-        if i:
-            k0 = (k0 + _PHILOX_W[0]) & _U64_MASK
-            k1 = k1 + np.uint64(_PHILOX_W[1])
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ k1, lo0
-    return np.stack((x0, x1, x2, x3), axis=-1).reshape(reps.size, 4 * blocks)
-
-
-def _philox_rows(master_seed: int, replication_ids, width: int) -> np.ndarray:
-    """raw_rows evaluated lane-parallel, _PHILOX_LANES lanes at a time, into
-    one preallocated output (read at call time, so tests can narrow it)."""
-    reps = _key_words(replication_ids)
-    out = np.empty((reps.size, width), dtype=np.uint64)
-    blocks = -(-width // 4)
-    step = max(1, _PHILOX_LANES // max(1, blocks))
-    seed = int(master_seed) & _U64_MASK
-    for lo in range(0, reps.size, step):
-        out[lo : lo + step] = _philox_blocks(seed, reps[lo : lo + step], blocks)[:, :width]
     return out
 
 
@@ -298,30 +221,30 @@ def sample_rows(
     return _mix_rows(ndtri(u, out=u), model, float(mu_bar))
 
 
-def class_stat_rows(
-    model: BlockEquicorrModel,
-    mu_bar: float,
-    master_seed: int,
-    replication_ids,
-):
+def class_stat_rows(model: BlockEquicorrModel, master_seed: int, replications: range):
     """Class statistics and a randomization uniform per replication.
 
     Returns (A, Q, T, u) with shapes (B, H), (B, H), (B, H) and (B,),
-    distributed exactly as class_stats of a draw from N(mu_bar 1,
-    Sigma(model)), plus an independent uniform.  Each replication consumes
-    3H + 1 words of its own stream (see the module docstring), so row r
-    depends only on (master_seed, ids[r]).
+    distributed exactly as class_stats of a draw from N(0, Sigma(model)),
+    plus an independent uniform, for the B replications of the range (of
+    step 1).  A nonzero mean adds M_h k_h mu_bar to A_h.  Replication r reads
+    blocks [r b, (r + 1) b) of the class stream (see the module docstring).
     """
     sizes, counts = model.class_sizes, model.class_counts
     top, base = model.top[model.class_first], model.base[model.class_first]
     h = counts.size
-    w = _to_uniform(raw_rows(master_seed, replication_ids, 3 * h + 1))
+    if replications.step != 1:
+        raise InvalidInputError(f"class draws take a range of step 1, got {replications!r}")
+    blocks = -(-(3 * h + 1) // 4)  # 4-word Philox blocks per replication
+    key = np.array([int(master_seed) & _U64_MASK, _U64_MASK], dtype=np.uint64)
+    bits = np.random.Philox(key=key, counter=replications.start * blocks)
+    raw = bits.random_raw(len(replications) * 4 * blocks).reshape(-1, 4 * blocks)
+    w = _to_uniform(raw[:, : 3 * h + 1])
     dof = np.concatenate((counts - 1, counts * (sizes - 1)))
     live = dof > 0  # gammaincinv(0, u) is nan; a chi-square with 0 dof is 0
     chi2 = np.zeros((w.shape[0], 2 * h))
     chi2[:, live] = 2.0 * gammaincinv(0.5 * dof[live], w[:, h : 3 * h][:, live])
-    mass = counts * sizes
-    a = mass * float(mu_bar) + np.sqrt(mass * top) * ndtri(w[:, :h])
+    a = np.sqrt(counts * sizes * top) * ndtri(w[:, :h])
     return a, sizes * top * chi2[:, :h], base * chi2[:, h:], w[:, 3 * h]
 
 

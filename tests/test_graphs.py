@@ -18,6 +18,7 @@ from lrvlab import (
     graph_to_dict,
     make_graph,
 )
+from lrvlab import graphs
 from lrvlab.graphs import EXACT_CLIQUE_CAP
 
 
@@ -124,6 +125,23 @@ def test_generate_graph_examples():
         generate_graph("star")
     with pytest.raises(InvalidInputError):
         generate_graph("cluster")
+
+
+@pytest.mark.parametrize("kind,params", [("cluster", {"cs": [10**4]}), ("complete", {"n": 10**4})])
+def test_generated_graphs_over_the_edge_cap_are_refused(kind, params):
+    # 49,995,000 edges: refused from the count, before any edge is built
+    with pytest.raises(InvalidInputError, match="49995000 edges, above the cap"):
+        generate_graph(kind, **params)
+
+
+def test_edge_cap_boundary(monkeypatch):
+    monkeypatch.setattr(graphs, "GENERATED_EDGE_CAP", 6)
+    assert len(generate_graph("complete", n=4).edges) == 6
+    assert len(generate_graph("cluster", cs=[3, 1, 3]).edges) == 6
+    with pytest.raises(InvalidInputError):
+        generate_graph("complete", n=5)
+    with pytest.raises(InvalidInputError):
+        generate_graph("cluster", cs=[3, 2, 3])
 
 
 @pytest.mark.parametrize("n", [3.7, "4", True])

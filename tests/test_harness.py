@@ -328,6 +328,26 @@ class TestQuarantine:
         assert cell.error.startswith("DegenerateDataError: metric moment_1pe is not finite")
         assert "Infinity" not in summarize(report, "json")
 
+    def test_oversized_graph_is_quarantined(self):
+        # the true graph of one cluster of 10**4 has 49,995,000 edges
+        cfg = {
+            "experiment": "graph_estimation",
+            "design": {
+                "structure": {"pattern": "single"},
+                "deltas": {"scheme": "constant", "value": 0.1},
+                "graphs": [{"id": "true", "kind": "cluster"}],
+            },
+            "n_grid": [10_000],
+            "replications": 100,
+            "master_seed": 6003,
+        }
+        (cell,) = run_from(cfg).cells
+        assert cell.metrics == ()
+        assert cell.error == (
+            "InvalidInputError: cluster graph would have 49995000 edges, "
+            "above the cap of 1000000"
+        )
+
     @pytest.mark.filterwarnings("error")
     def test_non_finite_moments_are_computed_without_warnings(self):
         # the overflow in the moment's variance is expected, not a warning
@@ -651,8 +671,8 @@ PINNED_SWEEP = {
 
 
 PINNED_SHA256 = {
-    "csv": "cd1aa468de6ef74be5ffd3fcbb5809964e12613c0caee6a613b1a35af7f7ef80",
-    "json": "743ae7f90d248084770cb2210349c6323c32c2565daf7c5f35ee21e98155124f",
+    "csv": "70f5b5b5f5bcda25376b48b2319d479e80290f8b7104c1a9cc25224a30fcbd38",
+    "json": "e5287d708ff4a66d8a18cd684f04f04110aa3bb50902c7c45140b7a96f08b660",
 }
 
 

@@ -26,13 +26,7 @@ from lrvlab import (
     sampler,
 )
 from lrvlab.cluster_model import BlockEquicorrModel, class_stats, dense_sigma
-from lrvlab.sampler import (
-    _VECTOR_WIDTH,
-    _to_uniform,
-    class_stat_rows,
-    raw_rows,
-    sample_rows,
-)
+from lrvlab.sampler import _to_uniform, class_stat_rows, raw_rows, sample_rows
 
 
 def test_stream_replay_is_bit_identical():
@@ -159,41 +153,10 @@ class TestRawRows:
         for (seed, _), rows in results.items():
             assert_array_equal(rows, jobs[seed])
 
-    def test_concurrent_calls_on_the_loop_path_share_no_generator(self):
-        # width 5 above takes the vectorized path; this width takes the
-        # re-keyed generator loop
-        width = _VECTOR_WIDTH + 5
-        ids = list(range(200))
-        jobs = {seed: raw_rows(seed, ids, width) for seed in (101, 202)}
-        results, errors = {}, []
-
-        def work(seed):
-            try:
-                for attempt in range(10):
-                    results[(seed, attempt)] = raw_rows(seed, ids, width)
-            except Exception as exc:  # surfaced by the assertion below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(seed,)) for seed in jobs]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert len(results) == 20
-        for (seed, _), rows in results.items():
-            assert_array_equal(rows, jobs[seed])
-
 
 class TestPhiloxPaths:
-    """Both raw_rows paths against fresh streams: the vectorized Philox at
-    widths up to _VECTOR_WIDTH and the re-keyed generator loop above it."""
+    """raw_rows against fresh streams, for every form of the ids callers
+    pass and for widths that do and do not fill Philox's 4-word blocks."""
 
     # Keys reduce mod 2**64, so the ids cover negatives, ids past 2**63,
     # repeats and descending order, given in each form callers pass.
@@ -206,22 +169,11 @@ class TestPhiloxPaths:
         "numpy scalars": [np.uint64(2**64 - 1), np.int64(-2), np.int32(6), np.uint8(6)],
     }
 
-    @pytest.mark.parametrize(
-        "width", [1, 4, 5, 8, _VECTOR_WIDTH, _VECTOR_WIDTH + 1, 100, 1001]
-    )
+    @pytest.mark.parametrize("width", [1, 4, 5, 8, 96, 97, 100, 1001])
     @pytest.mark.parametrize("seed", [-(2**63), 0, 2**63, 2**64 - 1])
     def test_rows_equal_fresh_streams(self, seed, width):
         for ids in self.IDS.values():
             TestRawRows.assert_rows_match_streams(seed, ids, width)
-
-    @pytest.mark.parametrize("lanes", [1, 3, 7, 64])
-    def test_narrow_sub_batches_change_no_row(self, monkeypatch, lanes):
-        ids = list(range(37)) + [2**64 - 1, -1, 2**63]
-        widths = [1, 5, 13, _VECTOR_WIDTH]
-        want = {w: raw_rows(2026, ids, w) for w in widths}
-        monkeypatch.setattr(sampler, "_PHILOX_LANES", lanes)
-        for w in widths:
-            assert_array_equal(raw_rows(2026, ids, w), want[w])
 
 
 def test_pair_covariance():
@@ -345,8 +297,8 @@ class TestSampleDense:
 class TestBlockStatRows:
     """The O(H) draw of the blocks' statistics by class
     (sampler.class_stat_rows): exact moments, the O(n) path in distribution,
-    the per-replication stream contract, the word layout and the chi-square
-    inversion."""
+    rows that do not depend on the range they are drawn in, the word layout
+    and the chi-square inversion."""
 
     DESIGNS = {
         "single": ([50], [0.3]),
@@ -361,6 +313,16 @@ class TestBlockStatRows:
     def model(name):
         sizes, deltas = TestBlockStatRows.DESIGNS[name]
         return block_model(build_structure(sizes), deltas)
+
+    @staticmethod
+    def class_words(seed, reps, h):
+        """Uniforms of replications 0..reps-1 by the documented layout:
+        replication r takes the first 3H + 1 words of the 4-word blocks
+        [r b, (r + 1) b) of the stream keyed (seed, 2**64 - 1), with
+        b = ceil((3H + 1) / 4)."""
+        b = -(-(3 * h + 1) // 4)
+        stream = derive_stream(seed, 2**64 - 1).raw(reps * 4 * b)
+        return _to_uniform(stream.reshape(reps, 4 * b)[:, : 3 * h + 1])
 
     @staticmethod
     def laws(model):
@@ -384,8 +346,9 @@ class TestBlockStatRows:
         model = self.model(name)
         mu = 0.7
         reps = 40_000
-        a, q, t, u = class_stat_rows(model, mu, 8080, range(reps))
         mass, var_a, scale_q, dof_q, scale_t, dof_t = self.laws(model)
+        a, q, t, u = class_stat_rows(model, 8080, range(reps))
+        a = a + mass * mu
         assert a.shape == q.shape == t.shape == (reps, mass.size)
         assert np.all(np.abs(a.mean(axis=0) - mass * mu) < 6.0 * np.sqrt(var_a / reps))
         se_var = var_a * np.sqrt(2.0 / (reps - 1))
@@ -407,7 +370,8 @@ class TestBlockStatRows:
 
         model = self.model(name)
         reps = 20_000
-        drawn = class_stat_rows(model, -0.4, 9090, range(reps))[:3]
+        a, q, t, _ = class_stat_rows(model, 9090, range(reps))
+        drawn = (a + self.laws(model)[0] * -0.4, q, t)
         reduced = class_stats(sample_rows(model, -0.4, 9091, range(reps)), model)
         for got, want in zip(drawn, reduced):
             assert got.shape == want.shape
@@ -417,33 +381,60 @@ class TestBlockStatRows:
     @pytest.mark.parametrize("name", sorted(DESIGNS))
     def test_rows_depend_only_on_their_own_stream(self, name):
         model = self.model(name)
-        ids = [7, 3, 11, 0, 5, 2**63 + 1, 3]
-        batch = class_stat_rows(model, 0.2, 4242, ids)
-        for r, rep in enumerate(ids):
-            one = class_stat_rows(model, 0.2, 4242, [rep])
+        reps = 13
+        batch = class_stat_rows(model, 4242, range(reps))
+        for r in range(reps):
+            one = class_stat_rows(model, 4242, range(r, r + 1))
             for got, want in zip(batch, one):
                 assert_array_equal(got[r], want[0])
         for width in (1, 2, 4):
             parts = [
-                class_stat_rows(model, 0.2, 4242, ids[lo : lo + width])
-                for lo in range(0, len(ids), width)
+                class_stat_rows(model, 4242, range(lo, min(lo + width, reps)))
+                for lo in range(0, reps, width)
             ]
             for k, got in enumerate(batch):
                 assert_array_equal(got, np.concatenate([p[k] for p in parts]))
-        reordered = class_stat_rows(model, 0.2, 4242, ids[::-1])
-        for got, want in zip(reordered, batch):
-            assert_array_equal(got, want[::-1])
+        with pytest.raises(InvalidInputError):
+            class_stat_rows(model, 4242, range(0, reps, 2))
+
+    def test_concurrent_draws_of_one_range_agree(self):
+        model = self.model("mixed")
+        want = class_stat_rows(model, 4343, range(3, 2000))
+        results, errors = [], []
+
+        def work():
+            try:
+                for _ in range(10):
+                    results.append(class_stat_rows(model, 4343, range(3, 2000)))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(results) == 20
+        for got in results:
+            for g, w in zip(got, want):
+                assert_array_equal(g, w)
 
     def test_words_follow_the_documented_layout(self):
         from scipy.special import gammaincinv
 
         model = self.model("mixed")
-        ids = range(5)
         h = 5
-        words = _to_uniform(raw_rows(31, ids, 3 * h + 1))
+        words = self.class_words(31, 6, h)
         mass, var_a, scale_q, dof_q, scale_t, dof_t = self.laws(model)
-        a, q, t, u = class_stat_rows(model, 1.25, 31, ids)
-        assert_array_equal(a, mass * 1.25 + np.sqrt(var_a) * ndtri(words[:, :h]))
+        a, q, t, u = class_stat_rows(model, 31, range(6))
+        assert_array_equal(a, np.sqrt(var_a) * ndtri(words[:, :h]))
         for got, scale, dof, cols in (
             (q, scale_q, dof_q, words[:, h : 2 * h]),
             (t, scale_t, dof_t, words[:, 2 * h : 3 * h]),
@@ -452,8 +443,6 @@ class TestBlockStatRows:
             chi2 = 2.0 * gammaincinv(dof[live] / 2.0, cols[:, live])
             assert_array_equal(got[:, live], scale[live] * chi2)
         assert_array_equal(u, words[:, 3 * h])
-        # the harness draws at mu_bar = 0 and shifts A; that is the draw at mu_bar
-        assert_array_equal(class_stat_rows(model, 0.0, 31, ids)[0] + mass * 1.25, a)
 
     @pytest.mark.parametrize("nu", [1, 19, 9999])
     def test_residual_masses_invert_the_chi_square_cdf(self, nu):
@@ -461,25 +450,25 @@ class TestBlockStatRows:
 
         delta = 0.25
         ids = range(500)
-        u = _to_uniform(raw_rows(77, ids, 4))
+        u = self.class_words(77, 500, 1)
         # one block of size nu + 1: T ~ (1 - delta) chi^2(nu), from word 2H = 2
         one = block_model(build_structure([nu + 1]), [delta])
-        t = class_stat_rows(one, 0.0, 77, ids)[2][:, 0]
+        t = class_stat_rows(one, 77, ids)[2][:, 0]
         assert_allclose(gammainc(nu / 2.0, t / (2.0 * (1.0 - delta))), u[:, 2], rtol=0, atol=1e-13)
         # nu + 1 pairs: Q ~ 2 (1 + delta) chi^2(nu), from word H = 1
         pairs = block_model(build_structure([2] * (nu + 1)), [delta] * (nu + 1))
-        q = class_stat_rows(pairs, 0.0, 77, ids)[1][:, 0]
+        q = class_stat_rows(pairs, 77, ids)[1][:, 0]
         assert_allclose(gammainc(nu / 2.0, q / (4.0 * (1.0 + delta))), u[:, 1], rtol=0, atol=1e-13)
 
     def test_zero_dof_classes_give_zero_not_nan(self):
         ids = range(50)
         # one block: no within-class mass; singletons: no residual mass
-        _, q, t, _ = class_stat_rows(self.model("single"), 0.3, 5, ids)
+        _, q, t, _ = class_stat_rows(self.model("single"), 5, ids)
         assert np.all(q == 0.0) and np.all(t > 0.0)
         singles = block_model(build_structure([1] * 30), [0.0] * 30)
-        _, q, t, _ = class_stat_rows(singles, 0.3, 5, ids)
+        _, q, t, _ = class_stat_rows(singles, 5, ids)
         assert np.all(q > 0.0) and np.all(t == 0.0)
-        _, q, t, _ = class_stat_rows(self.model("mixed"), 0.3, 5, ids)
+        _, q, t, _ = class_stat_rows(self.model("mixed"), 5, ids)
         assert not np.any(np.isnan(q)) and not np.any(np.isnan(t))
         assert_array_equal(q[:, 3:], 0.0)  # classes of one block
         assert_array_equal(t[:, 1], 0.0)  # the singleton class
