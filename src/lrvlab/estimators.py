@@ -6,7 +6,8 @@ knowledge of the dependence structure:
 - sample_variance: ignores dependence; (1/n) sum (x_i - xbar)^2.
 - cluster: sums all within-cluster cross products; consistent when the
   cluster structure is known and no cluster dominates.
-- graph: sums cross products over graph-neighbor pairs (including i itself).
+- graph: sums cross products over graph-neighbor pairs (including i itself),
+  evaluated as segment sums over the graph's clique cover.
 - second_moment: (1/n) sum x_i^2, valid under a known zero mean.
 
 Estimates are reported raw — the cross-product estimators are not truncated
@@ -105,15 +106,32 @@ def cluster_rows(X: np.ndarray, cs: ClusterStructure) -> np.ndarray:
 def graph_rows(X: np.ndarray, g: DependencyGraph) -> np.ndarray:
     """(1/n) sum_i sum_{j in N(i) or j = i} (x_i - xbar)(x_j - xbar) per row.
 
-    Row-independent: the neighborhood sums s add each node's neighbors in
-    one fixed order, and the product d s is summed over each row of a
+    Over the graph's clique cover this is
+    (1/n) [sum_c (sum_{i in c} d_i)^2 + sum_{(u, v) in pairs} (d_u + d_v)^2
+    + sum_i w_i d_i^2] with d = x - xbar: one segment sum per large clique
+    and one gathered sum per other edge, so O(n + E) whatever the clique
+    sizes.  Row-independent: every gather and sum runs over each row of a
     C-contiguous array, so a one-row call is bit-identical to the same row
     inside any batch.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.shape[-1] != g.n:
+        raise InvalidInputError(f"data has length {X.shape[-1]}, graph has n = {g.n}")
+    members, starts, pairs, weights = g.clique_cover
     d = X - X.mean(axis=-1, keepdims=True)
-    d *= d @ g.neighborhood_operator
-    return d.sum(axis=-1) / g.n
+    # np.take, not d[..., idx]: fancy indexing returns F-strided rows, whose
+    # sums would depend on the batch
+    sums = np.add.reduceat(d if members is None else np.take(d, members, axis=-1), starts, axis=-1)
+    edge_sums = np.take(d, pairs[:, 0], axis=-1)
+    edge_sums += np.take(d, pairs[:, 1], axis=-1)
+    sums *= sums
+    edge_sums *= edge_sums
+    total = sums.sum(axis=-1) + edge_sums.sum(axis=-1)
+    if weights is not None:
+        d *= d
+        d *= weights
+        total += d.sum(axis=-1)
+    return total / g.n
 
 
 def second_moment_rows(X: np.ndarray) -> np.ndarray:
@@ -136,10 +154,7 @@ def lrv_cluster(x, cs: ClusterStructure) -> LrvEstimate:
 
 def lrv_graph(x, g: DependencyGraph) -> LrvEstimate:
     """The dependency-graph estimator over closed neighborhoods."""
-    rows = _as_rows(x)
-    if rows.shape[-1] != g.n:
-        raise InvalidInputError(f"data has length {rows.shape[-1]}, graph has n = {g.n}")
-    return _make(graph_rows(rows, g)[0], "graph")
+    return _make(graph_rows(_as_rows(x), g)[0], "graph")
 
 
 def lrv_second_moment(x) -> LrvEstimate:

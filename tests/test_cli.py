@@ -273,17 +273,29 @@ class TestStats:
         assert code == 1 and err.startswith("lrvlab:")
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    """scipy.stats is most of a cold import; the package must not pull it in."""
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh interpreter has `module` loaded after `import lrvlab.cli`."""
     src = str(Path(lrvlab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, lrvlab.cli; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, lrvlab.cli; print({module!r} in sys.modules)"],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    loaded = proc.stdout.strip()
+    assert loaded in ("True", "False"), loaded
+    return loaded == "True"
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """scipy.stats is most of a cold import; the package must not pull it in."""
+    assert not _loaded_by_cli_import("scipy.stats")
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    """The graph estimator sums over a clique cover; no sparse matrix is built."""
+    assert not _loaded_by_cli_import("scipy.sparse")

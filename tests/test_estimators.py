@@ -237,6 +237,91 @@ def test_graph_rows_do_not_depend_on_the_batch(n, kind):
     assert_array_equal(np.concatenate((graph_rows(X[:3], g), graph_rows(X[3:], g))), batch)
 
 
+@pytest.mark.parametrize("n", [100, 2000])
+def test_gathered_cliques_do_not_depend_on_the_batch(n):
+    """Cliques of 3 between isolated nodes are gathered before their sums."""
+    g = generate_graph("cluster", cs=[3, 1] * (n // 4) + [1] * (n % 4))
+    assert g.clique_cover[0] is not None
+    X = np.random.default_rng(n).normal(loc=3.0, size=(7, n))
+    batch = graph_rows(X, g)
+    for r in range(7):
+        assert graph_rows(X[r : r + 1], g)[0] == batch[r]
+    assert_array_equal(np.concatenate((graph_rows(X[:3], g), graph_rows(X[3:], g))), batch)
+
+
+def test_graph_rows_refuse_rows_of_another_width():
+    g = make_graph(4, [(0, 1), (2, 3)])
+    for width in (3, 5):
+        with pytest.raises(InvalidInputError, match=f"length {width}, graph has n = 4"):
+            graph_rows(np.ones((2, width)), g)
+
+
+def _random_components(rng, n):
+    """Components of random sizes on shuffled nodes: each is complete,
+    complete but for one missing edge, or a random sparse graph (possibly
+    disconnected, possibly with isolated nodes)."""
+    nodes = rng.permutation(n)
+    edges, pos = [], 0
+    while pos < n:
+        k = int(rng.integers(1, 7))
+        comp = nodes[pos : pos + k].tolist()
+        pos += k
+        pairs = [(a, b) for i, a in enumerate(comp) for b in comp[i + 1 :]]
+        shape = rng.integers(3)
+        if shape == 1 and pairs:
+            pairs.pop(int(rng.integers(len(pairs))))
+        elif shape == 2:
+            pairs = [e for e in pairs if rng.random() < 0.4]
+        edges.extend(pairs)
+    return make_graph(n, edges)
+
+
+def _cluster_plus_edges(rng, n):
+    """A cluster graph of random block sizes plus a few edges across blocks."""
+    sizes, left = [], n
+    while left:
+        sizes.append(min(left, int(rng.integers(1, 8))))
+        left -= sizes[-1]
+    edges = set(generate_graph("cluster", cs=sizes).edges)
+    for _ in range(int(rng.integers(1, 4)) if n > 1 else 0):
+        i, j = rng.choice(n, size=2, replace=False).tolist()
+        edges.add((min(i, j), max(i, j)))
+    return make_graph(n, edges)
+
+
+def _few_random_edges(rng, n):
+    """About n/4 random edges, so that most nodes are isolated."""
+    ends = rng.integers(0, n, size=(n // 4, 2))
+    return make_graph(n, ends[ends[:, 0] != ends[:, 1]].tolist())
+
+
+_ORACLE_GRAPHS = {
+    "components": _random_components,
+    "isolated": _few_random_edges,
+    "cluster-plus-edges": _cluster_plus_edges,
+    "star": lambda rng, n: generate_graph("star", n=n),
+    "complete": lambda rng, n: generate_graph("complete", n=n),
+    "empty": lambda rng, n: generate_graph("empty", n=n),
+}
+
+
+@pytest.mark.parametrize("family", list(_ORACLE_GRAPHS))
+def test_graph_rows_match_the_dense_quadratic_form(family):
+    """Over random graphs, (1/n) d'(I + A)d by a dense product, per row."""
+    rng = np.random.default_rng(2013)
+    for _ in range(35):
+        n = int(rng.integers(1, 40))
+        g = _ORACLE_GRAPHS[family](rng, n)
+        A = np.zeros((n, n))
+        for i, j in g.edges:
+            A[i, j] = A[j, i] = 1.0
+        X = rng.normal(loc=rng.normal(scale=5.0), size=(5, n))
+        d = X - X.mean(axis=1, keepdims=True)
+        want = np.einsum("ri,ij,rj->r", d, np.eye(n) + A, d) / n
+        tol = 1e-13 * (d * d).sum(axis=1) / n
+        assert np.all(np.abs(graph_rows(X, g) - want) <= tol), (family, n, sorted(g.edges))
+
+
 def test_sample_variance_on_one_long_iid_draw():
     n = 100_000
     x = np.random.default_rng(2010).standard_normal(n)
