@@ -33,7 +33,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="path to a JSON config")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    run_p.add_argument("--threads", type=int, default=1, help="worker threads across cells")
+    run_p.add_argument(
+        "--threads", type=int, default=1,
+        help="worker threads, shared by the cells and their replication chunks",
+    )
     run_p.add_argument(
         "--format", choices=("csv", "json"), default=None,
         help="restrict output to one format (default: both)",

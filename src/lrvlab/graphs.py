@@ -222,17 +222,19 @@ def generate_graph(kind: str, **params) -> DependencyGraph:
     star/empty/complete take n; cluster takes cs (a ClusterStructure or a
     list of sizes) and yields the disjoint union of complete blocks.  A
     complete or cluster graph of more than GENERATED_EDGE_CAP edges raises
-    InvalidInputError.
+    InvalidInputError.  Only the parameters are validated: every generated
+    edge is an in-range pair (i, j) with i < j, so the edges go into the graph
+    without make_graph's check of each one.
     """
     if kind == "star":
         n = _node_count(params.get("n"))
-        return make_graph(n, ((0, i) for i in range(1, n)))
+        return DependencyGraph(n, frozenset((0, i) for i in range(1, n)))
     if kind == "empty":
-        return make_graph(_node_count(params.get("n")), ())
+        return DependencyGraph(_node_count(params.get("n")), frozenset())
     if kind == "complete":
         n = _node_count(params.get("n"))
         _check_edge_count(kind, n * (n - 1) // 2)
-        return make_graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+        return DependencyGraph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
     if kind == "cluster":
         cs = params.get("cs")
         if cs is None:
@@ -245,7 +247,7 @@ def generate_graph(kind: str, **params) -> DependencyGraph:
             for i in range(start, start + k):
                 for j in range(i + 1, start + k):
                     edges.append((i, j))
-        return make_graph(cs.n, edges)
+        return DependencyGraph(cs.n, frozenset(edges))
     raise InvalidInputError(f"unknown graph kind {kind!r}")
 
 

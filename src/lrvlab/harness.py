@@ -18,7 +18,19 @@ cell, keyed (cell seed, 2**64 - 1): replication r reads its Philox blocks
 [r b, (r + 1) b), b = ceil((3H + 1) / 4).  The draw is at mu_bar = 0;
 estimator and test cells add M_h k_h mu_bar to each class sum A_h per mean,
 and contiguity cells turn the statistics into null N(0, I) statistics
-(likelihood.lr_diagnostics).
+(likelihood.lr_draw).
+
+Threads: each cell is planned (model, kernels, graphs, accumulators) and its
+replication chunks (sampler._chunks, _class_chunks) are cut into
+min(threads, chunks) contiguous runs; a task evaluates one run, in the same
+loop a serial run uses, and the pool works through the tasks of every cell
+in order, so one large cell spreads over the workers instead of holding up
+the sweep.  Each replication's result is written by its index and a cell's
+metrics are computed once its tasks are done, so the report does not depend
+on the thread count.  A cell whose plan raises gets no tasks; a task that
+raises quarantines its cell with the error of the cell's first failing run,
+which is the same at any thread count.  With threads = 1 each cell is a
+single task, planned, run and finished before the next cell is planned.
 
 Each estimator and test is one kernel over the drawn class statistics,
 looked up by its config name (estimators.*_stat_rows,
@@ -71,6 +83,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -94,7 +107,7 @@ from .estimators import (
 )
 from .graphs import generate_graph
 from .inference_tests import cluster_t_stat_rows, sign_test_stat_rows, z_test_stat_rows
-from .likelihood import lr_diagnostics
+from .likelihood import lr_draw, lr_metrics
 from .sampler import _chunks, _class_chunks, class_stat_rows, sample_rows
 
 @dataclass(frozen=True)
@@ -372,18 +385,35 @@ def _kernel_names(names, kernels: dict, what: str):
     return names
 
 
-def _class_stat_chunks(model, seed: int, reps: int, mu_points):
+def _class_stat_chunks(model, seed: int, chunks, mu_points):
     """(lo, hi, label, A, Q, T, u) per chunk of replications and per mu point;
     each chunk is drawn once at mu_bar = 0 and A shifted by M_h k_h mu_bar."""
     mass = model.class_counts * model.class_sizes
-    for lo, hi in _class_chunks(model, reps):
+    for lo, hi in chunks:
         a_0, q, t, u = class_stat_rows(model, seed, range(lo, hi))
         for label, mu_bar in mu_points:
             a = a_0 + mass * mu_bar if mu_bar != 0.0 else a_0
             yield lo, hi, label, a, q, t, u
 
 
-def _run_estimator_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
+@dataclass(frozen=True)
+class _Plan:
+    """A cell's work, in three parts.
+
+    chunks are the cell's replication ranges (lo, hi).  run(chunks) evaluates
+    a contiguous run of them into the cell's accumulators, writing each
+    replication's result by its index, and returns what finish needs beyond
+    them (a test cell's rejection counts, else None).  finish(partials) turns
+    the accumulators and the returns of the runs, in chunk order, into the
+    cell's metrics.  Runs over disjoint chunks may go concurrently.
+    """
+
+    chunks: list
+    run: Callable
+    finish: Callable
+
+
+def _plan_estimator_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) -> _Plan:
     model, sigma_sq, mu_points = _resolve_cell(entry, cs)
     # The kernel tables are built per cell from the module names, so that
     # wrappers installed on those names (perfbench/spans.py) see the calls.
@@ -397,53 +427,71 @@ def _run_estimator_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int
     )
     reps = entry.replications
     acc = {name: np.empty(reps) for name in names}
-    for lo, hi, _, a, q, t, _ in _class_stat_chunks(model, seed, reps, mu_points):
-        for name in names:
-            acc[name][lo:hi] = kernels[name](a, q, t, model)
-    metrics = []
-    for name in names:
-        metrics.extend(_moment_metrics(name, acc[name], sigma_sq))
-    return metrics
+
+    def run(chunks):
+        for lo, hi, _, a, q, t, _ in _class_stat_chunks(model, seed, chunks, mu_points):
+            for name in names:
+                acc[name][lo:hi] = kernels[name](a, q, t, model)
+
+    def finish(_):
+        return [m for name in names for m in _moment_metrics(name, acc[name], sigma_sq)]
+
+    return _Plan(list(_class_chunks(model, reps)), run, finish)
 
 
-def _run_contiguity_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
+def _plan_contiguity_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) -> _Plan:
     model, _, _ = _resolve_cell(entry, cs)
-    diag = lr_diagnostics(model, entry.epsilon, entry.replications, seed)
-    metrics = [
-        Metric("mean_lr", diag["mean_lr"], diag["se_mean_lr"]),
-        Metric("moment_1pe", diag["moment_1pe"], diag["se_moment_1pe"]),
-    ]
-    if diag["ks"] is not None:
-        # The KS statistic has no closed-form SE; report the conservative
-        # DKW-style bound 0.5/sqrt(reps).
-        metrics.append(Metric("ks", diag["ks"], 0.5 / math.sqrt(entry.replications)))
-    return metrics
+    reps = entry.replications
+    w = np.empty(reps)
+
+    def run(chunks):
+        for lo, hi in chunks:
+            w[lo:hi] = lr_draw(model, seed, range(lo, hi))
+
+    def finish(_):
+        diag = lr_metrics(model, entry.epsilon, w)
+        metrics = [
+            Metric("mean_lr", diag["mean_lr"], diag["se_mean_lr"]),
+            Metric("moment_1pe", diag["moment_1pe"], diag["se_moment_1pe"]),
+        ]
+        if diag["ks"] is not None:
+            # The KS statistic has no closed-form SE; report the conservative
+            # DKW-style bound 0.5/sqrt(reps).
+            metrics.append(Metric("ks", diag["ks"], 0.5 / math.sqrt(reps)))
+        return metrics
+
+    return _Plan(list(_class_chunks(model, reps)), run, finish)
 
 
-def _run_test_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
+def _plan_test_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) -> _Plan:
     model, sigma_sq, mu_points = _resolve_cell(entry, cs)
     kernels = {"sign": sign_test_stat_rows, "cluster_t": cluster_t_stat_rows, "z": z_test_stat_rows}
     tests = _kernel_names(entry.design.get("tests", ["sign", "cluster_t"]), kernels, "test")
     z_bound = entry.design.get("z_bound", "oracle")
     c = sigma_sq if z_bound == "oracle" else _as_float(z_bound, "z_bound")
     reps = entry.replications
-    counts = {(name, label): 0 for name in tests for label, _ in mu_points}
-    for _, _, label, a, q, t, u in _class_stat_chunks(model, seed, reps, mu_points):
-        for name in tests:
-            p = kernels[name](a, q, t, model, entry.alpha, c)[-1]
-            counts[(name, label)] += int(np.count_nonzero(p > u))
-    return [
-        Metric(
-            f"{name}_reject[mu={label}]",
-            counts[(name, label)] / reps,
-            _proportion_se(counts[(name, label)], reps),
-        )
-        for name in tests
-        for label, _ in mu_points
-    ]
+    keys = [(name, label) for name in tests for label, _ in mu_points]
+
+    def run(chunks):
+        counts = dict.fromkeys(keys, 0)
+        for _, _, label, a, q, t, u in _class_stat_chunks(model, seed, chunks, mu_points):
+            for name in tests:
+                p = kernels[name](a, q, t, model, entry.alpha, c)[-1]
+                counts[(name, label)] += int(np.count_nonzero(p > u))
+        return counts
+
+    def finish(partials):
+        # keys, not a dict of totals: a repeated name must repeat its metric
+        totals = [(key, sum(counts[key] for counts in partials)) for key in keys]
+        return [
+            Metric(f"{name}_reject[mu={label}]", k / reps, _proportion_se(k, reps))
+            for (name, label), k in totals
+        ]
+
+    return _Plan(list(_class_chunks(model, reps)), run, finish)
 
 
-def _run_graph_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
+def _plan_graph_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) -> _Plan:
     model, sigma_sq, [(_, mu_bar)] = _resolve_cell(entry, cs)
     specs = entry.design.get("graphs")
     if not isinstance(specs, list) or not specs:
@@ -456,55 +504,124 @@ def _run_graph_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int):
         gid = spec.get("id", f"{kind}-{pos}")
         if not isinstance(gid, str):
             raise InvalidInputError(f"graph id must be a string, got {gid!r}")
-        graphs.append((gid, generate_graph(kind, cs=cs, n=cs.n)))
+        g = generate_graph(kind, cs=cs, n=cs.n)
+        g.clique_cover  # built here, once, not by whichever run reaches it first
+        graphs.append((gid, g))
     reps = entry.replications
     acc = {gid: np.empty(reps) for gid, _ in graphs}
-    for lo, hi in _chunks(reps, cs.n):
-        X = sample_rows(model, mu_bar, seed, range(lo, hi))
-        for gid, g in graphs:
-            acc[gid][lo:hi] = graph_rows(X, g)
-    metrics = []
-    for gid, _ in graphs:
-        metrics.extend(_moment_metrics(f"graph[{gid}]", acc[gid], sigma_sq))
+
+    def run(chunks):
+        for lo, hi in chunks:
+            X = sample_rows(model, mu_bar, seed, range(lo, hi))
+            for gid, g in graphs:
+                acc[gid][lo:hi] = graph_rows(X, g)
+
+    def finish(_):
+        return [
+            m for gid, _ in graphs for m in _moment_metrics(f"graph[{gid}]", acc[gid], sigma_sq)
+        ]
+
+    return _Plan(list(_chunks(reps, cs.n)), run, finish)
+
+
+_PLANNERS = {
+    "estimator_consistency": _plan_estimator_cell,
+    "contiguity": _plan_contiguity_cell,
+    "test_size_power": _plan_test_cell,
+    "graph_estimation": _plan_graph_cell,
+}
+EXPERIMENT_KINDS = tuple(_PLANNERS)
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _checked(metrics) -> tuple[Metric, ...]:
+    """The metrics, refused when their names repeat or a value or standard
+    error is not finite (the JSON report could not hold it)."""
+    metrics = tuple(metrics)
+    names = [m.metric for m in metrics]
+    if len(set(names)) != len(names):
+        raise InvalidInputError(f"metric names repeat: {names}")
+    for m in metrics:
+        if not (math.isfinite(m.value) and math.isfinite(m.se)):
+            raise DegenerateDataError(f"metric {m.metric} is not finite: {m.value} +- {m.se}")
     return metrics
 
 
-_RUNNERS = {
-    "estimator_consistency": _run_estimator_cell,
-    "contiguity": _run_contiguity_cell,
-    "test_size_power": _run_test_cell,
-    "graph_estimation": _run_graph_cell,
-}
-EXPERIMENT_KINDS = tuple(_RUNNERS)
+class _Cell:
+    """One (design, n) cell of a sweep: its plan, the runs of chunks its
+    tasks evaluate, and the outcomes of those tasks as they come back.
+
+    A cell whose plan raises is quarantined and has no runs.  Once the
+    outcome of its last run is in, the cell is finished: quarantined with the
+    error of its lowest-numbered failing run if one failed, else given the
+    metrics of its plan's finish step and the summary of its structure.
+    Then the structure, the plan and the accumulators it holds are dropped.
+    """
+
+    def __init__(self, entry: ExperimentConfig, n: int, seed: int, threads: int):
+        self.entry, self.n, self.seed = entry, n, seed
+        self.plan = self.error = None
+        self.metrics, self.runs, self.outcomes = (), [], []
+        self.summary = (0, 0, 0.0, 0.0)  # n_star, M, h, max_cluster_share
+        try:
+            self.cs = _resolve_structure(entry.design.get("structure"), n)
+            self.plan = _PLANNERS[entry.experiment](entry, self.cs, seed)
+        except Exception as exc:  # quarantine the cell, keep the sweep going
+            self.cs, self.error = None, _describe(exc)
+            return
+        # min(threads, chunks) contiguous runs of near-equal chunk counts
+        # (one, possibly empty, when there are no chunks)
+        chunks = self.plan.chunks
+        parts = max(1, min(threads, len(chunks)))
+        bounds = [len(chunks) * p // parts for p in range(parts + 1)]
+        self.runs = [chunks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    def collect(self, outcome: tuple) -> None:
+        """Take the (partial, error) outcome of the cell's next run."""
+        self.outcomes.append(outcome)
+        if len(self.outcomes) < len(self.runs):
+            return
+        errors = [error for _, error in self.outcomes if error is not None]
+        if errors:
+            self.error = errors[0]
+        else:
+            try:
+                metrics = _checked(self.plan.finish([partial for partial, _ in self.outcomes]))
+                cs = self.cs
+                self.summary = (cs.n_star, cs.M, cs.heterogeneity, max_cluster_share(cs))
+                self.metrics = metrics
+            except Exception as exc:  # quarantine the cell, keep the sweep going
+                self.error = _describe(exc)
+        self.cs = self.plan = self.outcomes = None
+
+    def result(self) -> CellResult:
+        n_star, M, h, share = self.summary
+        return CellResult(
+            experiment=self.entry.experiment,
+            design_id=str(self.entry.design["id"]),
+            n=self.n,
+            n_star=n_star,
+            M=M,
+            h=h,
+            max_cluster_share=share,
+            reps=self.entry.replications,
+            seed=self.seed,
+            metrics=self.metrics,
+            error=self.error,
+        )
 
 
-def _evaluate_cell(entry: ExperimentConfig, n: int, seed: int) -> CellResult:
-    n_star, M, h, share, metrics, error = 0, 0, 0.0, 0.0, (), None
+def _run_task(task):
+    """(cell, (partial, None)) from one run of a cell's chunks, or
+    (cell, (None, error)) when it raises."""
+    cell, run = task
     try:
-        cs = _resolve_structure(entry.design.get("structure"), n)
-        metrics = tuple(_RUNNERS[entry.experiment](entry, cs, seed))
-        names = [m.metric for m in metrics]
-        if len(set(names)) != len(names):
-            raise InvalidInputError(f"metric names repeat: {names}")
-        for m in metrics:
-            if not (math.isfinite(m.value) and math.isfinite(m.se)):
-                raise DegenerateDataError(f"metric {m.metric} is not finite: {m.value} +- {m.se}")
-        n_star, M, h, share = cs.n_star, cs.M, cs.heterogeneity, max_cluster_share(cs)
-    except Exception as exc:  # quarantine the cell, keep the sweep going
-        metrics, error = (), f"{type(exc).__name__}: {exc}"
-    return CellResult(
-        experiment=entry.experiment,
-        design_id=str(entry.design["id"]),
-        n=n,
-        n_star=n_star,
-        M=M,
-        h=h,
-        max_cluster_share=share,
-        reps=entry.replications,
-        seed=seed,
-        metrics=metrics,
-        error=error,
-    )
+        return cell, (cell.plan.run(run), None)
+    except Exception as exc:  # quarantined by the cell once its runs are in
+        return cell, (None, _describe(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -514,29 +631,38 @@ def _evaluate_cell(entry: ExperimentConfig, n: int, seed: int) -> CellResult:
 def run_sweep(entries, master_seed: int, threads: int = 1) -> ExperimentReport:
     """Evaluate every (design, n) cell of every experiment, in a fixed order.
 
-    Cell i uses master seed master_seed + i; results are merged by cell index,
-    so the report is identical for any threads >= 1.
+    Cell i uses master seed master_seed + i.  The unit of threaded work is a
+    contiguous run of one cell's replication chunks (see the module
+    docstring), and the report is identical for any threads >= 1.
     """
     entries = list(entries)
     threads = int(threads)
     if threads < 1:
         raise InvalidInputError("threads must be >= 1")
     cells = []
-    index = 0
-    for entry in entries:
-        for n in entry.n_grid:
-            cells.append((entry, n, master_seed + index))
-            index += 1
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: _evaluate_cell(*c), cells))
-    else:
-        results = [_evaluate_cell(*c) for c in cells]
+
+    def tasks():
+        # Lazy: the serial map below plans a cell only when the previous
+        # cell's tasks have run.
+        index = 0
+        for entry in entries:
+            for n in entry.n_grid:
+                cell = _Cell(entry, n, master_seed + index, threads)
+                cells.append(cell)
+                index += 1
+                for run in cell.runs:
+                    yield cell, run
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # Executor.map submits every task at once and yields the outcomes in
+        # task order; the built-in map runs each task when its outcome is read.
+        for cell, outcome in (pool.map if threads > 1 else map)(_run_task, tasks()):
+            cell.collect(outcome)
     return ExperimentReport(
         version=__version__,
         master_seed=master_seed,
         config_sha256=config_hash(master_seed, entries),
-        cells=tuple(results),
+        cells=tuple(cell.result() for cell in cells),
     )
 
 

@@ -9,8 +9,8 @@ evaluation never materializes a rotation.  Blocks that share (k, delta)
 share every coefficient, so the log-LR reads a draw only through the class
 statistics (A, Q, T) of cluster_model.class_stats.  loglr_stat_rows is the
 one kernel over them; loglr_cluster_rows reduces data rows with class_stats
-and calls it, and lr_diagnostics calls it on null statistics from the class
-draw sampler.class_stat_rows, O(H) per replication for H classes.
+and calls it, and lr_draw calls it on null statistics from the class draw
+sampler.class_stat_rows, O(H) per replication for H classes.
 
 For one block of size k with parameter delta (a = 1 + (k-1) delta and
 b = 1 - delta, the block's eigenvalues BlockEquicorrModel.top and .base):
@@ -256,39 +256,64 @@ def ks_distance(values: np.ndarray, cdf) -> float:
 def lr_diagnostics(model: BlockEquicorrModel, epsilon: float, reps: int, seed: int) -> dict:
     """Monte Carlo diagnostics of the likelihood ratio under N(0, I).
 
-    Draws the null class statistics of `reps` independent replications
-    from the class draw (the class stream of `seed`, see
-    sampler.class_stat_rows), and evaluates
-    W = log dN(0, Sigma)/dN(0, I).  Reports the mean of exp(W)
-    (identically 1 in expectation), its (1+epsilon)-th moment, and — when the
-    model is a single non-singleton cluster whose n*delta lies in the limit
-    law's domain — the Kolmogorov-Smirnov distance to the limit CDF.
+    Draws W = log dN(0, Sigma)/dN(0, I) for `reps` independent replications
+    under N(0, I) (lr_draw, chunk by chunk) and returns lr_metrics of them,
+    plus the seed.  Keys: mean_lr, se_mean_lr, moment_1pe, se_moment_1pe, ks,
+    n, reps, seed.
+    """
+    epsilon, reps = float(epsilon), int(reps)
+    _check_budget(epsilon, reps)
+    w = np.empty(reps, dtype=np.float64)
+    for lo, hi in _class_chunks(model, reps):
+        w[lo:hi] = lr_draw(model, seed, range(lo, hi))
+    return dict(lr_metrics(model, epsilon, w), seed=int(seed))
+
+
+def _check_budget(epsilon: float, reps: int) -> None:
+    if not (epsilon > 0.0):
+        raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
+    if reps < 1000:
+        raise InvalidInputError("lr diagnostics need reps >= 1000")
+
+
+def lr_draw(model: BlockEquicorrModel, seed: int, replications: range) -> np.ndarray:
+    """W = log dN(0, Sigma)/dN(0, I) under N(0, I), one value per
+    replication of the range (of step 1).
+
+    The null class statistics come from the class draw (the class stream of
+    `seed`, see sampler.class_stat_rows), so W_r is a pure function of
+    (seed, r) and does not depend on the range it is drawn in.
+    """
+    # Null data N(0, I) are Sigma^{-1/2} X for X drawn from the model; on a
+    # class that divides A by sqrt(top), Q by top and T by base.
+    first = model.class_first
+    top, base = model.top[first], model.base[first]
+    a, q, t, _ = class_stat_rows(model, seed, replications)
+    return loglr_stat_rows(a / np.sqrt(top), q / top, t / base, model, 0.0)
+
+
+def lr_metrics(model: BlockEquicorrModel, epsilon: float, w: np.ndarray) -> dict:
+    """Diagnostics of the likelihood ratio from null draws w of W (lr_draw).
+
+    Reports the mean of exp(W) (identically 1 in expectation), its
+    (1+epsilon)-th moment, and — when the model is a single non-singleton
+    cluster whose n*delta lies in the limit law's domain — the
+    Kolmogorov-Smirnov distance to the limit CDF.
 
     Standard errors accompany both moments; `ks` carries no SE of its own
     (the report's conservative 0.5/sqrt(reps) bound is the harness's
     convention).  Keys: mean_lr, se_mean_lr, moment_1pe, se_moment_1pe, ks,
-    n, reps, seed.
+    n, reps.
 
     Raises DegenerateDataError when exp(W) overflows in some replication or
     underflows to 0 in all of them: the moments would then be printed as
     confident numbers while carrying no information.
     """
     epsilon = float(epsilon)
-    reps = int(reps)
-    if not (epsilon > 0.0):
-        raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
-    if reps < 1000:
-        raise InvalidInputError("lr diagnostics need reps >= 1000")
+    reps = w.size
+    _check_budget(epsilon, reps)
     cs = model.structure
     n = cs.n
-    # Null data N(0, I) are Sigma^{-1/2} X for X drawn from the model; on a
-    # class that divides A by sqrt(top), Q by top and T by base.
-    first = model.class_first
-    top, base = model.top[first], model.base[first]
-    w = np.empty(reps, dtype=np.float64)
-    for lo, hi in _class_chunks(model, reps):
-        a, q, t, _ = class_stat_rows(model, seed, range(lo, hi))
-        w[lo:hi] = loglr_stat_rows(a / np.sqrt(top), q / top, t / base, model, 0.0)
 
     with np.errstate(over="ignore"):
         lr = np.exp(w)
@@ -325,5 +350,4 @@ def lr_diagnostics(model: BlockEquicorrModel, epsilon: float, reps: int, seed: i
         "ks": ks,
         "n": n,
         "reps": reps,
-        "seed": int(seed),
     }

@@ -141,18 +141,20 @@ def raw_rows(master_seed: int, replication_ids, width: int) -> np.ndarray:
     width = int(width)
     ids = list(replication_ids)
     out = np.empty((len(ids), width), dtype=np.uint64)
-    key = np.array([int(master_seed) & _U64_MASK, 0], dtype=np.uint64)
+    key = [int(master_seed) & _U64_MASK, 0]
     # The state of a Philox generator that has just been keyed: zero counter,
-    # empty buffer (buffer_pos == 4 forces a refill on the first draw).
+    # empty buffer (buffer_pos == 4 forces a refill on the first draw).  The
+    # setter reads the words by index, and Python ints read faster than
+    # numpy scalars.
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    bits = np.random.Philox(key=key)
+    bits = np.random.Philox(key=0)  # re-keyed for every replication below
     for r, rep in enumerate(ids):
         key[1] = int(rep) & _U64_MASK
         bits.state = state

@@ -195,13 +195,25 @@ def test_generated_graph_node_count_is_checked(n):
 
 
 def test_serialization_round_trip():
+    # graph_from_dict passes the edges through make_graph, so the round trip
+    # also checks that each generated kind, built without make_graph, is the
+    # graph make_graph makes of its edges
     rng = np.random.default_rng(5002)
+    drawn = []
     for _ in range(10):
         n = int(rng.integers(1, 15))
         edges = [
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4
         ]
-        g = make_graph(n, edges)
+        drawn.append(make_graph(n, edges))
+    generated = [
+        generate_graph("star", n=7),
+        generate_graph("empty", n=3),
+        generate_graph("complete", n=6),
+        generate_graph("cluster", cs=[3, 1, 4, 2]),
+        generate_graph("cluster", cs=build_structure([2] * 5)),
+    ]
+    for g in drawn + generated:
         obj = graph_to_dict(g)
         assert sorted(obj) == ["edges", "n"]
         back = graph_from_dict(obj)

@@ -9,11 +9,12 @@ make sweep results reproducible.
 import hashlib
 import json
 import math
+import sys
 
 import pytest
 
 from lrvlab import InvalidInputError, block_model, build_structure, lr_diagnostics
-from lrvlab import sampler
+from lrvlab import harness, sampler
 from lrvlab.harness import (
     config_hash,
     load_config,
@@ -506,7 +507,10 @@ class TestReports:
         with pytest.raises(InvalidInputError):
             summarize(report, "xml")
 
-    def test_reports_identical_across_worker_counts(self):
+    @pytest.mark.parametrize("chunk_scalars", [sampler._CHUNK_SCALARS, 64], ids=["default", "64"])
+    def test_reports_identical_across_worker_counts(self, monkeypatch, chunk_scalars):
+        # at 64 scalars every cell has several chunks, so threads split cells
+        monkeypatch.setattr(sampler, "_CHUNK_SCALARS", chunk_scalars)
         entry_a = pairs_config(n_grid=[12, 24], replications=120)
         del entry_a["master_seed"]
         entry_b = {
@@ -532,9 +536,48 @@ class TestReports:
         }
         sweep = {"master_seed": 321, "experiments": [entry_a, entry_b, entry_c]}
         serial = run_from(sweep, threads=1)
-        threaded = run_from(sweep, threads=4)
-        assert summarize(serial, "csv") == summarize(threaded, "csv")
-        assert summarize(serial, "json") == summarize(threaded, "json")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a lost write would show
+        try:
+            for threads in (2, 4):
+                threaded = run_from(sweep, threads=threads)
+                assert summarize(serial, "csv") == summarize(threaded, "csv")
+                assert summarize(serial, "json") == summarize(threaded, "json")
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_failing_chunk_quarantines_only_its_cell(self, monkeypatch):
+        # Every chunk of the n = 24 cell that holds a replication >= 100
+        # fails, with its own message.  At 3 threads the cell's 19 chunks
+        # make runs from chunks 0, 6 and 12; the second and third runs fail,
+        # and the cell keeps the error of the second, the chunk at 96, as the
+        # serial run does.
+        entry = pairs_config(n_grid=[12, 24], replications=300)
+        del entry["master_seed"]
+        graph_entry = {
+            "experiment": "graph_estimation",
+            "design": {"structure": {"pattern": "pairs"}, "graphs": [{"kind": "cluster"}]},
+            "n_grid": [10],
+            "replications": 100,
+        }
+        sweep = {"master_seed": 40, "experiments": [entry, graph_entry]}
+        monkeypatch.setattr(sampler, "_CHUNK_SCALARS", 64)  # 16 replications per chunk
+        clean = run_from(sweep)
+        draw = harness.class_stat_rows
+
+        def failing_draw(model, master_seed, replications):
+            if master_seed == 41 and replications.stop > 100:
+                raise RuntimeError(f"no draw at {replications.start}")
+            return draw(model, master_seed, replications)
+
+        monkeypatch.setattr(harness, "class_stat_rows", failing_draw)
+        reports = [run_from(sweep, threads=threads) for threads in (1, 3)]
+        for report in reports:
+            first, failed, graph = report.cells
+            assert failed.error == "RuntimeError: no draw at 96"
+            assert failed.metrics == () and failed.M == 0
+            assert first == clean.cells[0] and graph == clean.cells[2]
+        assert summarize(reports[0], "json") == summarize(reports[1], "json")
 
     def test_reports_identical_across_chunk_sizes(self, monkeypatch):
         # chunk boundaries change batch shapes but never replication streams
