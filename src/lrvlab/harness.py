@@ -11,11 +11,13 @@ with the cell seed master_seed + i.  Graph cells consume n normals per
 replication (the O(n) mixing path, which the graph estimator needs):
 replication r reads its own stream, keyed (cell seed, r).  Estimator,
 contiguity and test cells draw each replication's class statistics
-(sampler.class_stat_rows): 3H + 1 words, where H counts the model's classes
-(the distinct (k, delta) among its blocks) and the last word is the
-randomization uniform of test cells.  They all come from one stream per
-cell, keyed (cell seed, 2**64 - 1): replication r reads its Philox blocks
-[r b, (r + 1) b), b = ceil((3H + 1) / 4).  The draw is at mu_bar = 0;
+(sampler.class_stat_rows): 11H + 1 words, where H counts the model's
+classes (the distinct (k, delta) among its blocks): one normal per class
+sum, five words per chi-square (two Marsaglia-Tsang attempts and a
+gammaincinv fallback, exact whichever fires), and last the randomization
+uniform of test cells.  They all come from one stream per cell, keyed
+(cell seed, 2**64 - 1): replication r reads its Philox blocks
+[r b, (r + 1) b), b = ceil((11H + 1) / 4).  The draw is at mu_bar = 0;
 estimator and test cells add M_h k_h mu_bar to each class sum A_h per mean,
 and contiguity cells turn the statistics into null N(0, I) statistics
 (likelihood.lr_draw).

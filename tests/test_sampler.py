@@ -11,7 +11,7 @@ import threading
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 from scipy.special import ndtri
 
 from lrvlab import (
@@ -298,7 +298,7 @@ class TestBlockStatRows:
     """The O(H) draw of the blocks' statistics by class
     (sampler.class_stat_rows): exact moments, the O(n) path in distribution,
     rows that do not depend on the range they are drawn in, the word layout
-    and the chi-square inversion."""
+    and the law of the chi-squares."""
 
     DESIGNS = {
         "single": ([50], [0.3]),
@@ -317,12 +317,32 @@ class TestBlockStatRows:
     @staticmethod
     def class_words(seed, reps, h):
         """Uniforms of replications 0..reps-1 by the documented layout:
-        replication r takes the first 3H + 1 words of the 4-word blocks
+        replication r takes the first 11H + 1 words of the 4-word blocks
         [r b, (r + 1) b) of the stream keyed (seed, 2**64 - 1), with
-        b = ceil((3H + 1) / 4)."""
-        b = -(-(3 * h + 1) // 4)
+        b = ceil((11H + 1) / 4)."""
+        b = -(-(11 * h + 1) // 4)
         stream = derive_stream(seed, 2**64 - 1).raw(reps * 4 * b)
-        return _to_uniform(stream.reshape(reps, 4 * b)[:, : 3 * h + 1])
+        return _to_uniform(stream.reshape(reps, 4 * b)[:, : 11 * h + 1])
+
+    @staticmethod
+    def chi_square_words(words, h, j):
+        """(z_1, u_1, z_2, u_2, fallback) words of chi-square j (Q_h for
+        j < H, T_(j - H) after), one row per replication."""
+        return [words[:, h + 2 * h * role + j] for role in range(5)]
+
+    @staticmethod
+    def attempt(nu, z_word, u_word):
+        """One Marsaglia-Tsang attempt at Gamma(nu / 2), as documented:
+        (accepted, 2 d v).  The cube is two products, as in the sampler, so
+        the bits agree."""
+        d = nu / 2.0 - 1.0 / 3.0
+        c = 1.0 / np.sqrt(9.0 * d)
+        z = ndtri(z_word)
+        v = 1.0 + c * z
+        v = v * v * v
+        with np.errstate(invalid="ignore", divide="ignore"):
+            accepted = (v > 0.0) & (np.log(u_word) < 0.5 * z * z + d - d * v + d * np.log(v))
+        return accepted, 2.0 * d * v
 
     @staticmethod
     def laws(model):
@@ -431,34 +451,68 @@ class TestBlockStatRows:
 
         model = self.model("mixed")
         h = 5
-        words = self.class_words(31, 6, h)
+        reps = 3000
+        words = self.class_words(31, reps, h)
         mass, var_a, scale_q, dof_q, scale_t, dof_t = self.laws(model)
-        a, q, t, u = class_stat_rows(model, 31, range(6))
+        a, q, t, u = class_stat_rows(model, 31, range(reps))
         assert_array_equal(a, np.sqrt(var_a) * ndtri(words[:, :h]))
-        for got, scale, dof, cols in (
-            (q, scale_q, dof_q, words[:, h : 2 * h]),
-            (t, scale_t, dof_t, words[:, 2 * h : 3 * h]),
+        assert_array_equal(u, words[:, 11 * h])
+        branches = {"first": 0, "second": 0, "fallback": 0}
+        # one value at a time, as the module docstring states the draw
+        for j, (got, scale, nu) in enumerate(
+            [(q[:, i], scale_q[i], dof_q[i]) for i in range(h)]
+            + [(t[:, i], scale_t[i], dof_t[i]) for i in range(h)]
         ):
-            live = dof > 0
-            chi2 = 2.0 * gammaincinv(dof[live] / 2.0, cols[:, live])
-            assert_array_equal(got[:, live], scale[live] * chi2)
-        assert_array_equal(u, words[:, 3 * h])
+            z1, u1, z2, u2, fallback = self.chi_square_words(words, h, j)
+            for r in range(reps):
+                if nu == 0:
+                    chi2 = 0.0
+                elif nu == 1:
+                    z = ndtri(z1[r])
+                    chi2 = z * z  # a numpy scalar's ** 2 may differ in the last bit
+                else:
+                    for branch, (z_word, u_word) in (("first", (z1[r], u1[r])), ("second", (z2[r], u2[r]))):
+                        accepted, chi2 = self.attempt(nu, z_word, u_word)
+                        if accepted:
+                            break
+                    else:
+                        branch, chi2 = "fallback", 2.0 * gammaincinv(nu / 2.0, fallback[r])
+                    branches[branch] += 1
+                assert got[r] == scale * chi2, (j, r)
+        # every branch of the draw was compared (dof 2 rejects twice ~0.24% of the time)
+        assert min(branches.values()) > 0, branches
 
-    @pytest.mark.parametrize("nu", [1, 19, 9999])
-    def test_residual_masses_invert_the_chi_square_cdf(self, nu):
-        from scipy.special import gammainc
+    @pytest.mark.parametrize("nu", [1, 2, 3, 19, 9999])
+    def test_chi_squares_follow_their_law(self, nu):
+        import scipy.stats
 
         delta = 0.25
-        ids = range(500)
-        u = self.class_words(77, 500, 1)
-        # one block of size nu + 1: T ~ (1 - delta) chi^2(nu), from word 2H = 2
+        ids = range(40_000)
+        law = scipy.stats.chi2(nu).cdf
+        # one block of size nu + 1: T ~ (1 - delta) chi^2(nu)
         one = block_model(build_structure([nu + 1]), [delta])
         t = class_stat_rows(one, 77, ids)[2][:, 0]
-        assert_allclose(gammainc(nu / 2.0, t / (2.0 * (1.0 - delta))), u[:, 2], rtol=0, atol=1e-13)
-        # nu + 1 pairs: Q ~ 2 (1 + delta) chi^2(nu), from word H = 1
+        assert scipy.stats.kstest(t / (1.0 - delta), law).pvalue > 1e-6
+        # nu + 1 pairs: Q ~ 2 (1 + delta) chi^2(nu)
         pairs = block_model(build_structure([2] * (nu + 1)), [delta] * (nu + 1))
         q = class_stat_rows(pairs, 77, ids)[1][:, 0]
-        assert_allclose(gammainc(nu / 2.0, q / (4.0 * (1.0 + delta))), u[:, 1], rtol=0, atol=1e-13)
+        assert scipy.stats.kstest(q / (2.0 * (1.0 + delta)), law).pvalue > 1e-6
+
+    def test_twice_rejected_values_invert_the_chi_square_cdf(self):
+        from scipy.special import gammaincinv
+
+        reps = 10_000
+        # three pairs: Q ~ 2 (1 + delta) chi^2(2), the chi-square of lowest
+        # acceptance; T ~ (1 - delta) chi^2(3)
+        model = block_model(build_structure([2] * 3), [0.25] * 3)
+        _, q, t, _ = class_stat_rows(model, 78, range(reps))
+        words = self.class_words(78, reps, 1)
+        for got, scale, j, nu in ((q[:, 0], 2.5, 0, 2), (t[:, 0], 0.75, 1, 3)):
+            z1, u1, z2, u2, fallback = self.chi_square_words(words, 1, j)
+            missed = ~self.attempt(nu, z1, u1)[0] & ~self.attempt(nu, z2, u2)[0]
+            assert_array_equal(got[missed], scale * 2.0 * gammaincinv(nu / 2.0, fallback[missed]))
+            if nu == 2:
+                assert np.count_nonzero(missed) > 0
 
     def test_zero_dof_classes_give_zero_not_nan(self):
         ids = range(50)
