@@ -22,17 +22,21 @@ estimator and test cells add M_h k_h mu_bar to each class sum A_h per mean,
 and contiguity cells turn the statistics into null N(0, I) statistics
 (likelihood.lr_draw).
 
-Threads: each cell is planned (model, kernels, graphs, accumulators) and its
-replication chunks (sampler._chunks, _class_chunks) are cut into
-min(threads, chunks) contiguous runs; a task evaluates one run, in the same
-loop a serial run uses, and the pool works through the tasks of every cell
-in order, so one large cell spreads over the workers instead of holding up
-the sweep.  Each replication's result is written by its index and a cell's
-metrics are computed once its tasks are done, so the report does not depend
-on the thread count.  A cell whose plan raises gets no tasks; a task that
-raises quarantines its cell with the error of the cell's first failing run,
-which is the same at any thread count.  With threads = 1 each cell is a
-single task, planned, run and finished before the next cell is planned.
+Threads: each cell is planned (model, kernels, graphs, and the keys of its
+per-replication values: an estimate per estimator or graph, the log-LR W of
+a contiguity cell, a rejection 1{p > u} per test and mean) and gets one
+array of length reps per key.  Its replication chunks (sampler._chunks,
+_class_chunks) are cut into min(threads, chunks) contiguous runs; a task
+evaluates one run in the harness's one chunk loop, which writes each
+replication's values by its index, and returns only its error.  The pool
+works through the tasks of every cell in order, so one large cell spreads
+over the workers instead of holding up the sweep.  A cell's metrics are
+computed from its filled arrays once its tasks are done (a test cell counts
+its rejections there), so the report does not depend on the thread count.
+A cell whose plan raises gets no tasks; a task that raises quarantines its
+cell with the error of the cell's first failing run, which is the same at
+any thread count.  With threads = 1 each cell is a single task, planned, run
+and finished before the next cell is planned.
 
 Each estimator and test is one kernel over the drawn class statistics,
 looked up by its config name (estimators.*_stat_rows,
@@ -85,6 +89,7 @@ import io
 import json
 import math
 import sys
+import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -109,7 +114,7 @@ from .estimators import (
 )
 from .graphs import generate_graph
 from .inference_tests import cluster_t_stat_rows, sign_test_stat_rows, z_test_stat_rows
-from .likelihood import lr_draw, lr_metrics
+from .likelihood import _check_budget, lr_draw, lr_metrics
 from .sampler import _chunks, _class_chunks, class_stat_rows, sample_rows
 
 @dataclass(frozen=True)
@@ -322,6 +327,8 @@ def _resolve_deltas(spec, cs: ClusterStructure):
 
 def _resolve_mu(entries, sigma_sq: float, n: int):
     """[(label, mu_bar)] from raw mu entries; drift c means c * sigma_LR / sqrt(n)."""
+    if not isinstance(entries, list) or not entries:
+        raise InvalidInputError(f"design.mu must be a nonempty list, got {entries!r}")
     resolved = []
     for entry in entries:
         if isinstance(entry, dict):
@@ -334,8 +341,6 @@ def _resolve_mu(entries, sigma_sq: float, n: int):
         else:
             value = _as_float(entry, "mu entry")
             resolved.append((repr(value), value))
-    if not resolved:
-        raise InvalidInputError("mu grid must be nonempty")
     return resolved
 
 
@@ -387,36 +392,26 @@ def _kernel_names(names, kernels: dict, what: str):
     return names
 
 
-def _class_stat_chunks(model, seed: int, chunks, mu_points):
-    """(lo, hi, label, A, Q, T, u) per chunk of replications and per mu point;
-    each chunk is drawn once at mu_bar = 0 and A shifted by M_h k_h mu_bar."""
-    mass = model.class_counts * model.class_sizes
-    for lo, hi in chunks:
-        a_0, q, t, u = class_stat_rows(model, seed, range(lo, hi))
-        for label, mu_bar in mu_points:
-            a = a_0 + mass * mu_bar if mu_bar != 0.0 else a_0
-            yield lo, hi, label, a, q, t, u
-
-
 @dataclass(frozen=True)
 class _Plan:
-    """A cell's work, in three parts.
+    """A cell's work.
 
-    chunks are the cell's replication ranges (lo, hi).  run(chunks) evaluates
-    a contiguous run of them into the cell's accumulators, writing each
-    replication's result by its index, and returns what finish needs beyond
-    them (a test cell's rejection counts, else None).  finish(partials) turns
-    the accumulators and the returns of the runs, in chunk order, into the
-    cell's metrics.  Runs over disjoint chunks may go concurrently.
+    chunks are the cell's replication ranges (lo, hi).  rows(lo, hi)
+    evaluates one chunk into one array of per-replication values per key of
+    keys, in that order; the cell writes each by its replication index into
+    an array of length reps per key.  finish(acc) turns those filled arrays,
+    a dict keyed like keys, into the cell's metrics.  Disjoint chunks may be
+    evaluated concurrently.
     """
 
     chunks: list
-    run: Callable
+    keys: list
+    rows: Callable
     finish: Callable
 
 
 def _plan_estimator_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) -> _Plan:
-    model, sigma_sq, mu_points = _resolve_cell(entry, cs)
+    model, sigma_sq, [(_, mu_bar)] = _resolve_cell(entry, cs)
     # The kernel tables are built per cell from the module names, so that
     # wrappers installed on those names (perfbench/spans.py) see the calls.
     kernels = {
@@ -427,31 +422,29 @@ def _plan_estimator_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: in
     names = _kernel_names(
         entry.design.get("estimators", ["cluster", "sample_variance"]), kernels, "estimator"
     )
-    reps = entry.replications
-    acc = {name: np.empty(reps) for name in names}
+    mass = model.class_counts * model.class_sizes
 
-    def run(chunks):
-        for lo, hi, _, a, q, t, _ in _class_stat_chunks(model, seed, chunks, mu_points):
-            for name in names:
-                acc[name][lo:hi] = kernels[name](a, q, t, model)
+    def rows(lo, hi):
+        a, q, t, _ = class_stat_rows(model, seed, range(lo, hi))
+        a = a + mass * mu_bar if mu_bar != 0.0 else a
+        return [kernels[name](a, q, t, model) for name in names]
 
-    def finish(_):
+    def finish(acc):
         return [m for name in names for m in _moment_metrics(name, acc[name], sigma_sq)]
 
-    return _Plan(list(_class_chunks(model, reps)), run, finish)
+    return _Plan(list(_class_chunks(model, entry.replications)), names, rows, finish)
 
 
 def _plan_contiguity_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) -> _Plan:
     model, _, _ = _resolve_cell(entry, cs)
     reps = entry.replications
-    w = np.empty(reps)
+    _check_budget(entry.epsilon, reps)
 
-    def run(chunks):
-        for lo, hi in chunks:
-            w[lo:hi] = lr_draw(model, seed, range(lo, hi))
+    def rows(lo, hi):
+        return [lr_draw(model, seed, range(lo, hi))]
 
-    def finish(_):
-        diag = lr_metrics(model, entry.epsilon, w)
+    def finish(acc):
+        diag = lr_metrics(model, entry.epsilon, acc["w"])
         metrics = [
             Metric("mean_lr", diag["mean_lr"], diag["se_mean_lr"]),
             Metric("moment_1pe", diag["moment_1pe"], diag["se_moment_1pe"]),
@@ -462,7 +455,7 @@ def _plan_contiguity_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: i
             metrics.append(Metric("ks", diag["ks"], 0.5 / math.sqrt(reps)))
         return metrics
 
-    return _Plan(list(_class_chunks(model, reps)), run, finish)
+    return _Plan(list(_class_chunks(model, reps)), ["w"], rows, finish)
 
 
 def _plan_test_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) -> _Plan:
@@ -473,24 +466,28 @@ def _plan_test_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) ->
     c = sigma_sq if z_bound == "oracle" else _as_float(z_bound, "z_bound")
     reps = entry.replications
     keys = [(name, label) for name in tests for label, _ in mu_points]
+    mass = model.class_counts * model.class_sizes
 
-    def run(chunks):
-        counts = dict.fromkeys(keys, 0)
-        for _, _, label, a, q, t, u in _class_stat_chunks(model, seed, chunks, mu_points):
-            for name in tests:
-                p = kernels[name](a, q, t, model, entry.alpha, c)[-1]
-                counts[(name, label)] += int(np.count_nonzero(p > u))
-        return counts
-
-    def finish(partials):
-        # keys, not a dict of totals: a repeated name must repeat its metric
-        totals = [(key, sum(counts[key] for counts in partials)) for key in keys]
+    def rows(lo, hi):
+        # each chunk is drawn once at mu_bar = 0, and A shifted by M_h k_h
+        # mu_bar per mean
+        a_0, q, t, u = class_stat_rows(model, seed, range(lo, hi))
+        shifted = [a_0 + mass * mu_bar if mu_bar != 0.0 else a_0 for _, mu_bar in mu_points]
         return [
-            Metric(f"{name}_reject[mu={label}]", k / reps, _proportion_se(k, reps))
-            for (name, label), k in totals
+            kernels[name](a, q, t, model, entry.alpha, c)[-1] > u
+            for name in tests
+            for a in shifted
         ]
 
-    return _Plan(list(_class_chunks(model, reps)), run, finish)
+    def finish(acc):
+        # keys, not the dict: a repeated name must repeat its metric
+        counts = [(key, int(np.count_nonzero(acc[key]))) for key in keys]
+        return [
+            Metric(f"{name}_reject[mu={label}]", k / reps, _proportion_se(k, reps))
+            for (name, label), k in counts
+        ]
+
+    return _Plan(list(_class_chunks(model, reps)), keys, rows, finish)
 
 
 def _plan_graph_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) -> _Plan:
@@ -507,23 +504,25 @@ def _plan_graph_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) -
         if not isinstance(gid, str):
             raise InvalidInputError(f"graph id must be a string, got {gid!r}")
         g = generate_graph(kind, cs=cs, n=cs.n)
-        g.clique_cover  # built here, once, not by whichever run reaches it first
+        g.clique_cover  # built here, once, not by whichever chunk reaches it first
         graphs.append((gid, g))
-    reps = entry.replications
-    acc = {gid: np.empty(reps) for gid, _ in graphs}
 
-    def run(chunks):
-        for lo, hi in chunks:
-            X = sample_rows(model, mu_bar, seed, range(lo, hi))
-            for gid, g in graphs:
-                acc[gid][lo:hi] = graph_rows(X, g)
+    # Each thread keeps its last chunk's rows until it draws the next chunk,
+    # as a loop variable would, so the allocator reuses their buffer: freed
+    # at the end of each chunk, their pages went back to the system and every
+    # chunk faulted them in again (16x the page faults at n = 10^4).
+    held = threading.local()
 
-    def finish(_):
+    def rows(lo, hi):
+        X = held.rows = sample_rows(model, mu_bar, seed, range(lo, hi))
+        return [graph_rows(X, g) for _, g in graphs]
+
+    def finish(acc):
         return [
             m for gid, _ in graphs for m in _moment_metrics(f"graph[{gid}]", acc[gid], sigma_sq)
         ]
 
-    return _Plan(list(_chunks(reps, cs.n)), run, finish)
+    return _Plan(list(_chunks(entry.replications, cs.n)), [gid for gid, _ in graphs], rows, finish)
 
 
 _PLANNERS = {
@@ -553,20 +552,22 @@ def _checked(metrics) -> tuple[Metric, ...]:
 
 
 class _Cell:
-    """One (design, n) cell of a sweep: its plan, the runs of chunks its
-    tasks evaluate, and the outcomes of those tasks as they come back.
+    """One (design, n) cell of a sweep: its plan, one array of length reps
+    per key of the plan, the runs of chunks its tasks evaluate into them, and
+    the count of runs still pending.
 
-    A cell whose plan raises is quarantined and has no runs.  Once the
-    outcome of its last run is in, the cell is finished: quarantined with the
-    error of its lowest-numbered failing run if one failed, else given the
-    metrics of its plan's finish step and the summary of its structure.
-    Then the structure, the plan and the accumulators it holds are dropped.
+    A cell whose plan raises is quarantined and has no runs.  Once its last
+    run is in, the cell is finished: quarantined with the error of its first
+    failing run if one failed (runs come back in task order, so it is the
+    lowest-numbered), else given the metrics of its plan's finish step and
+    the summary of its structure.  Then the structure, the plan and the
+    arrays are dropped.
     """
 
     def __init__(self, entry: ExperimentConfig, n: int, seed: int, threads: int):
         self.entry, self.n, self.seed = entry, n, seed
-        self.plan = self.error = None
-        self.metrics, self.runs, self.outcomes = (), [], []
+        self.plan = self.acc = self.error = None
+        self.metrics, self.runs = (), []
         self.summary = (0, 0, 0.0, 0.0)  # n_star, M, h, max_cluster_share
         try:
             self.cs = _resolve_structure(entry.design.get("structure"), n)
@@ -574,30 +575,30 @@ class _Cell:
         except Exception as exc:  # quarantine the cell, keep the sweep going
             self.cs, self.error = None, _describe(exc)
             return
+        self.acc = {key: np.empty(entry.replications) for key in self.plan.keys}
         # min(threads, chunks) contiguous runs of near-equal chunk counts
         # (one, possibly empty, when there are no chunks)
         chunks = self.plan.chunks
         parts = max(1, min(threads, len(chunks)))
         bounds = [len(chunks) * p // parts for p in range(parts + 1)]
         self.runs = [chunks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        self.pending = len(self.runs)
 
-    def collect(self, outcome: tuple) -> None:
-        """Take the (partial, error) outcome of the cell's next run."""
-        self.outcomes.append(outcome)
-        if len(self.outcomes) < len(self.runs):
+    def collect(self, error: str | None) -> None:
+        """Take the error (None if it succeeded) of the cell's next run."""
+        self.error = self.error or error
+        self.pending -= 1
+        if self.pending:
             return
-        errors = [error for _, error in self.outcomes if error is not None]
-        if errors:
-            self.error = errors[0]
-        else:
+        if self.error is None:
             try:
-                metrics = _checked(self.plan.finish([partial for partial, _ in self.outcomes]))
+                metrics = _checked(self.plan.finish(self.acc))
                 cs = self.cs
                 self.summary = (cs.n_star, cs.M, cs.heterogeneity, max_cluster_share(cs))
                 self.metrics = metrics
             except Exception as exc:  # quarantine the cell, keep the sweep going
                 self.error = _describe(exc)
-        self.cs = self.plan = self.outcomes = None
+        self.cs = self.plan = self.acc = None
 
     def result(self) -> CellResult:
         n_star, M, h, share = self.summary
@@ -617,13 +618,18 @@ class _Cell:
 
 
 def _run_task(task):
-    """(cell, (partial, None)) from one run of a cell's chunks, or
-    (cell, (None, error)) when it raises."""
+    """(cell, None) once one run of a cell's chunks has written each chunk's
+    rows by replication index into the cell's arrays, or (cell, error) when
+    it raises.  This is the harness's one chunk loop."""
     cell, run = task
+    plan, acc = cell.plan, cell.acc
     try:
-        return cell, (cell.plan.run(run), None)
+        for lo, hi in run:
+            for key, values in zip(plan.keys, plan.rows(lo, hi)):
+                acc[key][lo:hi] = values
     except Exception as exc:  # quarantined by the cell once its runs are in
-        return cell, (None, _describe(exc))
+        return cell, _describe(exc)
+    return cell, None
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +664,8 @@ def run_sweep(entries, master_seed: int, threads: int = 1) -> ExperimentReport:
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # Executor.map submits every task at once and yields the outcomes in
         # task order; the built-in map runs each task when its outcome is read.
-        for cell, outcome in (pool.map if threads > 1 else map)(_run_task, tasks()):
-            cell.collect(outcome)
+        for cell, error in (pool.map if threads > 1 else map)(_run_task, tasks()):
+            cell.collect(error)
     return ExperimentReport(
         version=__version__,
         master_seed=master_seed,

@@ -11,6 +11,7 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from lrvlab import InvalidInputError, block_model, build_structure, lr_diagnostics
@@ -22,6 +23,7 @@ from lrvlab.harness import (
     run_sweep,
     summarize,
 )
+from lrvlab.inference_tests import sign_test_stat_rows, z_test_stat_rows
 
 CSV_HEADER = "experiment,design_id,n,n_star,M,h,metric,value,se,reps,seed"
 
@@ -210,6 +212,15 @@ class TestCellEvaluation:
         assert abs(null_rate.value - 0.05) < 5 * null_rate.se
         # drift 5 puts the z statistic at mean 5: essentially always rejects
         assert by_name["z_reject[mu=drift5.0]"].value > 0.95
+        # each replication's rejection is counted once: every rate equals a
+        # direct count over the cell's class draw (cell seed 6004, sigma^2 = 1)
+        model = block_model(build_structure([1] * 50), [0.0] * 50)
+        a, q, t, u = sampler.class_stat_rows(model, 6004, range(400))
+        mass = model.class_counts * model.class_sizes
+        for label, mu_bar in (("0.0", 0.0), ("drift5.0", 5.0 / math.sqrt(50))):
+            for name, kernel in (("sign", sign_test_stat_rows), ("z", z_test_stat_rows)):
+                p = kernel(a + mass * mu_bar, q, t, model, 0.05, 1.0)[-1]
+                assert by_name[f"{name}_reject[mu={label}]"].value == np.count_nonzero(p > u) / 400
 
     def test_explicit_z_bound_is_used(self):
         base = {
@@ -307,6 +318,21 @@ class TestQuarantine:
         assert cell.error is not None
         assert cell.error.startswith("DegenerateDataError: ")
         assert cell.metrics == ()
+
+    def test_contiguity_below_the_lr_budget_is_refused_before_drawing(self, monkeypatch):
+        def no_draw(model, seed, replications):
+            raise AssertionError("a refused cell must not draw")
+
+        monkeypatch.setattr(harness, "lr_draw", no_draw)
+        cfg = {
+            "experiment": "contiguity",
+            "design": {"structure": {"pattern": "pairs"}},
+            "n_grid": [10],
+            "replications": 999,
+            "master_seed": 3,
+        }
+        (cell,) = run_from(cfg).cells
+        assert cell.error == "InvalidInputError: lr diagnostics need reps >= 1000"
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_metrics_are_quarantined(self):
@@ -432,10 +458,14 @@ class TestQuarantine:
             ("graph_estimation", "graphs", [{"id": [1], "kind": "empty"}], "graph id"),
             ("test_size_power", "tests", [], "design.tests"),
             ("estimator_consistency", "estimators", [], "design.estimators"),
+            ("test_size_power", "mu", 5, "design.mu"),
+            ("test_size_power", "mu", {"drift": 1.0}, "design.mu"),
+            ("test_size_power", "mu", None, "design.mu"),
+            ("test_size_power", "mu", [], "design.mu"),
         ],
         ids=[
             "tests-int", "estimators-string", "estimators-null", "graphs-int", "graph-id-list",
-            "tests-empty", "estimators-empty",
+            "tests-empty", "estimators-empty", "mu-int", "mu-object", "mu-null", "mu-empty",
         ],
     )
     def test_design_lists_are_type_checked(self, kind, field, value, message):
@@ -546,14 +576,23 @@ class TestReports:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_failing_chunk_quarantines_only_its_cell(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "experiment, design",
+        [
+            ("estimator_consistency", {"estimators": ["cluster", "sample_variance"]}),
+            ("test_size_power", {"tests": ["sign", "cluster_t", "z"], "mu": [0.0, {"drift": 2.0}]}),
+        ],
+        ids=["estimator", "test"],
+    )
+    def test_failing_chunk_quarantines_only_its_cell(self, monkeypatch, experiment, design):
         # Every chunk of the n = 24 cell that holds a replication >= 100
         # fails, with its own message.  At 3 threads the cell's 19 chunks
         # make runs from chunks 0, 6 and 12; the second and third runs fail,
         # and the cell keeps the error of the second, the chunk at 96, as the
         # serial run does.
-        entry = pairs_config(n_grid=[12, 24], replications=300)
-        del entry["master_seed"]
+        entry = pairs_config(experiment=experiment, n_grid=[12, 24], replications=300)
+        del entry["master_seed"], entry["design"]["estimators"]
+        entry["design"].update(design)
         graph_entry = {
             "experiment": "graph_estimation",
             "design": {"structure": {"pattern": "pairs"}, "graphs": [{"kind": "cluster"}]},
