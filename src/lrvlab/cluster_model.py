@@ -20,7 +20,7 @@ appear only in oracles and validators and are capped at DENSE_N_CAP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 import math
 
 import numpy as np
@@ -277,8 +277,6 @@ def long_run_variance(model: BlockEquicorrModel) -> float:
 
 def block_sums(X, cs: ClusterStructure) -> np.ndarray:
     """S1: the sum of each row of a (B, n) matrix over each block, (B, M)."""
-    if cs.M == cs.n:
-        return X
     return np.add.reduceat(X, cs.starts, axis=-1)
 
 
@@ -303,33 +301,26 @@ def class_stats(X, model: BlockEquicorrModel):
 
     a = per_class(s1)
     dev = s1 - (a / model.class_counts)[..., model.classes]
-    if cs.M == cs.n:  # all singletons: no residual mass
-        return a, per_class(dev * dev), np.zeros_like(a)
     resid = X - np.repeat(s1 / cs.sizes_array, cs.sizes_array, axis=-1)
     t_block = np.add.reduceat(resid * resid, cs.starts, axis=-1)
     return a, per_class(dev * dev), per_class(t_block)
 
 
-@lru_cache(maxsize=8)
-def _singletons_model(n: int) -> BlockEquicorrModel:
-    """The identity model on n singletons, built once per n."""
-    return BlockEquicorrModel(build_structure([1] * n), (0.0,) * n)
-
-
 def row_stats(X, cs: ClusterStructure | None = None):
     """(A, Q, T, model) of data rows X (B, n), in the argument order of the
-    estimator and test kernels: class_stats under the identity model on cs,
-    or on n singletons when cs is None (that model is shared by every call
-    at one n).  The kernels read only the class sizes and counts of that
-    model, so the deltas do not matter.  Raises InvalidInputError when the
-    rows do not have length cs.n."""
+    estimator and test kernels: class_stats under the identity model on cs.
+    When cs is None the rows are one block of n: the statistics that ignore
+    the structure read a row only through its total A and its square mass T
+    about the mean, and one block gives both in O(1) model work.  The
+    kernels read only the class sizes and counts of that model, so the
+    deltas do not matter.  Raises InvalidInputError when the rows do not
+    have length cs.n."""
     X = np.asarray(X, dtype=np.float64)
     if cs is None:
-        model = _singletons_model(X.shape[-1])
+        cs = build_structure([X.shape[-1]])
     elif X.shape[-1] != cs.n:
         raise InvalidInputError(f"data has length {X.shape[-1]}, structure has n = {cs.n}")
-    else:
-        model = BlockEquicorrModel(cs, (0.0,) * cs.M)
+    model = BlockEquicorrModel(cs, (0.0,) * cs.M)
     return (*class_stats(X, model), model)
 
 

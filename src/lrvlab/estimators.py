@@ -21,7 +21,7 @@ sizes and counts (the cluster estimator ignores T; the test kernels of
 inference_tests share the signature, so the harness looks kernels up by
 name).  The data-row forms reduce X with cluster_model.row_stats and call
 that kernel; the harness calls it on the statistics it draws directly.
-Without a structure, every observation is its own block.
+Without a structure, the rows are reduced as one block of n.
 """
 
 from __future__ import annotations

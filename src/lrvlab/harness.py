@@ -79,6 +79,13 @@ one-entry sweep):
 Only test_size_power accepts a multi-point mu grid; the other kinds require
 exactly one mean (default 0), and contiguity, whose data are null N(0, I)
 draws, only mu_bar = 0.
+
+A key outside this schema is refused with an error naming it, since a
+misspelled key would silently run the defaults.  At the top level, in an
+entry or in a design it ends the run (load_config); in a structure, deltas
+or graph spec it quarantines the cell.  A structure takes "clusters" only
+with the equal pattern and "sizes" only with explicit; deltas take "values"
+with the explicit scheme and "value" with the others.
 """
 
 from __future__ import annotations
@@ -166,12 +173,13 @@ class ExperimentReport:
 
 
 def load_config(source) -> tuple[int, list[ExperimentConfig]]:
-    """Parse a config (path, JSON string handle, or dict) into experiments.
+    """Parse a config (a path to a JSON file, or a dict) into experiments.
 
     Returns (master_seed, entries).  Accepts a sweep {"master_seed": ...,
     "experiments": [...]}, whose entries must not carry their own master_seed,
     or a single experiment object, read as a one-entry sweep with the
-    object's master_seed.
+    object's master_seed.  A key outside the schema at the top level, in an
+    entry or in a design raises InvalidInputError naming it.
     """
     if isinstance(source, dict):
         obj = source
@@ -183,6 +191,7 @@ def load_config(source) -> tuple[int, list[ExperimentConfig]]:
     if "experiments" not in obj:
         entry = dict(obj)
         obj = {"master_seed": entry.pop("master_seed", None), "experiments": [entry]}
+    _known_keys(obj, _SWEEP_KEYS, "top-level")
     seed = require_int(obj.get("master_seed"), "top-level master_seed")
     raw_entries = obj["experiments"]
     if not isinstance(raw_entries, list) or not raw_entries:
@@ -195,6 +204,24 @@ def load_config(source) -> tuple[int, list[ExperimentConfig]]:
             raise InvalidInputError("sweep entries must not carry master_seed (set it top-level)")
         entries.append(_parse_entry(raw, pos))
     return seed, entries
+
+
+# The keys of the config schema (module docstring).  One design key set
+# serves every experiment kind; each kind reads the keys it needs.
+_SWEEP_KEYS = ("master_seed", "experiments")
+_ENTRY_KEYS = ("experiment", "design", "n_grid", "replications", "alpha", "epsilon")
+_DESIGN_KEYS = ("id", "structure", "deltas", "mu", "estimators", "tests", "z_bound", "graphs")
+# The keys each structure pattern reads besides "pattern".
+_PATTERN_KEYS = {"pairs": (), "single": (), "singletons": (), "equal": ("clusters",), "explicit": ("sizes",)}
+
+
+def _known_keys(obj: dict, known, where: str) -> None:
+    """Refuse a misspelled key, which would otherwise run the defaults."""
+    for key in obj:
+        if key not in known:
+            raise InvalidInputError(
+                f"unknown {where} key {key!r} (expected one of {', '.join(known)})"
+            )
 
 
 def _as_float(value, name: str) -> float:
@@ -211,6 +238,7 @@ def _as_float(value, name: str) -> float:
 
 
 def _parse_entry(raw: dict, pos: int) -> ExperimentConfig:
+    _known_keys(raw, _ENTRY_KEYS, "experiment entry")
     kind = raw.get("experiment")
     if kind not in EXPERIMENT_KINDS:
         raise InvalidInputError(
@@ -219,6 +247,7 @@ def _parse_entry(raw: dict, pos: int) -> ExperimentConfig:
     design = raw.get("design")
     if not isinstance(design, dict) or "structure" not in design:
         raise InvalidInputError("design must be an object with a structure entry")
+    _known_keys(design, _DESIGN_KEYS, "design")
     n_grid = raw.get("n_grid")
     if not isinstance(n_grid, list) or not n_grid:
         raise InvalidInputError("n_grid must be a nonempty list")
@@ -274,6 +303,9 @@ def _resolve_structure(spec, n: int) -> ClusterStructure:
     if not isinstance(spec, dict) or "pattern" not in spec:
         raise InvalidInputError('structure must be {"pattern": ...}')
     pattern = spec["pattern"]
+    if not isinstance(pattern, str) or pattern not in _PATTERN_KEYS:
+        raise InvalidInputError(f"unknown structure pattern {pattern!r}")
+    _known_keys(spec, ("pattern", *_PATTERN_KEYS[pattern]), "structure")
     if pattern == "pairs":
         if n % 2:
             raise InvalidInputError(f"pairs pattern needs even n, got {n}")
@@ -287,17 +319,15 @@ def _resolve_structure(spec, n: int) -> ClusterStructure:
         if k < 1 or n % k:
             raise InvalidInputError(f"equal pattern needs n divisible by clusters={k}")
         return build_structure([n // k] * k)
-    if pattern == "explicit":
-        sizes = spec.get("sizes")
-        if not isinstance(sizes, list) or not sizes:
-            raise InvalidInputError("explicit pattern needs a sizes list")
-        cs = build_structure(sizes)
-        if cs.n != n:
-            raise InvalidInputError(
-                f"explicit sizes sum to {cs.n} but the grid asks for n = {n}"
-            )
-        return cs
-    raise InvalidInputError(f"unknown structure pattern {pattern!r}")
+    sizes = spec.get("sizes")  # the explicit pattern
+    if not isinstance(sizes, list) or not sizes:
+        raise InvalidInputError("explicit pattern needs a sizes list")
+    cs = build_structure(sizes)
+    if cs.n != n:
+        raise InvalidInputError(
+            f"explicit sizes sum to {cs.n} but the grid asks for n = {n}"
+        )
+    return cs
 
 
 def _resolve_deltas(spec, cs: ClusterStructure):
@@ -306,6 +336,7 @@ def _resolve_deltas(spec, cs: ClusterStructure):
     if not isinstance(spec, dict) or "scheme" not in spec:
         raise InvalidInputError('deltas must be {"scheme": ...}')
     scheme = spec["scheme"]
+    _known_keys(spec, ("scheme", "values" if scheme == "explicit" else "value"), "deltas")
     if scheme == "explicit":
         values = spec.get("values")
         if not isinstance(values, list) or len(values) != cs.M:
@@ -467,6 +498,11 @@ def _plan_test_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) ->
     reps = entry.replications
     keys = [(name, label) for name in tests for label, _ in mu_points]
     mass = model.class_counts * model.class_sizes
+    # Each kernel checks alpha, c and the clusters on an empty batch, so a
+    # refused cell is quarantined before it draws.
+    empty = np.empty((0, mass.size))
+    for name in tests:
+        kernels[name](empty, empty, empty, model, entry.alpha, c)
 
     def rows(lo, hi):
         # each chunk is drawn once at mu_bar = 0, and A shifted by M_h k_h
@@ -499,6 +535,7 @@ def _plan_graph_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) -
     for pos, spec in enumerate(specs):
         if not isinstance(spec, dict):
             raise InvalidInputError(f"design.graphs entries must be objects, got {spec!r}")
+        _known_keys(spec, ("id", "kind"), "graph")
         kind = spec.get("kind")
         gid = spec.get("id", f"{kind}-{pos}")
         if not isinstance(gid, str):

@@ -17,8 +17,8 @@ the sign test, 1{statistic > critical} for the others.  A row rejects when
 p > u for its randomization uniform u, which the sampler draws strictly
 inside (0, 1).  The harness looks the kernels up by name.  The scalar
 operations (returning a TestOutcome) and the *_rows forms (per-row rejection
-indicators of a (B, n) batch) reduce the data with cluster_model.row_stats,
-over singletons for the sign and z tests, and call the same kernel.
+indicators of a (B, n) batch) reduce the data with cluster_model.row_stats
+and call the same kernel.
 """
 
 from __future__ import annotations

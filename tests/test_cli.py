@@ -142,6 +142,15 @@ class TestRun:
         assert err.startswith("lrvlab:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_misspelled_key_fails_cleanly(self, tmp_path):
+        cfg = dict(BASE_CONFIG, design=dict(BASE_CONFIG["design"], estimator=["cluster"]))
+        path = write_config(tmp_path, cfg)
+        out_dir = tmp_path / "x"
+        code, out, err = invoke(["run", "--config", str(path), "--out", str(out_dir)])
+        assert code == 1 and out == ""
+        assert err.startswith("lrvlab: unknown design key 'estimator' ") and err.count("\n") == 1
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "field, value",
         [

@@ -7,7 +7,7 @@ an oracle for itself.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose, assert_equal
 
 from lrvlab import (
     BudgetExceededError,
@@ -24,6 +24,8 @@ from lrvlab import (
     spectral_block,
 )
 from lrvlab.cluster_model import class_stats, row_stats
+from lrvlab.estimators import sample_variance_stat_rows, second_moment_stat_rows
+from lrvlab.inference_tests import sign_test_stat_rows, z_test_stat_rows
 from lrvlab.sampler import sample_rows
 
 
@@ -439,11 +441,21 @@ def test_class_stats_masses_survive_a_large_mean():
     assert q[0, 0] == 4.5  # block sums 3e9 + 3 and 3e9 about their mean
 
 
-def test_row_stats_shares_one_singleton_model_per_n():
-    X = np.random.default_rng(2013).normal(size=(3, 50))
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 2000])
+def test_structure_free_rows_are_one_block(n):
+    """Without a structure, rows reduce as one block of n, and the kernels
+    that ignore the structure give the same bits as over n singletons."""
+    rng = np.random.default_rng(1800 + n)
+    scales = np.logspace(-3, 3, 13)[:, np.newaxis]
+    X = scales * (rng.normal(size=(13, n)) + rng.uniform(-10.0, 10.0, size=(13, 1)))
     *stats, model = row_stats(X)
-    assert row_stats(X[:1])[3] is model
-    assert row_stats(X[:, :40])[3].structure.n == 40
-    fresh = block_model(build_structure([1] * 50), [0.0] * 50)
-    for got, want in zip(stats, class_stats(X, fresh)):
-        assert_array_equal(got, want)
+    assert model.structure.M == 1
+    singletons = row_stats(X, build_structure([1] * n))
+    kernels = [
+        (sample_variance_stat_rows, ()),
+        (second_moment_stat_rows, ()),
+        (sign_test_stat_rows, (0.05,)),
+        (z_test_stat_rows, (0.05, 1.7)),
+    ]
+    for kernel, args in kernels:
+        assert_equal(kernel(*stats, model, *args), kernel(*singletons, *args))

@@ -117,6 +117,20 @@ class TestLoadConfig:
         with pytest.raises(InvalidInputError):
             load_config(pairs_config(design={"no_structure": 1}))
 
+    @pytest.mark.parametrize(
+        "level, key",
+        [("top-level", "master_sed"), ("experiment entry", "alfa"), ("design", "delta")],
+    )
+    def test_unknown_keys_are_refused(self, level, key):
+        # a misspelled key would otherwise run the defaults under the design's label
+        entry = pairs_config()
+        del entry["master_seed"]
+        cfg = {"master_seed": 1, "experiments": [entry]}
+        target = {"top-level": cfg, "experiment entry": entry, "design": entry["design"]}[level]
+        target[key] = 0.5
+        with pytest.raises(InvalidInputError, match=f"^unknown {level} key '{key}' "):
+            load_config(cfg)
+
 
 class TestCellEvaluation:
     def test_estimator_cell_metrics_and_truth_wiring(self):
@@ -422,6 +436,65 @@ class TestQuarantine:
         cfg["design"]["mu"] = mu
         (cell,) = run_from(cfg).cells
         assert cell.error is not None and message in cell.error
+
+    @pytest.mark.parametrize(
+        "kind, design, message",
+        [
+            (
+                "estimator_consistency",
+                {"structure": {"pattern": "pairs", "clusters": 5}},
+                "unknown structure key 'clusters'",
+            ),
+            (
+                "estimator_consistency",
+                {"structure": {"pattern": "equal", "cluster": 5}},
+                "unknown structure key 'cluster'",
+            ),
+            (
+                "estimator_consistency",
+                {"structure": {"pattern": "pairs"}, "deltas": {"scheme": "constant", "values": [0.5]}},
+                "unknown deltas key 'values'",
+            ),
+            (
+                "graph_estimation",
+                {"structure": {"pattern": "pairs"}, "graphs": [{"id": "g", "type": "empty"}]},
+                "unknown graph key 'type'",
+            ),
+        ],
+        ids=["pairs-clusters", "equal-cluster", "constant-values", "graph-type"],
+    )
+    def test_unknown_spec_keys_are_quarantined(self, kind, design, message):
+        cfg = pairs_config(replications=100, experiment=kind, n_grid=[10])
+        cfg["design"] = design
+        (cell,) = run_from(cfg).cells
+        assert cell.metrics == ()
+        assert cell.error.startswith(f"InvalidInputError: {message} ")
+
+    @pytest.mark.parametrize(
+        "design, alpha, message",
+        [
+            (
+                {"structure": {"pattern": "single"}, "tests": ["sign", "cluster_t"]},
+                0.05,
+                "the cluster t-test needs at least two clusters",
+            ),
+            ({"structure": {"pattern": "pairs"}, "tests": ["sign"]}, 0.5, "alpha must lie in (0, 1/2), got 0.5"),
+            (
+                {"structure": {"pattern": "pairs"}, "tests": ["z"], "z_bound": 0},
+                0.05,
+                "variance bound c must be positive, got 0.0",
+            ),
+        ],
+        ids=["cluster-t-one-cluster", "sign-alpha-half", "z-bound-zero"],
+    )
+    def test_refused_test_kernels_quarantine_before_drawing(self, monkeypatch, design, alpha, message):
+        def no_draw(model, seed, replications):
+            raise AssertionError("a refused cell must not draw")
+
+        monkeypatch.setattr(harness, "class_stat_rows", no_draw)
+        cfg = pairs_config(experiment="test_size_power", design=design, alpha=alpha, n_grid=[10])
+        (cell,) = run_from(cfg).cells
+        assert cell.error == f"InvalidInputError: {message}"
 
     def test_bad_mu_entry(self):
         cfg = pairs_config(replications=100)
