@@ -39,28 +39,49 @@ DENSE_N_CAP = 2048
 
 @dataclass(frozen=True)
 class ClusterStructure:
-    """A partition of {1,..,n} into M consecutive clusters.
+    """A partition of {1,..,n} into M consecutive clusters, validated on
+    construction.
 
-    Attributes
-    ----------
-    sizes : tuple of int
-        Cluster sizes n_m in index order.
-    n : int
-        Total number of observations, sum of sizes.
-    n_star : int
-        Number of observations living in non-singleton clusters.
-    M : int
-        Number of clusters.
-    heterogeneity : float
-        h = sum over non-singleton clusters of (n_m / n_star)^2, in [0, 1];
-        0 exactly when there are no non-singleton clusters.
+    sizes holds the cluster sizes n_m in index order; an empty list, a size
+    that is not an integer (a float or bool is refused, not converted) or a
+    size < 1 raises InvalidInputError.  dataclasses.replace re-validates, so
+    no invalid structure can be built.  The summaries derive from sizes:
+
+    n : total number of observations, sum of sizes.
+    n_star : number of observations living in non-singleton clusters.
+    M : number of clusters.
+    heterogeneity : h = sum over non-singleton clusters of (n_m / n_star)^2,
+        in [0, 1]; 0 exactly when there are no non-singleton clusters.
     """
 
     sizes: tuple[int, ...]
-    n: int
-    n_star: int
-    M: int
-    heterogeneity: float
+
+    def __post_init__(self):
+        try:
+            sizes = tuple(require_int(s, "cluster size") for s in self.sizes)
+        except TypeError:
+            raise InvalidInputError(f"cluster sizes must be integers, got {self.sizes!r}") from None
+        if not sizes:
+            raise InvalidInputError("cluster size list is empty")
+        if any(s < 1 for s in sizes):
+            raise InvalidInputError(f"cluster sizes must be >= 1, got {min(sizes)}")
+        object.__setattr__(self, "sizes", sizes)
+
+    @cached_property
+    def n(self) -> int:
+        return sum(self.sizes)
+
+    @cached_property
+    def n_star(self) -> int:
+        return sum(s for s in self.sizes if s >= 2)
+
+    @cached_property
+    def M(self) -> int:
+        return len(self.sizes)
+
+    @cached_property
+    def heterogeneity(self) -> float:
+        return sum(((s / self.n_star) ** 2 for s in self.sizes if s >= 2), 0.0)
 
     @cached_property
     def starts(self) -> np.ndarray:
@@ -72,29 +93,7 @@ class ClusterStructure:
         return np.asarray(self.sizes, dtype=np.intp)
 
 
-def build_structure(sizes) -> ClusterStructure:
-    """Validate a list of cluster sizes and derive the summary statistics.
-
-    Raises InvalidInputError on an empty list, a size that is not an
-    integer (a float or bool is refused, not converted) or any size < 1.
-    """
-    try:
-        sizes = tuple(require_int(s, "cluster size") for s in sizes)
-    except TypeError:
-        raise InvalidInputError(f"cluster sizes must be integers, got {sizes!r}") from None
-    if not sizes:
-        raise InvalidInputError("cluster size list is empty")
-    if any(s < 1 for s in sizes):
-        raise InvalidInputError(f"cluster sizes must be >= 1, got {min(sizes)}")
-    n = sum(sizes)
-    n_star = sum(s for s in sizes if s >= 2)
-    if n_star > 0:
-        h = sum((s / n_star) ** 2 for s in sizes if s >= 2)
-    else:
-        h = 0.0
-    return ClusterStructure(
-        sizes=sizes, n=n, n_star=n_star, M=len(sizes), heterogeneity=h
-    )
+build_structure = ClusterStructure
 
 
 def max_cluster_share(cs: ClusterStructure) -> float:
@@ -256,13 +255,13 @@ class BlockSpectrum:
 
 def spectral_block(k: int, delta: float) -> BlockSpectrum:
     """Closed-form spectrum of (1 - delta) I_k + delta 11': the one block of
-    BlockEquicorrModel(build_structure([k]), [delta]).
+    BlockEquicorrModel(ClusterStructure([k]), [delta]).
 
     Raises InvalidInputError when k is not an integer >= 1 and
     ModelInvalidError when the block is not positive definite.  For k = 1 the
     block is the 1x1 identity regardless of delta.
     """
-    return BlockEquicorrModel(build_structure([k]), [delta]).spectrum(0)
+    return BlockEquicorrModel(ClusterStructure([k]), [delta]).spectrum(0)
 
 
 def long_run_variance(model: BlockEquicorrModel) -> float:
@@ -313,11 +312,13 @@ def row_stats(X, cs: ClusterStructure | None = None):
     the structure read a row only through its total A and its square mass T
     about the mean, and one block gives both in O(1) model work.  The
     kernels read only the class sizes and counts of that model, so the
-    deltas do not matter.  Raises InvalidInputError when the rows do not
-    have length cs.n."""
+    deltas do not matter.  Raises InvalidInputError when the rows are empty
+    or do not have length cs.n."""
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 0 or X.shape[-1] == 0:
+        raise InvalidInputError(f"data rows must be nonempty, got shape {X.shape}")
     if cs is None:
-        cs = build_structure([X.shape[-1]])
+        cs = ClusterStructure([X.shape[-1]])
     elif X.shape[-1] != cs.n:
         raise InvalidInputError(f"data has length {X.shape[-1]}, structure has n = {cs.n}")
     model = BlockEquicorrModel(cs, (0.0,) * cs.M)

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the package, and its one integer reader.
+"""Exception taxonomy shared across the package, its one integer reader and
+its JSON object reader.
 
 All exceptions derive from ValueError so callers that only want "bad input"
 semantics can catch one base class.
@@ -44,3 +45,15 @@ def require_int(value, name: str) -> int:
         except TypeError:
             pass
     raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
+def unique_keys(pairs) -> dict:
+    """A json object_pairs_hook: the object as a dict, or InvalidInputError
+    naming a key that appears twice in it (json.load would keep the last
+    value without a word)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InvalidInputError(f"repeated JSON key {key!r}")
+        obj[key] = value
+    return obj

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cluster_model import ClusterStructure, build_structure
+from .cluster_model import ClusterStructure
 from .errors import InvalidInputError, require_int
 
 # Exact max-clique search is confined to graphs this small; beyond it a
@@ -29,29 +29,48 @@ from .errors import InvalidInputError, require_int
 EXACT_CLIQUE_CAP = 64
 
 # generate_graph refuses a graph with more edges than this before building
-# any: each edge is a Python tuple, and 10**6 of them take ~1.5 s to build.
+# any: it bounds the memory of the edge array (16 bytes an edge) and the
+# O(n + E) work of the graph estimator on each row.
 GENERATED_EDGE_CAP = 10**6
 
 # Number of highest-degree seeds the greedy lower bound grows cliques from.
 _GREEDY_SEEDS = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DependencyGraph:
-    """An undirected graph on n nodes; edges are (i, j) pairs with i < j."""
+    """An undirected graph on n nodes, validated on construction.
+
+    edges may be given as any (E, 2) array of integer pairs; it is stored as
+    a read-only (E, 2) intp array of the distinct pairs (i, j) with i < j in
+    lexicographic order, so reversed and repeated pairs are one edge.  An n
+    that is not an integer >= 1, an edge array of another shape or of a
+    non-integer dtype (floats and bools are refused, not converted), a
+    self-loop and an out-of-range endpoint raise InvalidInputError;
+    dataclasses.replace re-validates.  Graphs compare by identity.
+    """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    edges: np.ndarray
 
-    @cached_property
-    def _edge_array(self) -> np.ndarray:
-        if not self.edges:
-            return np.empty((0, 2), dtype=np.intp)
-        return np.asarray(sorted(self.edges), dtype=np.intp)
-
-    def edge_array(self) -> np.ndarray:
-        """Edges as a deterministically ordered (E, 2) array."""
-        return self._edge_array
+    def __post_init__(self):
+        n = _node_count(self.n)
+        edges = np.asarray(self.edges)
+        if not edges.size:
+            edges = np.empty((0, 2), dtype=np.intp)
+        if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+            raise InvalidInputError(f"edges must be integer pairs, got {edges.dtype} {edges.shape}")
+        lo, hi = edges.min(axis=1), edges.max(axis=1)
+        for e in edges[(lo < 0) | (hi >= n)][:1]:
+            raise InvalidInputError(f"edge ({e[0]}, {e[1]}) out of range for n = {n}")
+        for node in lo[lo == hi][:1]:
+            raise InvalidInputError(f"self-loop at node {node}")
+        # Sort the pairs (i, j), i < j, and keep the first of each run of equals.
+        edges = np.column_stack((lo, hi)).astype(np.intp)[np.lexsort((hi, lo))]
+        edges = edges[np.diff(edges, axis=0, prepend=-1).any(axis=1)]
+        edges.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
     @cached_property
     def clique_cover(self) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray | None]:
@@ -68,7 +87,7 @@ class DependencyGraph:
         vector d,
         d'(I + A)d = sum_i w_i d_i^2 + sum_c (sum_{i in c} d_i)^2.
         """
-        edges, deg = self.edge_array(), self.degrees()
+        edges, deg = self.edges, self.degrees()
         # A complete component C is exactly the set of nodes whose closed
         # neighborhoods have min(C) as their smallest node; a set of nodes
         # sharing that anchor is a complete component when no edge leaves it
@@ -93,39 +112,33 @@ class DependencyGraph:
         return members, starts, pairs, weights if weights.any() else None
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.intp)
-        edges = self.edge_array()
-        if edges.size:
-            np.add.at(deg, edges[:, 0], 1)
-            np.add.at(deg, edges[:, 1], 1)
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
 
 def make_graph(n: int, edges) -> DependencyGraph:
-    """Validate and normalize an edge list into a DependencyGraph.
+    """A DependencyGraph from outside input: n and a list of integer pairs.
 
-    Edges are deduplicated and stored with i < j; an n that is not an
-    integer, edges that are not a list of integer pairs (a float or bool
-    endpoint is refused), self-loops and out-of-range endpoints raise
-    InvalidInputError.
+    Each endpoint must be an integer (a float, bool or null is refused, not
+    converted) and each edge a pair, else InvalidInputError; the graph's
+    constructor checks and normalizes the rest.
     """
-    n = _node_count(n)
     try:
-        edges = iter(edges)
+        pairs = [_endpoints(e) for e in edges]
     except TypeError:
         raise InvalidInputError(f"graph edges must be a list of pairs, got {edges!r}") from None
-    normalized = set()
-    for e in edges:
-        try:
-            i, j = (require_int(v, "edge endpoint") for v in e)
-        except (TypeError, ValueError):
-            raise InvalidInputError(f"edge {e!r} is not a pair of integers") from None
-        if i == j:
-            raise InvalidInputError(f"self-loop at node {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise InvalidInputError(f"edge ({i}, {j}) out of range for n = {n}")
-        normalized.add((min(i, j), max(i, j)))
-    return DependencyGraph(n=n, edges=frozenset(normalized))
+    try:
+        pairs = np.array(pairs, dtype=np.intp)
+    except OverflowError:
+        raise InvalidInputError(f"an edge endpoint is out of range for n = {n!r}") from None
+    return DependencyGraph(n, pairs)
+
+
+def _endpoints(e) -> tuple[int, int]:
+    try:
+        i, j = (require_int(v, "edge endpoint") for v in e)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"edge {e!r} is not a pair of integers") from None
+    return i, j
 
 
 def _node_count(n) -> int:
@@ -150,8 +163,7 @@ def graph_stats(g: DependencyGraph) -> GraphStats:
     """Exact degrees always; exact clique number for n <= EXACT_CLIQUE_CAP,
     otherwise a greedy lower bound with clique_exact = False."""
     deg = g.degrees()
-    d_max = int(deg.max()) if g.n else 0
-    d_avg = float(deg.mean()) if g.n else 0.0
+    d_max, d_avg = int(deg.max()), float(deg.mean())
     masks = _adjacency_masks(g)
     if g.n <= EXACT_CLIQUE_CAP:
         clique, exact = _max_clique_exact(masks), True
@@ -168,7 +180,7 @@ def graph_stats(g: DependencyGraph) -> GraphStats:
 
 def _adjacency_masks(g: DependencyGraph) -> list[int]:
     masks = [0] * g.n
-    for i, j in g.edges:
+    for i, j in g.edges.tolist():
         masks[i] |= 1 << j
         masks[j] |= 1 << i
     return masks
@@ -199,9 +211,6 @@ def _max_clique_exact(masks: list[int]) -> int:
 
 def _greedy_clique_bound(masks: list[int], deg: np.ndarray) -> int:
     """Grow a clique greedily from each of the highest-degree seeds."""
-    n = len(masks)
-    if n == 0:
-        return 0
     order = np.argsort(deg, kind="stable")[::-1][:_GREEDY_SEEDS]
     best = 1
     for seed in order:
@@ -220,47 +229,44 @@ def generate_graph(kind: str, **params) -> DependencyGraph:
     """Deterministic named graphs: star, cluster, empty, complete.
 
     star/empty/complete take n; cluster takes cs (a ClusterStructure or a
-    list of sizes) and yields the disjoint union of complete blocks.  A
-    complete or cluster graph of more than GENERATED_EDGE_CAP edges raises
-    InvalidInputError.  Only the parameters are validated: every generated
-    edge is an in-range pair (i, j) with i < j, so the edges go into the graph
-    without make_graph's check of each one.
+    list of sizes) and yields the disjoint union of complete blocks, and a
+    complete graph is the cluster graph of one block.  A complete or cluster
+    graph of more than GENERATED_EDGE_CAP edges raises InvalidInputError.
+    The edges are built as arrays and go through the graph's constructor,
+    without make_graph's check of each endpoint.
     """
     if kind == "star":
         n = _node_count(params.get("n"))
-        return DependencyGraph(n, frozenset((0, i) for i in range(1, n)))
+        return DependencyGraph(n, np.column_stack((np.zeros(n - 1, np.intp), np.arange(1, n))))
     if kind == "empty":
-        return DependencyGraph(_node_count(params.get("n")), frozenset())
+        return DependencyGraph(params.get("n"), [])
     if kind == "complete":
-        n = _node_count(params.get("n"))
-        _check_edge_count(kind, n * (n - 1) // 2)
-        return DependencyGraph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
-    if kind == "cluster":
+        cs = [_node_count(params.get("n"))]
+    elif kind == "cluster":
         cs = params.get("cs")
         if cs is None:
             raise InvalidInputError("cluster graph requires cs=<structure or sizes>")
-        if not isinstance(cs, ClusterStructure):
-            cs = build_structure(cs)
-        _check_edge_count(kind, sum(k * (k - 1) // 2 for k in cs.sizes))
-        edges = []
-        for start, k in zip(cs.starts, cs.sizes):
-            for i in range(start, start + k):
-                for j in range(i + 1, start + k):
-                    edges.append((i, j))
-        return DependencyGraph(cs.n, frozenset(edges))
-    raise InvalidInputError(f"unknown graph kind {kind!r}")
-
-
-def _check_edge_count(kind: str, edges: int) -> None:
-    if edges > GENERATED_EDGE_CAP:
+    else:
+        raise InvalidInputError(f"unknown graph kind {kind!r}")
+    if not isinstance(cs, ClusterStructure):
+        cs = ClusterStructure(cs)
+    count = sum(k * (k - 1) // 2 for k in cs.sizes)
+    if count > GENERATED_EDGE_CAP:
         raise InvalidInputError(
-            f"{kind} graph would have {edges} edges, above the cap of {GENERATED_EDGE_CAP}"
+            f"{kind} graph would have {count} edges, above the cap of {GENERATED_EDGE_CAP}"
         )
+    # The pairs of each block size once, offset by the starts of its blocks.
+    sizes, starts = cs.sizes_array, cs.starts
+    blocks = [
+        (starts[sizes == k, None, None] + np.column_stack(np.triu_indices(k, 1))).reshape(-1, 2)
+        for k in np.unique(sizes)
+    ]
+    return DependencyGraph(cs.n, np.concatenate(blocks))
 
 
 def graph_to_dict(g: DependencyGraph) -> dict:
     """JSON-ready form: {"n": n, "edges": [[i, j], ...]} with 0-indexed nodes."""
-    return {"n": g.n, "edges": [[int(i), int(j)] for i, j in g.edge_array()]}
+    return {"n": g.n, "edges": g.edges.tolist()}
 
 
 def graph_from_dict(obj: dict) -> DependencyGraph:

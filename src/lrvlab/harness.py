@@ -112,7 +112,7 @@ from .cluster_model import (
     long_run_variance,
     max_cluster_share,
 )
-from .errors import DegenerateDataError, InvalidInputError, require_int
+from .errors import DegenerateDataError, InvalidInputError, require_int, unique_keys
 from .estimators import (
     cluster_stat_rows,
     graph_rows,
@@ -179,13 +179,14 @@ def load_config(source) -> tuple[int, list[ExperimentConfig]]:
     "experiments": [...]}, whose entries must not carry their own master_seed,
     or a single experiment object, read as a one-entry sweep with the
     object's master_seed.  A key outside the schema at the top level, in an
-    entry or in a design raises InvalidInputError naming it.
+    entry or in a design, and a key repeated in one JSON object of the file,
+    raise InvalidInputError naming it.
     """
     if isinstance(source, dict):
         obj = source
     else:
         with open(source, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=unique_keys)
     if not isinstance(obj, dict):
         raise InvalidInputError("config must be a JSON object")
     if "experiments" not in obj:

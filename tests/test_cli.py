@@ -152,6 +152,26 @@ class TestRun:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ('"n_grid": [20]', '"alpha": 0.1, "n_grid": [20], "alpha": 0.4', "alpha"),
+            ('{"pattern": "pairs"}', '{"pattern": "pairs", "pattern": "single"}', "pattern"),
+        ],
+        ids=["top-level", "in-structure"],
+    )
+    def test_repeated_key_fails_cleanly(self, tmp_path, old, new, key):
+        # json.load keeps the last value of a repeated key, so the run would
+        # go ahead on one of two values without a word
+        text = json.dumps(BASE_CONFIG)
+        assert text.count(old) == 1
+        path = tmp_path / "cfg.json"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        out_dir = tmp_path / "x"
+        code, out, err = invoke(["run", "--config", str(path), "--out", str(out_dir)])
+        assert (code, out, err) == (1, "", f"lrvlab: repeated JSON key {key!r}\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("alpha", 1.5),
@@ -254,6 +274,12 @@ class TestStats:
         assert code == 0
         assert "clique_number: 5 (greedy lower bound)" in out
 
+    def test_repeated_key_in_graph_file_exits_one(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text('{"n": 3, "n": 4, "edges": [[0, 3]]}', encoding="utf-8")
+        code, out, err = invoke(["stats", "--graph", str(path)])
+        assert (code, out, err) == (1, "", "lrvlab: repeated JSON key 'n'\n")
+
     def test_missing_graph_file_exits_one(self, tmp_path):
         code, _, err = invoke(["stats", "--graph", str(tmp_path / "none.json")])
         assert code == 1 and err.startswith("lrvlab:")
@@ -269,10 +295,11 @@ class TestStats:
             '{"n": 3, "edges": 5}',
             '{"n": true, "edges": []}',
             '{"n": 3, "edges": [[true, 2]]}',
+            '{"n": 3, "edges": [[0, 9223372036854775808]]}',
         ],
         ids=[
             "out-of-range", "one-endpoint", "bare-int", "null-endpoint", "null-n", "int-edges",
-            "bool-n", "bool-endpoint",
+            "bool-n", "bool-endpoint", "beyond-int64",
         ],
     )
     def test_malformed_graph_file_exits_one(self, tmp_path, text):

@@ -5,12 +5,15 @@ generic eigensolvers; nothing here reuses the package's own dense helpers as
 an oracle for itself.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_equal
 
 from lrvlab import (
     BudgetExceededError,
+    ClusterStructure,
     InvalidInputError,
     ModelInvalidError,
     StructureMismatchError,
@@ -24,8 +27,13 @@ from lrvlab import (
     spectral_block,
 )
 from lrvlab.cluster_model import class_stats, row_stats
-from lrvlab.estimators import sample_variance_stat_rows, second_moment_stat_rows
-from lrvlab.inference_tests import sign_test_stat_rows, z_test_stat_rows
+from lrvlab.estimators import (
+    sample_variance_rows,
+    sample_variance_stat_rows,
+    second_moment_rows,
+    second_moment_stat_rows,
+)
+from lrvlab.inference_tests import sign_test_rows, sign_test_stat_rows, z_test_rows, z_test_stat_rows
 from lrvlab.sampler import sample_rows
 
 
@@ -104,6 +112,27 @@ def test_build_structure_rejects_bad_sizes():
         build_structure([3, 0])
     with pytest.raises(InvalidInputError):
         build_structure([2, -1, 2])
+
+
+@pytest.mark.parametrize(
+    "sizes", [[], [0], [2.0], [True], [3, 0]], ids=["empty", "zero", "float", "bool", "zero-later"]
+)
+def test_structure_validates_itself_also_under_replace(sizes):
+    with pytest.raises(InvalidInputError):
+        ClusterStructure(sizes)
+    with pytest.raises(InvalidInputError):
+        dataclasses.replace(build_structure([2, 2]), sizes=sizes)
+
+
+def test_structure_summaries_derive_from_its_sizes():
+    assert build_structure is ClusterStructure
+    assert [f.name for f in dataclasses.fields(ClusterStructure)] == ["sizes"]
+    cs = dataclasses.replace(build_structure([2, 2]), sizes=[3, 1, 2])
+    assert (cs.sizes, cs.n, cs.n_star, cs.M) == ((3, 1, 2), 6, 5, 3)
+    assert cs.starts.tolist() == [0, 3, 4]
+    # M follows the sizes, so a model cannot be given a delta per extra block
+    with pytest.raises(InvalidInputError, match="expected 2 deltas"):
+        block_model(ClusterStructure((2, 2)), [0.1, 0.2, 0.3])
 
 
 def test_max_cluster_share():
@@ -459,3 +488,18 @@ def test_structure_free_rows_are_one_block(n):
     ]
     for kernel, args in kernels:
         assert_equal(kernel(*stats, model, *args), kernel(*singletons, *args))
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        sample_variance_rows,
+        second_moment_rows,
+        lambda X: sign_test_rows(X, 0.05, np.full(len(X), 0.5)),
+        lambda X: z_test_rows(X, 1.0, 0.05),
+    ],
+    ids=["sample_variance", "second_moment", "sign_test", "z_test"],
+)
+def test_structure_free_kernels_refuse_zero_length_rows(kernel):
+    with pytest.raises(InvalidInputError, match=r"^data rows must be nonempty, got shape \(2, 0\)$"):
+        kernel(np.empty((2, 0)))

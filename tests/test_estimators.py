@@ -282,7 +282,7 @@ def _cluster_plus_edges(rng, n):
     while left:
         sizes.append(min(left, int(rng.integers(1, 8))))
         left -= sizes[-1]
-    edges = set(generate_graph("cluster", cs=sizes).edges)
+    edges = set(map(tuple, generate_graph("cluster", cs=sizes).edges.tolist()))
     for _ in range(int(rng.integers(1, 4)) if n > 1 else 0):
         i, j = rng.choice(n, size=2, replace=False).tolist()
         edges.add((min(i, j), max(i, j)))

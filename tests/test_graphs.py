@@ -5,18 +5,22 @@ clique enumeration on random graphs; the greedy fallback for large graphs is
 checked on constructions whose clique number is known by design.
 """
 
+import dataclasses
+
 import networkx as nx
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from lrvlab import (
+    DependencyGraph,
     InvalidInputError,
     build_structure,
     generate_graph,
     graph_from_dict,
     graph_stats,
     graph_to_dict,
+    lrv_graph,
     make_graph,
 )
 from lrvlab import graphs
@@ -26,8 +30,7 @@ from lrvlab.graphs import EXACT_CLIQUE_CAP
 def test_make_graph_normalizes_edges():
     g = make_graph(4, [(1, 0), (0, 1), (2, 3)])
     assert g.n == 4
-    assert g.edges == frozenset({(0, 1), (2, 3)})
-    assert g.edge_array().tolist() == [[0, 1], [2, 3]]
+    assert g.edges.tolist() == [[0, 1], [2, 3]]
     assert g.degrees().tolist() == [1, 1, 1, 1]
 
 
@@ -40,6 +43,49 @@ def test_make_graph_validation():
         make_graph(3, [(0, 3)])
     with pytest.raises(InvalidInputError):
         make_graph(3, [(-1, 0)])
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (np.array([[1, 2], [3, 3]]), "^self-loop at node 3$"),
+        (np.array([[0, 1], [4, 2]]), r"^edge \(4, 2\) out of range for n = 4$"),
+        (np.array([[-1, 2]]), r"^edge \(-1, 2\) out of range for n = 4$"),
+        (np.array([[0.0, 1.0]]), "^edges must be integer pairs, got float64 "),
+        (np.array([[True, False]]), "^edges must be integer pairs, got bool "),
+        (np.array([0, 1, 2]), "^edges must be integer pairs, got int64 "),
+    ],
+    ids=["self-loop", "out-of-range", "negative", "float", "bool", "flat"],
+)
+def test_graph_validates_itself_also_under_replace(edges, message):
+    with pytest.raises(InvalidInputError, match=message):
+        DependencyGraph(4, edges)
+    with pytest.raises(InvalidInputError, match=message):
+        dataclasses.replace(generate_graph("empty", n=4), edges=edges)
+
+
+def test_graph_edges_are_one_sorted_read_only_array():
+    assert [f.name for f in dataclasses.fields(DependencyGraph)] == ["n", "edges"]
+    g = DependencyGraph(np.int64(4), np.array([[2, 1], [1, 2], [3, 0], [0, 3], [1, 2], [0, 1]]))
+    want = make_graph(4, [(0, 1), (0, 3), (1, 2)])
+    assert g.edges.tolist() == want.edges.tolist() == [[0, 1], [0, 3], [1, 2]]
+    assert type(g.n) is int and g.edges.dtype == np.intp and not g.edges.flags.writeable
+    assert g.degrees().tolist() == [2, 2, 1, 1]
+    x = [1.0, 2.0, 3.0, 5.0]
+    assert lrv_graph(x, g).value == lrv_graph(x, want).value
+    with pytest.raises(InvalidInputError, match="out of range for n = 2"):
+        dataclasses.replace(g, n=2)
+
+
+def test_self_loop_graph_is_refused():
+    # stored unchecked, the loop at node 0 read as an edge gave lrv_graph
+    # 3.71875 for these data, where the true (empty) graph gives 2.1875
+    x = [1.0, 2.0, 3.0, 5.0]
+    assert lrv_graph(x, generate_graph("empty", n=4)).value == 2.1875
+    with pytest.raises(InvalidInputError):
+        DependencyGraph(4, frozenset({(0, 0)}))
+    with pytest.raises(InvalidInputError, match="self-loop at node 0"):
+        DependencyGraph(4, [(0, 0)])
 
 
 def test_star_statistics():
@@ -133,14 +179,14 @@ def test_clique_cover_is_the_large_complete_components_plus_edges():
         members, starts, pairs, weights = g.clique_cover
         members = np.arange(n) if members is None else members
         cliques = [set(c.tolist()) for c in np.split(members, starts[1:])] if starts.size else []
-        nxg = nx.Graph(list(g.edges))
+        nxg = nx.Graph(g.edges.tolist())
         nxg.add_nodes_from(range(n))
         want = [c for c in nx.connected_components(nxg) if len(c) >= 3 and nx.density(nxg.subgraph(c)) == 1]
         assert sorted(map(sorted, cliques)) == sorted(map(sorted, want))
         clique_edges = {(a, b) for c in cliques for a in c for b in c if a < b}
         pair_edges = {tuple(e) for e in pairs.tolist()}
         assert len(pair_edges) == len(pairs) and not clique_edges & pair_edges
-        assert clique_edges | pair_edges == set(g.edges)
+        assert clique_edges | pair_edges == set(map(tuple, g.edges.tolist()))
         holding = np.zeros(n)
         for c in cliques:
             holding[list(c)] += 1
@@ -159,8 +205,8 @@ def test_clique_cover_gathers_nothing_for_cluster_graphs_of_large_blocks():
 
 
 def test_generate_graph_examples():
-    assert generate_graph("star", n=1).edges == frozenset()
-    assert generate_graph("cluster", cs=[2, 2]).edges == frozenset({(0, 1), (2, 3)})
+    assert generate_graph("star", n=1).edges.tolist() == []
+    assert generate_graph("cluster", cs=[2, 2]).edges.tolist() == [[0, 1], [2, 3]]
     assert len(generate_graph("complete", n=4).edges) == 6
     with pytest.raises(InvalidInputError):
         generate_graph("lattice", n=4)
@@ -168,6 +214,23 @@ def test_generate_graph_examples():
         generate_graph("star")
     with pytest.raises(InvalidInputError):
         generate_graph("cluster")
+
+
+def test_generated_edges_match_loops():
+    """The numpy generators against the pairs written out by loops."""
+    rng = np.random.default_rng(1901)
+    for _ in range(20):
+        sizes = rng.integers(1, 9, size=int(rng.integers(1, 12))).tolist()
+        want, start = [], 0
+        for k in sizes:
+            want += [[i, j] for i in range(start, start + k) for j in range(i + 1, start + k)]
+            start += k
+        assert generate_graph("cluster", cs=sizes).edges.tolist() == want
+        n = int(rng.integers(1, 30))
+        assert generate_graph("complete", n=n).edges.tolist() == [
+            [i, j] for i in range(n) for j in range(i + 1, n)
+        ]
+        assert generate_graph("star", n=n).edges.tolist() == [[0, i] for i in range(1, n)]
 
 
 @pytest.mark.parametrize("kind,params", [("cluster", {"cs": [10**4]}), ("complete", {"n": 10**4})])
@@ -217,7 +280,7 @@ def test_serialization_round_trip():
         obj = graph_to_dict(g)
         assert sorted(obj) == ["edges", "n"]
         back = graph_from_dict(obj)
-        assert back == g
+        assert back.n == g.n and back.edges.tolist() == g.edges.tolist()
         assert graph_to_dict(back) == obj
 
 
