@@ -91,17 +91,14 @@ def _cmd_spectral(args) -> int:
         raise InvalidInputError(f"bad --sizes/--deltas: {exc}") from exc
     cs = build_structure(sizes)
     model = block_model(cs, deltas)
-    log_det = 0.0
     for m, (k, d) in enumerate(zip(cs.sizes, model.deltas)):
-        spec = model.spectrum(m)
-        parts = [f"{spec.top_eigenvalue!r} (x1)"]
+        parts = [f"{float(model.top[m])!r} (x1)"]
         if k > 1:
-            parts.append(f"{spec.base_eigenvalue!r} (x{k - 1})")
+            parts.append(f"{float(model.base[m])!r} (x{k - 1})")
         print(f"block {m}: size {k}, delta {d!r} -> eigenvalues {', '.join(parts)}")
-        log_det += spec.log_det()
     print(f"n: {cs.n}  n_star: {cs.n_star}  M: {cs.M}  h: {cs.heterogeneity!r}")
     print(f"long-run variance: {long_run_variance(model)!r}")
-    print(f"log det: {log_det!r}")
+    print(f"log det: {sum(model.log_det.tolist())!r}")
     return 0
 
 

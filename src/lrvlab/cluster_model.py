@@ -8,10 +8,11 @@ with equicorrelated blocks::
     Sigma_m = (1 - delta_m) I + delta_m 11'
 
 Each block has two eigenvalues, top_m = 1 + (n_m - 1) delta_m on the ones
-direction and base_m = 1 - delta_m with multiplicity n_m - 1.  A
-BlockEquicorrModel checks on construction that both are positive and carries
-them as arrays, so the sampler, the likelihood and the CLI read them rather
-than derive them.
+direction and base_m = 1 - delta_m with multiplicity n_m - 1, and the log
+determinant log_det_m = log1p((n_m - 1) delta_m) + (n_m - 1) log1p(-delta_m).
+A BlockEquicorrModel checks on construction that both eigenvalues are
+positive and carries top, base and log_det as arrays, so the sampler, the
+likelihood and the CLI read them rather than derive them.
 
 Everything on the production path is closed-form and O(n); dense matrices
 appear only in oracles and validators and are capped at DENSE_N_CAP.
@@ -30,6 +31,7 @@ from .errors import (
     InvalidInputError,
     ModelInvalidError,
     StructureMismatchError,
+    require_float,
     require_int,
 )
 
@@ -112,8 +114,9 @@ class BlockEquicorrModel:
     c_bound, when set, certifies that every eigenvalue of Sigma - I (that is,
     -delta_m and (n_m - 1) delta_m) lies in [-c_bound, c_bound], else
     BudgetExceededError.  A wrong number of deltas or a c_bound that is not a
-    nonnegative number raises InvalidInputError.  dataclasses.replace
-    re-validates, so no invalid model can be built.
+    finite nonnegative number (a bool is refused, not converted) raises
+    InvalidInputError.  dataclasses.replace re-validates, so no invalid model
+    can be built.
     """
 
     structure: ClusterStructure
@@ -129,7 +132,7 @@ class BlockEquicorrModel:
             )
         c = self.c_bound
         if c is not None:
-            c = float(c)
+            c = require_float(c, "c_bound")
             if not (c >= 0.0):
                 raise InvalidInputError(f"c_bound must be nonnegative, got {c}")
         deltas = tuple(d if k > 1 else 0.0 for k, d in zip(cs.sizes, deltas))
@@ -166,6 +169,16 @@ class BlockEquicorrModel:
         return 1.0 - self.deltas_array
 
     @cached_property
+    def log_det(self) -> np.ndarray:
+        """log det Sigma_m = log(top_m) + (n_m - 1) log(base_m) per block,
+        summed as logs (the product underflows for large blocks) and taken
+        with log1p, which keeps the digits that log(1 + x) loses when
+        (n_m - 1) delta_m is small, as along local alternatives
+        n delta_n -> delta."""
+        k, d = self.structure.sizes_array.astype(np.float64), self.deltas_array
+        return np.log1p((k - 1.0) * d) + (k - 1.0) * np.log1p(-d)
+
+    @cached_property
     def classes(self) -> np.ndarray:
         """The class of each block (length M).
 
@@ -181,7 +194,7 @@ class BlockEquicorrModel:
     @cached_property
     def class_first(self) -> np.ndarray:
         """The first block of each class (length H); indexing a per-block
-        array (sizes_array, deltas_array, top, base) with it gives the
+        array (sizes_array, deltas_array, top, base, log_det) with it gives the
         class's value."""
         return np.unique(self.classes, return_index=True)[1]
 
@@ -195,15 +208,6 @@ class BlockEquicorrModel:
         """M_h: the number of blocks in each class."""
         return np.bincount(self.classes)
 
-    def spectrum(self, m: int) -> BlockSpectrum:
-        """The closed-form spectrum of block m."""
-        k = self.structure.sizes[m]
-        return BlockSpectrum(
-            size=k, delta=self.deltas[m], top_eigenvalue=float(self.top[m]),
-            base_eigenvalue=float(self.base[m]), top_multiplicity=1, base_multiplicity=k - 1,
-        )
-
-
 block_model = BlockEquicorrModel
 
 
@@ -213,8 +217,7 @@ class BlockSpectrum:
 
     Eigenvalue 1 + (k-1) delta has multiplicity 1 with eigenvector ones/sqrt(k);
     eigenvalue 1 - delta has multiplicity k - 1 on the orthogonal complement of
-    ones.  log det = log(top) + (k-1) log(base), summed as logs because the
-    product top * base^(k-1) underflows for large blocks.
+    ones.  log_det() is the log_det of the one-block model.
     """
 
     size: int
@@ -231,9 +234,7 @@ class BlockSpectrum:
         )
 
     def log_det(self) -> float:
-        return math.log(self.top_eigenvalue) + self.base_multiplicity * math.log(
-            self.base_eigenvalue
-        )
+        return float(BlockEquicorrModel(ClusterStructure([self.size]), [self.delta]).log_det[0])
 
     def basis(self) -> np.ndarray:
         """The canonical orthonormal eigenbasis (columns), first column ones/sqrt(k).
@@ -261,7 +262,12 @@ def spectral_block(k: int, delta: float) -> BlockSpectrum:
     ModelInvalidError when the block is not positive definite.  For k = 1 the
     block is the 1x1 identity regardless of delta.
     """
-    return BlockEquicorrModel(ClusterStructure([k]), [delta]).spectrum(0)
+    model = BlockEquicorrModel(ClusterStructure([k]), [delta])
+    k = model.structure.sizes[0]
+    return BlockSpectrum(
+        size=k, delta=model.deltas[0], top_eigenvalue=float(model.top[0]),
+        base_eigenvalue=float(model.base[0]), top_multiplicity=1, base_multiplicity=k - 1,
+    )
 
 
 def long_run_variance(model: BlockEquicorrModel) -> float:

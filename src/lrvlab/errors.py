@@ -1,11 +1,14 @@
-"""Exception taxonomy shared across the package, its one integer reader and
-its JSON object reader.
+"""Exception taxonomy shared across the package, its one integer reader, its
+one real-number reader and its JSON object reader.
 
 All exceptions derive from ValueError so callers that only want "bad input"
 semantics can catch one base class.
 """
 
 import operator
+import sys
+
+import numpy as np
 
 
 class InvalidInputError(ValueError):
@@ -45,6 +48,27 @@ def require_int(value, name: str) -> int:
         except TypeError:
             pass
     raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
+def require_float(value, name: str) -> float:
+    """value as a finite float, or InvalidInputError naming it.
+
+    Python and numpy integers and floats pass except bool, as in
+    require_int.  NaN and the infinities are refused (JSON's NaN and
+    Infinity tokens among them), and so are integers beyond the float range
+    (the comparison with the largest float is exact and is False for NaN).
+    """
+    if isinstance(value, np.integer):
+        value = int(value)
+    elif isinstance(value, np.floating):
+        value = float(value)  # a finite value beyond the float range is inf
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
+    ):
+        raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def unique_keys(pairs) -> dict:

@@ -45,9 +45,10 @@ class DependencyGraph:
     a read-only (E, 2) intp array of the distinct pairs (i, j) with i < j in
     lexicographic order, so reversed and repeated pairs are one edge.  An n
     that is not an integer >= 1, an edge array of another shape or of a
-    non-integer dtype (floats and bools are refused, not converted), a
-    self-loop and an out-of-range endpoint raise InvalidInputError;
-    dataclasses.replace re-validates.  Graphs compare by identity.
+    non-integer dtype (floats and bools are refused, not converted), a ragged
+    sequence, a self-loop and an out-of-range endpoint raise
+    InvalidInputError; dataclasses.replace re-validates.  Graphs compare by
+    identity.
     """
 
     n: int
@@ -55,7 +56,10 @@ class DependencyGraph:
 
     def __post_init__(self):
         n = _node_count(self.n)
-        edges = np.asarray(self.edges)
+        try:
+            edges = np.asarray(self.edges)
+        except ValueError:  # a ragged sequence has no array shape
+            raise InvalidInputError("edges must be integer pairs, got a ragged sequence") from None
         if not edges.size:
             edges = np.empty((0, 2), dtype=np.intp)
         if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":

@@ -95,7 +95,6 @@ import hashlib
 import io
 import json
 import math
-import sys
 import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -112,7 +111,7 @@ from .cluster_model import (
     long_run_variance,
     max_cluster_share,
 )
-from .errors import DegenerateDataError, InvalidInputError, require_int, unique_keys
+from .errors import DegenerateDataError, InvalidInputError, require_float, require_int, unique_keys
 from .estimators import (
     cluster_stat_rows,
     graph_rows,
@@ -225,19 +224,6 @@ def _known_keys(obj: dict, known, where: str) -> None:
             )
 
 
-def _as_float(value, name: str) -> float:
-    """A finite number.  JSON's NaN and Infinity tokens are refused, and so
-    are integers beyond the float range (the comparison with the largest
-    float is exact and is False for NaN)."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not abs(value) <= sys.float_info.max
-    ):
-        raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _parse_entry(raw: dict, pos: int) -> ExperimentConfig:
     _known_keys(raw, _ENTRY_KEYS, "experiment entry")
     kind = raw.get("experiment")
@@ -258,10 +244,10 @@ def _parse_entry(raw: dict, pos: int) -> ExperimentConfig:
     reps = require_int(raw.get("replications"), "replications")
     if reps < 100:
         raise InvalidInputError("replications must be >= 100")
-    alpha = _as_float(raw.get("alpha", 0.05), "alpha")
+    alpha = require_float(raw.get("alpha", 0.05), "alpha")
     if not (0.0 < alpha < 1.0):
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
-    epsilon = _as_float(raw.get("epsilon", 0.1), "epsilon")
+    epsilon = require_float(raw.get("epsilon", 0.1), "epsilon")
     if not (epsilon > 0.0):
         raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
     if design.get("id") is None:
@@ -342,10 +328,10 @@ def _resolve_deltas(spec, cs: ClusterStructure):
         values = spec.get("values")
         if not isinstance(values, list) or len(values) != cs.M:
             raise InvalidInputError(f"explicit deltas need {cs.M} values")
-        return [_as_float(v, "delta value") for v in values]
+        return [require_float(v, "delta value") for v in values]
     if scheme == "common-variance":
-        return deltas_for_common_variance(cs, _as_float(spec.get("value"), "delta value"))
-    value = _as_float(spec.get("value"), "delta value")
+        return deltas_for_common_variance(cs, require_float(spec.get("value"), "delta value"))
+    value = require_float(spec.get("value"), "delta value")
     if scheme == "constant":
         return [value] * cs.M
     if scheme == "dbar-over-nstar":
@@ -366,12 +352,12 @@ def _resolve_mu(entries, sigma_sq: float, n: int):
         if isinstance(entry, dict):
             if set(entry) != {"drift"}:
                 raise InvalidInputError(f"bad mu entry {entry!r}")
-            c = _as_float(entry["drift"], "drift")
+            c = require_float(entry["drift"], "drift")
             resolved.append(
                 (f"drift{c!r}", c * math.sqrt(sigma_sq) / math.sqrt(n))
             )
         else:
-            value = _as_float(entry, "mu entry")
+            value = require_float(entry, "mu entry")
             resolved.append((repr(value), value))
     return resolved
 
@@ -495,7 +481,7 @@ def _plan_test_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) ->
     kernels = {"sign": sign_test_stat_rows, "cluster_t": cluster_t_stat_rows, "z": z_test_stat_rows}
     tests = _kernel_names(entry.design.get("tests", ["sign", "cluster_t"]), kernels, "test")
     z_bound = entry.design.get("z_bound", "oracle")
-    c = sigma_sq if z_bound == "oracle" else _as_float(z_bound, "z_bound")
+    c = sigma_sq if z_bound == "oracle" else require_float(z_bound, "z_bound")
     reps = entry.replications
     keys = [(name, label) for name in tests for label, _ in mu_points]
     mass = model.class_counts * model.class_sizes
@@ -682,7 +668,7 @@ def run_sweep(entries, master_seed: int, threads: int = 1) -> ExperimentReport:
     docstring), and the report is identical for any threads >= 1.
     """
     entries = list(entries)
-    threads = int(threads)
+    threads = require_int(threads, "threads")
     if threads < 1:
         raise InvalidInputError("threads must be >= 1")
     cells = []

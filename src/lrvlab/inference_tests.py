@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import ndtri, stdtrit
 
 from .cluster_model import BlockEquicorrModel, ClusterStructure, block_sums, row_stats
-from .errors import DegenerateDataError, InvalidInputError
+from .errors import DegenerateDataError, InvalidInputError, require_float, require_int
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ def z_test_stat_rows(a, q, t, model: BlockEquicorrModel, alpha: float, c: float)
     """(z, normal quantile at 1 - alpha, p = 1{z > quantile}) per row, with
     z = sqrt(n) xbar / sqrt(c).  Requires c > 0 and alpha in (0, 1); q and t
     are unused."""
-    c = float(c)
+    c = require_float(c, "variance bound c")
     if not (c > 0.0):
         raise InvalidInputError(f"variance bound c must be positive, got {c}")
     alpha = float(alpha)
@@ -199,7 +199,7 @@ def z_test_rows(X: np.ndarray, c: float, alpha: float) -> np.ndarray:
 
 def student_t_quantile(df: int, p: float) -> float:
     """p-quantile of Student's t with df degrees of freedom (accuracy <= 1e-8)."""
-    df = int(df)
+    df = require_int(df, "degrees of freedom")
     if df < 1:
         raise InvalidInputError(f"degrees of freedom must be >= 1, got {df}")
     p = float(p)

@@ -19,6 +19,8 @@ b = 1 - delta, the block's eigenvalues BlockEquicorrModel.top and .base):
              + (k-1) delta S1^2 / (2 a k) - delta T / (2 b)
              + mu_bar S1 / a - k mu_bar^2 / (2 a)
 
+whose first two terms are -1/2 BlockEquicorrModel.log_det.
+
 A general dense pair is handled twice over: a direct log-density difference
 via Cholesky factorizations, and a series-free spectral formula that is valid
 whenever the eigenvalues of S^{-1/2} U'(Sigma1 - Sigma0) U S^{-1/2} all lie in
@@ -45,6 +47,8 @@ from .errors import (
     DegenerateDataError,
     FactorizationError,
     InvalidInputError,
+    require_float,
+    require_int,
 )
 from .sampler import _class_chunks, class_stat_rows
 
@@ -68,8 +72,7 @@ def loglr_stat_rows(a, q, t, model: BlockEquicorrModel, mu_bar: float) -> np.nda
     first, counts = model.class_first, model.class_counts
     k = model.class_sizes.astype(np.float64)
     deltas, top, base = model.deltas_array[first], model.top[first], model.base[first]
-    log_det = np.log1p((k - 1.0) * deltas) + (k - 1.0) * np.log1p(-deltas)
-    const = -float(np.sum(counts * (0.5 * log_det + k * mu_bar * mu_bar / (2.0 * top))))
+    const = -float(np.sum(counts * (0.5 * model.log_det[first] + k * mu_bar * mu_bar / (2.0 * top))))
     coef_s1sq = (k - 1.0) * deltas / (2.0 * top * k)
     coef_t = -deltas / (2.0 * base)
     per_class = coef_s1sq * (q + a * a / counts) + (mu_bar / top) * a + coef_t * t
@@ -213,7 +216,7 @@ class LimitLaw:
     delta: float
 
     def __post_init__(self):
-        d = float(self.delta)
+        d = require_float(self.delta, "limit law delta")
         object.__setattr__(self, "delta", d)
         if not (-1.0 < d <= 1.0) or d == 0.0:
             raise InvalidInputError(
@@ -261,19 +264,22 @@ def lr_diagnostics(model: BlockEquicorrModel, epsilon: float, reps: int, seed: i
     plus the seed.  Keys: mean_lr, se_mean_lr, moment_1pe, se_moment_1pe, ks,
     n, reps, seed.
     """
-    epsilon, reps = float(epsilon), int(reps)
-    _check_budget(epsilon, reps)
+    reps, seed = require_int(reps, "reps"), require_int(seed, "seed")
+    epsilon = _check_budget(epsilon, reps)
     w = np.empty(reps, dtype=np.float64)
     for lo, hi in _class_chunks(model, reps):
         w[lo:hi] = lr_draw(model, seed, range(lo, hi))
-    return dict(lr_metrics(model, epsilon, w), seed=int(seed))
+    return dict(lr_metrics(model, epsilon, w), seed=seed)
 
 
-def _check_budget(epsilon: float, reps: int) -> None:
+def _check_budget(epsilon: float, reps: int) -> float:
+    """epsilon as a float, once it and the replication count are checked."""
+    epsilon = require_float(epsilon, "epsilon")
     if not (epsilon > 0.0):
         raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
     if reps < 1000:
         raise InvalidInputError("lr diagnostics need reps >= 1000")
+    return epsilon
 
 
 def lr_draw(model: BlockEquicorrModel, seed: int, replications: range) -> np.ndarray:
@@ -309,9 +315,8 @@ def lr_metrics(model: BlockEquicorrModel, epsilon: float, w: np.ndarray) -> dict
     underflows to 0 in all of them: the moments would then be printed as
     confident numbers while carrying no information.
     """
-    epsilon = float(epsilon)
     reps = w.size
-    _check_budget(epsilon, reps)
+    epsilon = _check_budget(epsilon, reps)
     cs = model.structure
     n = cs.n
 

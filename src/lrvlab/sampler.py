@@ -89,7 +89,7 @@ import numpy as np
 from scipy.special import gammaincinv, ndtri
 
 from .cluster_model import DENSE_N_CAP, BlockEquicorrModel
-from .errors import FactorizationError, InvalidInputError
+from .errors import FactorizationError, InvalidInputError, require_int
 
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
@@ -112,8 +112,8 @@ class RandomStream:
     """
 
     def __init__(self, master_seed: int, replication_id: int):
-        self.master_seed = int(master_seed)
-        self.replication_id = int(replication_id)
+        self.master_seed = require_int(master_seed, "master seed")
+        self.replication_id = require_int(replication_id, "replication id")
         key = np.array(
             [self.master_seed & _U64_MASK, self.replication_id & _U64_MASK],
             dtype=np.uint64,
@@ -154,10 +154,10 @@ def raw_rows(master_seed: int, replication_ids, width: int) -> np.ndarray:
     Row r equals derive_stream(master_seed, ids[r]).raw(width) bit for bit.
     All state is local to the call, so concurrent calls share none.
     """
-    width = int(width)
+    width = require_int(width, "width")
     ids = list(replication_ids)
     out = np.empty((len(ids), width), dtype=np.uint64)
-    key = [int(master_seed) & _U64_MASK, 0]
+    key = [require_int(master_seed, "master seed") & _U64_MASK, 0]
     # The state of a Philox generator that has just been keyed: zero counter,
     # empty buffer (buffer_pos == 4 forces a refill on the first draw).  The
     # setter reads the words by index, and Python ints read faster than
@@ -255,7 +255,8 @@ def class_stat_rows(model: BlockEquicorrModel, master_seed: int, replications: r
         raise InvalidInputError(f"class draws take a range of step 1, got {replications!r}")
     width = _CLASS_WORDS * h + 1
     blocks = -(-width // 4)  # 4-word Philox blocks per replication
-    key = np.array([int(master_seed) & _U64_MASK, _U64_MASK], dtype=np.uint64)
+    seed = require_int(master_seed, "master seed")
+    key = np.array([seed & _U64_MASK, _U64_MASK], dtype=np.uint64)
     bits = np.random.Philox(key=key, counter=replications.start * blocks)
     raw = bits.random_raw(len(replications) * 4 * blocks).reshape(-1, 4 * blocks)
     w = _to_uniform(raw[:, :width])

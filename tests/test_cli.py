@@ -5,6 +5,7 @@ test suite runs unbuffered (-s), bypassing pytest's own capture.
 """
 
 import contextlib
+import decimal
 import io
 import json
 import math
@@ -239,6 +240,18 @@ class TestSpectral:
         log_det = float(out.strip().split("\n")[-1].removeprefix("log det: "))
         want = math.log(99900.001) + 99999 * math.log(1.0 - 0.999)
         assert log_det == pytest.approx(want, rel=1e-12)
+
+    def test_log_det_at_a_local_alternative_keeps_its_digits(self):
+        # n delta = 0.1: log(1 + (n-1) delta) + (n-1) log(1 - delta) cancels
+        # when taken with log, which lost 6e-7 of the value here
+        code, out, err = invoke(["spectral", "--sizes", "100000000", "--deltas", "1e-9"])
+        assert code == 0 and err == ""
+        log_det = float(out.strip().split("\n")[-1].removeprefix("log det: "))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            k, d = decimal.Decimal(10**8), decimal.Decimal(1e-9)  # the double the CLI reads
+            want = (1 + (k - 1) * d).ln() + (k - 1) * (1 - d).ln()
+        assert abs(log_det - float(want)) <= 1e-12 * abs(float(want))
 
     def test_invalid_model_exits_one(self):
         code, _, err = invoke(["spectral", "--sizes", "4", "--deltas", "1.5"])

@@ -189,6 +189,10 @@ def test_block_model_eigenvalue_budget():
         block_model(cs, [0.1], c_bound=-0.5)
     with pytest.raises(InvalidInputError):
         block_model(build_structure([3]), [0.2], c_bound=float("nan"))
+    # True was stored as c_bound = 1.0
+    with pytest.raises(InvalidInputError, match="^c_bound must be a finite number, got True$"):
+        block_model(build_structure([3]), [0.2], c_bound=True)
+    assert block_model(cs, [0.4], c_bound=np.float32(1.25)).c_bound == 1.25
     # clusters are checked in order: cluster 0's budget fails before
     # cluster 1's positive definiteness is looked at
     with pytest.raises(BudgetExceededError):
@@ -244,6 +248,26 @@ def test_spectral_block_closed_form():
         spectral_block(2.7, 0.1)
     with pytest.raises(InvalidInputError):
         spectral_block(True, 0.5)
+
+
+def test_log_det_matches_dense_slogdet():
+    rng = np.random.default_rng(1004)
+    for _ in range(50):
+        sizes = [int(k) for k in rng.integers(1, 7, size=rng.integers(1, 6))]
+        deltas = [random_valid_delta(rng, k) for k in sizes]
+        model = block_model(build_structure(sizes), deltas)
+        sign, want = np.linalg.slogdet(dense_model_sigma(sizes, deltas))
+        assert sign == 1.0
+        assert model.log_det.shape == (len(sizes),)
+        assert abs(float(np.sum(model.log_det)) - want) <= 1e-10
+        for k, d, got in zip(sizes, model.deltas, model.log_det):
+            assert got == pytest.approx(np.linalg.slogdet(dense_block(k, d))[1], abs=1e-10)
+
+
+def test_spectral_block_log_det_is_the_models():
+    for k, d in [(1, 0.7), (5, 0.1), (3, -0.45), (100000, 0.999), (10**8, 1e-9)]:
+        model = block_model(build_structure([k]), [d])
+        assert spectral_block(k, d).log_det() == model.log_det[0]
 
 
 def test_spectral_block_matches_dense_eigensolver():

@@ -54,8 +54,9 @@ def test_make_graph_validation():
         (np.array([[0.0, 1.0]]), "^edges must be integer pairs, got float64 "),
         (np.array([[True, False]]), "^edges must be integer pairs, got bool "),
         (np.array([0, 1, 2]), "^edges must be integer pairs, got int64 "),
+        ([(0, 1), (1, 2, 0)], "^edges must be integer pairs, got a ragged sequence$"),
     ],
-    ids=["self-loop", "out-of-range", "negative", "float", "bool", "flat"],
+    ids=["self-loop", "out-of-range", "negative", "float", "bool", "flat", "ragged"],
 )
 def test_graph_validates_itself_also_under_replace(edges, message):
     with pytest.raises(InvalidInputError, match=message):

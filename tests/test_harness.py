@@ -739,6 +739,8 @@ class TestReports:
     def test_run_sweep_validates_threads(self):
         with pytest.raises(InvalidInputError):
             run_sweep([], 1, threads=0)
+        with pytest.raises(InvalidInputError, match="^threads must be an integer, got 1.7$"):
+            run_sweep([], 1, threads=1.7)
 
 
 # A sweep that reaches every report path: a contiguity cell with H = 7

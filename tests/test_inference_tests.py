@@ -231,6 +231,9 @@ class TestKnownBoundZTest:
             known_bound_z_test([5.0] * 10, math.nan, ALPHA)
         with pytest.raises(InvalidInputError):
             known_bound_z_test([1.0], 1.0, 0.0)
+        # True tested against c = 1
+        with pytest.raises(InvalidInputError, match="^variance bound c must be a finite number"):
+            known_bound_z_test([5.0] * 10, True, ALPHA)
 
     def test_exact_size_at_the_true_variance(self):
         cs = build_structure([2] * 50)
@@ -268,6 +271,10 @@ class TestStudentTQuantile:
             student_t_quantile(0, 0.5)
         with pytest.raises(InvalidInputError):
             student_t_quantile(3, 1.0)
+        # 2.5 was read as df = 2
+        with pytest.raises(InvalidInputError, match="^degrees of freedom must be an integer"):
+            student_t_quantile(2.5, 0.95)
+        assert student_t_quantile(np.int64(2), 0.95) == student_t_quantile(2, 0.95)
 
 
 def test_row_kernels_match_scalar_decisions():

@@ -318,10 +318,11 @@ class TestLimitLaw:
             assert np.all(np.diff(vals) >= 0.0)
 
     def test_domain_validation(self):
-        for bad in (0.0, -1.0, -1.5, 1.2):
+        for bad in (0.0, -1.0, -1.5, 1.2, True):  # True was delta = 1
             with pytest.raises(InvalidInputError):
                 LimitLaw(bad)
         LimitLaw(1.0)  # the right endpoint is allowed
+        assert LimitLaw(np.float32(0.5)).delta == 0.5
 
     def test_unit_mean_by_quadrature(self):
         """E[e^W] = 1: integrate exp(w(z)) against the standard normal density."""
@@ -433,6 +434,13 @@ class TestLrDiagnostics:
             lr_diagnostics(model, math.nan, 1000, seed=1)
         with pytest.raises(InvalidInputError):
             lr_diagnostics(model, 0.1, 999, seed=0)
+        # each of these ran: 1000.9 as 1000 replications, True as epsilon = 1
+        with pytest.raises(InvalidInputError, match="^reps must be an integer"):
+            lr_diagnostics(model, 0.1, 1000.9, seed=3)
+        with pytest.raises(InvalidInputError, match="^seed must be an integer"):
+            lr_diagnostics(model, 0.1, 1000, seed=3.0)
+        with pytest.raises(InvalidInputError, match="^epsilon must be a finite number"):
+            lr_diagnostics(model, True, 1000, seed=3)
 
 
 def test_batched_loglr_rows_match_scalar():

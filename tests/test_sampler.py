@@ -125,6 +125,27 @@ class TestRawRows:
     def test_widths(self, width):
         self.assert_rows_match_streams(2026, list(range(8)) + [4], width)
 
+    # Each was truncated: derive_stream(1.9, 0.5) gave the words of
+    # derive_stream(1, 0), so two keys shared one stream.
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: derive_stream(1.9, 0), "master seed"),
+            (lambda: derive_stream(1, 0.5), "replication id"),
+            (lambda: derive_stream(True, 0), "master seed"),
+            (lambda: raw_rows(1.9, range(2), 3), "master seed"),
+            (lambda: raw_rows(1, range(2), 3.0), "width"),
+            (
+                lambda: class_stat_rows(block_model(build_structure([2]), [0.1]), 1.9, range(2)),
+                "master seed",
+            ),
+        ],
+        ids=["stream-seed", "stream-id", "stream-bool-seed", "rows-seed", "rows-width", "class-seed"],
+    )
+    def test_non_integer_keys_and_widths_are_refused(self, call, message):
+        with pytest.raises(InvalidInputError, match=f"^{message} must be an integer"):
+            call()
+
     def test_concurrent_calls_share_no_generator(self):
         ids = list(range(400))
         jobs = {seed: raw_rows(seed, ids, 5) for seed in (101, 202)}
