@@ -21,7 +21,10 @@ sizes and counts (the cluster estimator ignores T; the test kernels of
 inference_tests share the signature, so the harness looks kernels up by
 name).  The data-row forms reduce X with cluster_model.row_stats and call
 that kernel; the harness calls it on the statistics it draws directly.
-Without a structure, the rows are reduced as one block of n.
+Without a structure, the rows are reduced as one block of n.  On the graphs
+that generate_graph builds, the graph estimator is also a closed form in
+(A, Q, T) and the first value of each row (graph_stat_rows), which graph
+cells use; graph_rows evaluates it on data rows for any graph.
 """
 
 from __future__ import annotations
@@ -87,6 +90,30 @@ def second_moment_stat_rows(a, q, t, model: BlockEquicorrModel) -> np.ndarray:
     with sum over a class of S1_m^2 = Q_h + A_h^2 / M_h."""
     block = (q + a * a / model.class_counts) / model.class_sizes
     return (t.sum(axis=-1) + block.sum(axis=-1)) / model.structure.n
+
+
+def graph_stat_rows(a, q, t, model: BlockEquicorrModel, x0, kind: str) -> np.ndarray:
+    """The graph estimator on generate_graph(kind, cs=model.structure, n=n),
+    from the class statistics of the rows and their first values x0 (B,).
+
+    Each kind a sweep can name is a closed form in these, with d = x - xbar:
+    the cluster graph of the model's own structure links exactly the pairs
+    within each block, which is the cluster estimator; the empty graph keeps
+    only the diagonal, the sample variance; the complete graph gives
+    (sum d)^2 / n = 0; and the star about node 0 adds 2 d_0 sum_{i > 0} d_i =
+    -2 d_0^2 to sum d^2.
+    """
+    if kind == "cluster":
+        return cluster_stat_rows(a, q, t, model)
+    if kind == "empty":
+        return sample_variance_stat_rows(a, q, t, model)
+    if kind == "complete":
+        return np.zeros_like(x0)
+    if kind == "star":
+        n = model.structure.n
+        d0 = x0 - a.sum(axis=-1) / n
+        return sample_variance_stat_rows(a, q, t, model) - 2.0 * d0 * d0 / n
+    raise InvalidInputError(f"unknown graph kind {kind!r}")
 
 
 def sample_variance_rows(X: np.ndarray) -> np.ndarray:

@@ -239,11 +239,35 @@ def generate_graph(kind: str, **params) -> DependencyGraph:
     The edges are built as arrays and go through the graph's constructor,
     without make_graph's check of each endpoint.
     """
+    n, cs, _ = _generated(kind, params)
     if kind == "star":
-        n = _node_count(params.get("n"))
         return DependencyGraph(n, np.column_stack((np.zeros(n - 1, np.intp), np.arange(1, n))))
-    if kind == "empty":
-        return DependencyGraph(params.get("n"), [])
+    if cs is None:  # the empty graph
+        return DependencyGraph(n, [])
+    # The pairs of each block size once, offset by the starts of its blocks.
+    sizes, starts = cs.sizes_array, cs.starts
+    blocks = [
+        (starts[sizes == k, None, None] + np.column_stack(np.triu_indices(k, 1))).reshape(-1, 2)
+        for k in np.unique(sizes)
+    ]
+    return DependencyGraph(n, np.concatenate(blocks))
+
+
+def generated_edge_count(kind: str, **params) -> int:
+    """The number of edges of generate_graph(kind, **params), counted without
+    building any.  Raises InvalidInputError where generate_graph would: an
+    unknown kind, a missing or invalid n or cs, and a complete or cluster
+    graph of more than GENERATED_EDGE_CAP edges."""
+    return _generated(kind, params)[2]
+
+
+def _generated(kind: str, params: dict):
+    """(n, cs, edge count) of a generated graph, checked: cs is the structure
+    whose blocks are the cliques of a cluster or complete graph, None for a
+    star or an empty graph."""
+    if kind in ("star", "empty"):
+        n = _node_count(params.get("n"))
+        return n, None, n - 1 if kind == "star" else 0
     if kind == "complete":
         cs = [_node_count(params.get("n"))]
     elif kind == "cluster":
@@ -259,13 +283,7 @@ def generate_graph(kind: str, **params) -> DependencyGraph:
         raise InvalidInputError(
             f"{kind} graph would have {count} edges, above the cap of {GENERATED_EDGE_CAP}"
         )
-    # The pairs of each block size once, offset by the starts of its blocks.
-    sizes, starts = cs.sizes_array, cs.starts
-    blocks = [
-        (starts[sizes == k, None, None] + np.column_stack(np.triu_indices(k, 1))).reshape(-1, 2)
-        for k in np.unique(sizes)
-    ]
-    return DependencyGraph(cs.n, np.concatenate(blocks))
+    return cs.n, cs, count
 
 
 def graph_to_dict(g: DependencyGraph) -> dict:

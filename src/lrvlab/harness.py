@@ -8,8 +8,13 @@ master seed regardless of the worker count.
 
 Stream allocation: cells are enumerated in config order, and cell i draws
 with the cell seed master_seed + i.  Graph cells consume n normals per
-replication (the O(n) mixing path, which the graph estimator needs):
-replication r reads its own stream, keyed (cell seed, r).  Estimator,
+replication (sampler.normal_rows): replication r reads its own stream, keyed
+(cell seed, r).  The normals are reduced straight to the class statistics
+of the rows that mixing them would give, and to each row's first value
+(sampler.mixed_class_stats), and each graph's estimate is a closed form in
+those (estimators.graph_stat_rows), so no mixed row, edge array or clique
+cover is built; the edge cap of generate_graph is checked on the edge count
+(graphs.generated_edge_count).  Estimator,
 contiguity and test cells draw each replication's class statistics
 (sampler.class_stat_rows): 11H + 1 words, where H counts the model's
 classes (the distinct (k, delta) among its blocks): one normal per class
@@ -114,14 +119,14 @@ from .cluster_model import (
 from .errors import DegenerateDataError, InvalidInputError, require_float, require_int, unique_keys
 from .estimators import (
     cluster_stat_rows,
-    graph_rows,
+    graph_stat_rows,
     sample_variance_stat_rows,
     second_moment_stat_rows,
 )
-from .graphs import generate_graph
+from .graphs import generated_edge_count
 from .inference_tests import cluster_t_stat_rows, sign_test_stat_rows, z_test_stat_rows
 from .likelihood import _check_budget, lr_draw, lr_metrics
-from .sampler import _chunks, _class_chunks, class_stat_rows, sample_rows
+from .sampler import _chunks, _class_chunks, class_stat_rows, mixed_class_stats, normal_rows
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -527,9 +532,10 @@ def _plan_graph_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) -
         gid = spec.get("id", f"{kind}-{pos}")
         if not isinstance(gid, str):
             raise InvalidInputError(f"graph id must be a string, got {gid!r}")
-        g = generate_graph(kind, cs=cs, n=cs.n)
-        g.clique_cover  # built here, once, not by whichever chunk reaches it first
-        graphs.append((gid, g))
+        # refuses an unknown kind and a graph above the edge cap, as
+        # generate_graph would, without building an edge
+        generated_edge_count(kind, cs=cs, n=cs.n)
+        graphs.append((gid, kind))
 
     # Each thread keeps its last chunk's rows until it draws the next chunk,
     # as a loop variable would, so the allocator reuses their buffer: freed
@@ -538,8 +544,9 @@ def _plan_graph_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) -
     held = threading.local()
 
     def rows(lo, hi):
-        X = held.rows = sample_rows(model, mu_bar, seed, range(lo, hi))
-        return [graph_rows(X, g) for _, g in graphs]
+        g = held.rows = normal_rows(seed, range(lo, hi), cs.n)
+        a, q, t, x0 = mixed_class_stats(g, model, mu_bar)
+        return [graph_stat_rows(a, q, t, model, x0, kind) for _, kind in graphs]
 
     def finish(acc):
         return [

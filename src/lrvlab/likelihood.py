@@ -68,7 +68,7 @@ def loglr_stat_rows(a, q, t, model: BlockEquicorrModel, mu_bar: float) -> np.nda
     each (B, H), of the model's classes: every block term is the same
     function of (k, delta) and the block sum of squares S1_m^2 adds up over
     a class to Q_h + A_h^2 / M_h."""
-    mu_bar = float(mu_bar)
+    mu_bar = require_float(mu_bar, "mu_bar")
     first, counts = model.class_first, model.class_counts
     k = model.class_sizes.astype(np.float64)
     deltas, top, base = model.deltas_array[first], model.top[first], model.base[first]
@@ -101,11 +101,12 @@ def loglr_cluster(x, cs: ClusterStructure, deltas, mu_bar: float) -> float:
     the value is exactly the sum over blocks of loglr_equicorr restricted to
     the block's coordinates.
     """
+    mu_bar = require_float(mu_bar, "mu_bar")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != cs.n:
         raise InvalidInputError(f"expected a data vector of length {cs.n}")
     model = block_model(cs, deltas)
-    return float(loglr_cluster_rows(x[np.newaxis, :], model, float(mu_bar))[0])
+    return float(loglr_cluster_rows(x[np.newaxis, :], model, mu_bar)[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,14 +11,15 @@ word w becomes the uniform u = ((w >> 11) + 0.5) * 2**-53, strictly inside
 (0, 1), and the normal is the inverse standard-normal CDF of u.  Determinism
 across platforms and batch sizes is the point; both steps are elementwise.
 
-Batched rows (raw_rows and the row samplers built on it) come from one numpy
-Philox generator per call that is re-keyed for each replication: its key is
-set to the replication's pair and its counter and buffer are reset, which is
-exactly the state a freshly keyed generator starts in.  So row r equals the
-per-replication stream derive_stream(master_seed, ids[r]) word for word, and
-no generator (nor its entropy read) is built per replication.  These rows are
-n words wide and serve graph cells, so the Python step per replication is
-small beside the row.
+Batched rows (raw_rows and the row samplers built on it, normal_rows and
+sample_rows) come from one numpy Philox generator per call that is re-keyed
+for each replication: its key is set to the replication's pair and its
+counter and buffer are reset, which is exactly the state a freshly keyed
+generator starts in.  So row r equals the per-replication stream
+derive_stream(master_seed, ids[r]) word for word, and no generator (nor its
+entropy read) is built per replication.  These rows are n words wide and
+serve graph cells, so the Python step per replication is small beside the
+row.
 
 Within a cluster of size k with parameter delta, a draw is mixed from iid
 normals g_1..g_k with mean gbar as
@@ -33,17 +34,25 @@ the way down to the positive-definiteness boundary, where an additive
 the block's eigenvalues, which the model carries (BlockEquicorrModel.base and
 .top); models are validated on construction, so none is checked here.  The
 data paths (sample, sample_rows) draw n words per replication and serve the
-graph estimator, the scalar API and the oracle tests.
+scalar API and the oracle tests.  Graph cells draw the same words as
+standard normals (normal_rows) and never mix them: mixed_class_stats reduces
+them straight to the class statistics of the mixed rows (below), since a
+block sum of a mixed row is k mu_bar + sqrt(top) S1(g) and its residuals
+are sqrt(base) times those of g, and the graph estimator of every generated
+graph is a closed form in these and the row's first value.
 
 Sweeps draw replications in chunks of about _CHUNK_SCALARS = 2**16 scalars
 (_chunks; a row wider than that is a chunk of its own), so that a chunk's
-buffers stay in cache.  sample_rows keeps one float buffer per chunk: the raw
-words are shifted in place, converted once to floats, scaled, and passed
-through ndtri in place, and _mix_rows then mixes them in place.  Each step
-applies the same floating-point operation to the same operands as the
-formulas above, so the bits are those of sample.  Every row kernel is
-row-independent, so reports do not depend on the chunk size for any kind of
-cell; the chunk sets only the batch shapes and the memory a cell needs.
+buffers stay in cache.  normal_rows keeps one float buffer per chunk: the
+raw words are shifted in place, converted once to floats, scaled, and
+passed through ndtri in place; sample_rows then mixes them in place
+(_mix_rows), and mixed_class_stats squares them in place once it has their
+block sums.  Each step applies the same floating-point operation to the same
+operands as the formulas above, so the bits of sample_rows are those of
+sample.  Every reduction and row kernel is row-independent (elementwise
+steps and sums along each row), so reports do not depend on the chunk size
+for any kind of cell; the chunk sets only the batch shapes and the memory a
+cell needs.
 
 Every other statistic the lab computes depends on a draw only through the
 class statistics of cluster_model.class_stats.  Blocks that share
@@ -88,15 +97,16 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaincinv, ndtri
 
-from .cluster_model import DENSE_N_CAP, BlockEquicorrModel
-from .errors import FactorizationError, InvalidInputError, require_int
+from .cluster_model import DENSE_N_CAP, BlockEquicorrModel, block_sums, class_reducer
+from .errors import FactorizationError, InvalidInputError, require_float, require_int
 
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
 
 # Scalars drawn per Monte Carlo chunk: 512 KiB per float buffer, so a graph
-# cell's draw, mixing and reduction stay in cache (chunks of 2**22 passed
-# through temporaries of up to 32 MiB).  Reports do not depend on it.
+# cell's draw and its reduction to class statistics stay in cache (chunks of
+# 2**22 passed through temporaries of up to 32 MiB).  Reports do not depend
+# on it.
 _CHUNK_SCALARS = 1 << 16
 
 # Words per class in a class draw: one for A_h and five for each of the
@@ -218,9 +228,20 @@ def _mix_rows(g: np.ndarray, model: BlockEquicorrModel, mu_bar: float) -> np.nda
 
 def sample(model: BlockEquicorrModel, mu_bar: float, stream: RandomStream) -> np.ndarray:
     """One exact draw from N(mu_bar * 1, Sigma(model)), consuming n normals."""
-    n = model.structure.n
-    g = stream.normals(n)
-    return _mix_rows(g[np.newaxis, :], model, float(mu_bar))[0]
+    mu_bar = require_float(mu_bar, "mu_bar")
+    g = stream.normals(model.structure.n)
+    return _mix_rows(g[np.newaxis, :], model, mu_bar)[0]
+
+
+def normal_rows(master_seed: int, replication_ids, n: int) -> np.ndarray:
+    """The first n standard normals of each replication's stream, one row each.
+
+    Row r equals derive_stream(master_seed, ids[r]).normals(n) bit for bit;
+    the uniforms and the inverse-CDF transform run in place in one float
+    buffer.
+    """
+    u = _to_uniform(raw_rows(master_seed, replication_ids, n))
+    return ndtri(u, out=u)
 
 
 def sample_rows(
@@ -235,8 +256,41 @@ def sample_rows(
     bit-for-bit; this entry point just amortizes the inverse-CDF transform and
     the mixing over the batch, which run in place in one float buffer.
     """
-    u = _to_uniform(raw_rows(master_seed, replication_ids, model.structure.n))
-    return _mix_rows(ndtri(u, out=u), model, float(mu_bar))
+    mu_bar = require_float(mu_bar, "mu_bar")
+    return _mix_rows(normal_rows(master_seed, replication_ids, model.structure.n), model, mu_bar)
+
+
+def mixed_class_stats(g: np.ndarray, model: BlockEquicorrModel, mu_bar: float):
+    """(A, Q, T, x0): the class statistics (cluster_model.class_stats) and the
+    first column of the rows that _mix_rows(g, model, mu_bar) would make from
+    the standard-normal rows g (B, n), read from g without mixing it.  The
+    rows are squared in place, so g is spent.
+
+    Mixing scales a block's residuals g_i - gbar_m by sqrt(base_m) and its
+    mean by sqrt(top_m), so the block sum of a mixed row is
+    k_m mu_bar + sqrt(top_m) S1_m(g), and per class A = sqrt(top) A(g) +
+    M_h k_h mu_bar, Q = top Q(g) and T = base T(g).  Over g the masses are
+    taken in one pass, Q(g) = sum S1_m^2 - A(g)^2 / M_h and
+    T(g) = sum g_i^2 - sum S1_m^2 / k_h: normals have mean 0, so nothing
+    cancels (and a class of one block, or of singletons, gets exactly 0).
+    Every step is elementwise or a reduction along each row, so row r does
+    not depend on the batch.
+    """
+    mu_bar = require_float(mu_bar, "mu_bar")
+    cs = model.structure
+    first, counts, sizes = model.class_first, model.class_counts, model.class_sizes
+    top, base = model.top[first], model.base[first]
+    per_class = class_reducer(model)
+    s1 = block_sums(g, cs)
+    mean0 = s1[:, 0] / cs.sizes[0]
+    x0 = mu_bar + np.sqrt(model.base[0]) * (g[:, 0] - mean0) + np.sqrt(model.top[0]) * mean0
+    a = per_class(s1)
+    s1 *= s1
+    s1sq = per_class(s1)
+    g *= g
+    q = s1sq - a * a / counts
+    t = per_class(block_sums(g, cs)) - s1sq / sizes
+    return np.sqrt(top) * a + counts * sizes * mu_bar, top * q, base * t, x0
 
 
 def class_stat_rows(model: BlockEquicorrModel, master_seed: int, replications: range):

@@ -226,6 +226,16 @@ def test_block_model_validation_matches_a_per_cluster_loop():
         assert str(info.value).startswith(f"cluster {want[1]} ")
 
 
+@pytest.mark.parametrize("deltas", [["0.2", 0.1], [True, 0.1], [0.2, True], [0.2, float("nan")]])
+def test_block_model_refuses_deltas_that_are_not_numbers(deltas):
+    # float() read "0.2" as 0.2 and True as 1.0 (stored as 0.0 on the singleton)
+    with pytest.raises(InvalidInputError, match="^delta must be a finite number, got "):
+        block_model(build_structure([3, 1]), deltas)
+    with pytest.raises(InvalidInputError, match="^delta must be a finite number, got "):
+        dataclasses.replace(block_model(build_structure([3, 1]), [0.2, 0.0]), deltas=deltas)
+    assert block_model(build_structure([3, 1]), [np.float32(0.25), 0]).deltas == (0.25, 0.0)
+
+
 def test_spectral_block_closed_form():
     spec = spectral_block(5, 0.1)
     assert spec.top_eigenvalue == pytest.approx(1.4)
@@ -434,6 +444,10 @@ def test_deltas_for_common_variance_closed_form():
         deltas_for_common_variance(cs, 0.0)
     with pytest.raises(InvalidInputError):
         deltas_for_common_variance(build_structure([3, 1]), 1.5)
+    # float() read True as sigma_sq = 1 (deltas 0) and "1.5" as 1.5
+    for sigma_sq in (True, "1.5", float("nan")):
+        with pytest.raises(InvalidInputError, match="^sigma_sq must be a finite number, got "):
+            deltas_for_common_variance(cs, sigma_sq)
 
 
 def test_deltas_for_common_variance_feasibility_boundary():

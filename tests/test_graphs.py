@@ -215,6 +215,9 @@ def test_generate_graph_examples():
         generate_graph("star")
     with pytest.raises(InvalidInputError):
         generate_graph("cluster")
+    for kind, params in [("lattice", {"n": 4}), ("star", {}), ("cluster", {}), ("empty", {"n": 0})]:
+        with pytest.raises(InvalidInputError):
+            graphs.generated_edge_count(kind, **params)
 
 
 def test_generated_edges_match_loops():
@@ -232,6 +235,9 @@ def test_generated_edges_match_loops():
             [i, j] for i in range(n) for j in range(i + 1, n)
         ]
         assert generate_graph("star", n=n).edges.tolist() == [[0, i] for i in range(1, n)]
+        # the count a sweep checks the cap with, without building the edges
+        for kind, params in [("cluster", {"cs": sizes}), ("complete", {"n": n}), ("star", {"n": n}), ("empty", {"n": n})]:
+            assert graphs.generated_edge_count(kind, **params) == len(generate_graph(kind, **params).edges)
 
 
 @pytest.mark.parametrize("kind,params", [("cluster", {"cs": [10**4]}), ("complete", {"n": 10**4})])
@@ -239,6 +245,8 @@ def test_generated_graphs_over_the_edge_cap_are_refused(kind, params):
     # 49,995,000 edges: refused from the count, before any edge is built
     with pytest.raises(InvalidInputError, match="49995000 edges, above the cap"):
         generate_graph(kind, **params)
+    with pytest.raises(InvalidInputError, match="49995000 edges, above the cap"):
+        graphs.generated_edge_count(kind, **params)
 
 
 def test_edge_cap_boundary(monkeypatch):

@@ -14,8 +14,9 @@ import sys
 import numpy as np
 import pytest
 
-from lrvlab import InvalidInputError, block_model, build_structure, lr_diagnostics
+from lrvlab import InvalidInputError, block_model, build_structure, generate_graph, lr_diagnostics
 from lrvlab import harness, sampler
+from lrvlab.estimators import graph_rows, sample_variance_rows
 from lrvlab.harness import (
     config_hash,
     load_config,
@@ -24,8 +25,15 @@ from lrvlab.harness import (
     summarize,
 )
 from lrvlab.inference_tests import sign_test_stat_rows, z_test_stat_rows
+from lrvlab.sampler import sample_rows
 
 CSV_HEADER = "experiment,design_id,n,n_star,M,h,metric,value,se,reps,seed"
+
+# Unequal blocks with singletons, negative deltas and classes whose blocks
+# are not adjacent, for the graph cells.
+GRAPH_SIZES = [3, 1, 4, 3, 1, 2, 6]
+GRAPH_DELTAS = [-0.2, 0.0, 0.3, -0.2, 0.0, -0.5, 0.1]
+GRAPH_KINDS = ("cluster", "empty", "complete", "star")
 
 
 def pairs_config(**overrides):
@@ -728,6 +736,29 @@ class TestReports:
                     "n_grid": [100],
                     "replications": 120,
                 },
+                {
+                    "experiment": "graph_estimation",
+                    "design": {
+                        "structure": {"pattern": "explicit", "sizes": GRAPH_SIZES},
+                        "deltas": {"scheme": "explicit", "values": GRAPH_DELTAS},
+                        "mu": [0.7],
+                        "graphs": [{"kind": kind} for kind in GRAPH_KINDS],
+                    },
+                    "n_grid": [sum(GRAPH_SIZES)],
+                    "replications": 120,
+                },
+                {
+                    # a block wider than a numpy buffer (8192 values), one row
+                    # per narrow chunk
+                    "experiment": "graph_estimation",
+                    "design": {
+                        "structure": {"pattern": "single"},
+                        "deltas": {"scheme": "delta-over-n", "value": 0.5},
+                        "graphs": [{"kind": "empty"}, {"kind": "star"}],
+                    },
+                    "n_grid": [10_000],
+                    "replications": 100,
+                },
             ],
         }
         wide = run_from(cfg)
@@ -735,6 +766,51 @@ class TestReports:
         narrow = run_from(cfg)
         assert summarize(wide, "csv") == summarize(narrow, "csv")
         assert summarize(wide, "json") == summarize(narrow, "json")
+
+    @pytest.mark.parametrize(
+        "structure, deltas, mu, n, kinds",
+        [
+            ({"pattern": "pairs"}, {"scheme": "constant", "value": 0.4}, 0.0, 20, GRAPH_KINDS),
+            ({"pattern": "equal", "clusters": 5}, {"scheme": "constant", "value": -0.3}, 0.0, 20, GRAPH_KINDS),
+            # the true and complete graphs of one 10^4 block are above the edge cap
+            ({"pattern": "single"}, {"scheme": "delta-over-n", "value": 0.5}, 0.0, 10_000, ("star", "empty")),
+            (
+                {"pattern": "explicit", "sizes": GRAPH_SIZES},
+                {"scheme": "explicit", "values": GRAPH_DELTAS},
+                0.7,
+                sum(GRAPH_SIZES),
+                GRAPH_KINDS,
+            ),
+        ],
+        ids=["pairs", "equal-4", "single-10000", "explicit"],
+    )
+    def test_graph_cell_values_are_graph_rows_of_the_drawn_rows(self, structure, deltas, mu, n, kinds):
+        """A graph cell's per-replication values equal graph_rows on the rows
+        sample_rows draws for the cell, to 1e-12 relative; a complete graph's
+        exact 0 is compared with the rows' sample variance as scale."""
+        seed, (entry,) = load_config(
+            {
+                "experiment": "graph_estimation",
+                "design": {
+                    "structure": structure,
+                    "deltas": deltas,
+                    "mu": [mu],
+                    "graphs": [{"id": kind, "kind": kind} for kind in kinds],
+                },
+                "n_grid": [n],
+                "replications": 100,
+                "master_seed": 7300,
+            }
+        )
+        cs = harness._resolve_structure(structure, n)
+        plan = harness._plan_graph_cell(entry, cs, seed)
+        got = dict(zip(plan.keys, plan.rows(0, 100)))
+        X = sample_rows(block_model(cs, harness._resolve_deltas(deltas, cs)), mu, seed, range(100))
+        scale = sample_variance_rows(X)
+        for kind in kinds:
+            want = graph_rows(X, generate_graph(kind, cs=cs, n=n))
+            gap = np.abs(got[kind] - want)
+            assert np.all(gap <= 1e-12 * np.maximum(np.abs(want), scale)), kind
 
     def test_run_sweep_validates_threads(self):
         with pytest.raises(InvalidInputError):
@@ -828,12 +904,16 @@ PINNED_SWEEP = {
 }
 
 
-# Recorded when the class draw moved from chi-square inversion to
-# Marsaglia-Tsang attempts on 11H + 1 words per replication: the non-graph
-# values moved within Monte Carlo error, the graph rows by no byte.
+# Recorded when graph cells began to reduce their drawn normals straight to
+# class statistics (sampler.mixed_class_stats) instead of mixing the rows and
+# running graph_rows.  The draw is unchanged; the closed forms round
+# differently, so four graph rows moved in their last digits: the se of
+# graph[true]_mean and _bias (0.04429800186740712 -> ...7115), the se of
+# graph[true]_rmse (0.03358303998011577 -> ...754) and graph[star]_rmse
+# (0.6481939117951778 -> ...779).  No other row moved.
 PINNED_SHA256 = {
-    "csv": "32c4b6938ac5d2137f839a3084414d0ca828a619d8b313330be3a3480995207f",
-    "json": "bf7df17896527324897417b36bf1ff0082fa55ef91456fdd9254583c20ddd9d5",
+    "csv": "28c234f3e5eb35ea68204d087a1f16c01841b3bc2d52bfca9e22cfc3bb458d57",
+    "json": "6d11d087e10d69a9ac2a52c5600dd237ac9874e68cca1612af4360472d9ae462",
 }
 
 

@@ -32,8 +32,8 @@ from lrvlab import (
     loglr_equicorr,
     lr_diagnostics,
 )
-from lrvlab.cluster_model import dense_sigma
-from lrvlab.likelihood import chi2_cdf_1df, ks_distance, loglr_cluster_rows
+from lrvlab.cluster_model import class_stats, dense_sigma
+from lrvlab.likelihood import chi2_cdf_1df, ks_distance, loglr_cluster_rows, loglr_stat_rows
 
 
 def dense_loglr_oracle(x, mu0, mu1, sigma0, sigma1):
@@ -89,6 +89,23 @@ def test_equicorr_rejects_non_positive_definite_blocks():
         loglr_equicorr([1.0, 2.0], 0.0, 1.0)
     with pytest.raises(InvalidInputError):
         loglr_equicorr([], 0.0, 0.1)
+
+
+@pytest.mark.parametrize("mu", [True, "0.5", math.inf])
+def test_mu_bar_must_be_a_finite_number(mu):
+    # float() ran True as mu_bar = 1.0 and "0.5" as 0.5
+    cs = build_structure([2, 1])
+    model = block_model(cs, [0.3, 0.0])
+    x = np.array([0.1, -0.4, 1.2])
+    calls = [
+        lambda: loglr_stat_rows(*class_stats(x[np.newaxis, :], model), model, mu),
+        lambda: loglr_cluster_rows(x[np.newaxis, :], model, mu),
+        lambda: loglr_cluster(x, cs, [0.3, 0.0], mu),
+        lambda: loglr_equicorr(x, mu, 0.1),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="^mu_bar must be a finite number, got "):
+            call()
 
 
 def test_cluster_loglr_identical_measures_give_zero():

@@ -11,7 +11,7 @@ import threading
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import ndtri
 
 from lrvlab import (
@@ -26,7 +26,14 @@ from lrvlab import (
     sampler,
 )
 from lrvlab.cluster_model import BlockEquicorrModel, class_stats, dense_sigma
-from lrvlab.sampler import _to_uniform, class_stat_rows, raw_rows, sample_rows
+from lrvlab.sampler import (
+    _to_uniform,
+    class_stat_rows,
+    mixed_class_stats,
+    normal_rows,
+    raw_rows,
+    sample_rows,
+)
 
 
 def test_stream_replay_is_bit_identical():
@@ -98,6 +105,68 @@ def test_in_place_rows_equal_the_documented_expressions(sizes, deltas, mu):
     else:
         want = mu + g
     assert_array_equal(sample_rows(model, mu, 13, range(9)), want)
+
+
+def test_normal_rows_are_each_streams_normals():
+    ids = [3, 0, 2**63 + 5, 3]
+    rows = normal_rows(21, ids, 17)
+    for row, rep in zip(rows, ids):
+        assert_array_equal(row, derive_stream(21, rep).normals(17))
+
+
+@pytest.mark.parametrize("mu", [True, "0.5", float("nan")])
+def test_mu_bar_must_be_a_finite_number(mu):
+    # float() ran True as mu_bar = 1.0 and "0.5" as 0.5
+    model = block_model(build_structure([2, 1]), [0.3, 0.0])
+    calls = [
+        lambda: sample(model, mu, derive_stream(1, 0)),
+        lambda: sample_rows(model, mu, 1, range(2)),
+        lambda: mixed_class_stats(normal_rows(1, range(2), 3), model, mu),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="^mu_bar must be a finite number, got "):
+            call()
+
+
+# Designs for the reduction of normal rows: pairs and equal blocks of 4
+# (block sums by halving), one block of 10^4 and equal blocks of 12 (by
+# reduceat), unequal blocks with singletons, negative deltas and classes
+# whose blocks are not adjacent, and the identity model.
+MIXED_DESIGNS = [
+    ([2] * 10, [0.4] * 10, 0.0),
+    ([4] * 5, [-0.3] * 5, 0.0),
+    ([10_000], [0.5e-4], 0.0),
+    ([12] * 3, [0.2, -0.05, 0.2], 0.3),
+    ([3, 1, 4, 3, 1, 2, 6], [-0.2, 0.0, 0.3, -0.2, 0.0, -0.5, 0.1], 0.7),
+    ([6, 6], [0.0, 0.0], -1.25),
+]
+
+
+@pytest.mark.parametrize("sizes,deltas,mu", MIXED_DESIGNS)
+def test_mixed_class_stats_are_class_stats_of_the_mixed_rows(sizes, deltas, mu):
+    model = block_model(build_structure(sizes), deltas)
+    n = model.structure.n
+    X = sample_rows(model, mu, 31, range(7))
+    a, q, t, x0 = mixed_class_stats(normal_rows(31, range(7), n), model, mu)
+    want_a, want_q, want_t = class_stats(X, model)
+    # A is O(sqrt n) and Q, T are O(n); the mixed rows round at O(1) each
+    assert_allclose(a, want_a, rtol=1e-12, atol=1e-13 * n)
+    assert_allclose(q, want_q, rtol=1e-12, atol=1e-13 * n)
+    assert_allclose(t, want_t, rtol=1e-12, atol=1e-13 * n)
+    assert_allclose(x0, X[:, 0], rtol=1e-13, atol=1e-14)
+    # the singleton class has exactly no residual mass
+    assert np.all(t[:, model.class_sizes == 1] == 0.0)
+
+
+@pytest.mark.parametrize("sizes,deltas,mu", MIXED_DESIGNS)
+def test_mixed_class_stats_of_a_row_do_not_depend_on_its_batch(sizes, deltas, mu):
+    model = block_model(build_structure(sizes), deltas)
+    g = normal_rows(5, range(6), model.structure.n)
+    batch = mixed_class_stats(g.copy(), model, mu)
+    for r in range(6):
+        one = mixed_class_stats(g[r : r + 1].copy(), model, mu)
+        for got, want in zip(one, batch):
+            assert_array_equal(got[0], want[r])
 
 
 class TestRawRows:
