@@ -7,7 +7,7 @@ knowledge of the dependence structure:
 - cluster: sums all within-cluster cross products; consistent when the
   cluster structure is known and no cluster dominates.
 - graph: sums cross products over graph-neighbor pairs (including i itself),
-  evaluated as segment sums over the graph's clique cover.
+  evaluated as one product per edge.
 - second_moment: (1/n) sum x_i^2, valid under a known zero mean.
 
 Estimates are reported raw — the cross-product estimators are not truncated
@@ -24,7 +24,8 @@ that kernel; the harness calls it on the statistics it draws directly.
 Without a structure, the rows are reduced as one block of n.  On the graphs
 that generate_graph builds, the graph estimator is also a closed form in
 (A, Q, T) and the first value of each row (graph_stat_rows), which graph
-cells use; graph_rows evaluates it on data rows for any graph.
+cells use; graph_rows evaluates it on data rows for any graph, as a sum
+over its edges.
 """
 
 from __future__ import annotations
@@ -133,32 +134,22 @@ def cluster_rows(X: np.ndarray, cs: ClusterStructure) -> np.ndarray:
 def graph_rows(X: np.ndarray, g: DependencyGraph) -> np.ndarray:
     """(1/n) sum_i sum_{j in N(i) or j = i} (x_i - xbar)(x_j - xbar) per row.
 
-    Over the graph's clique cover this is
-    (1/n) [sum_c (sum_{i in c} d_i)^2 + sum_{(u, v) in pairs} (d_u + d_v)^2
-    + sum_i w_i d_i^2] with d = x - xbar: one segment sum per large clique
-    and one gathered sum per other edge, so O(n + E) whatever the clique
-    sizes.  Row-independent: every gather and sum runs over each row of a
+    With d = x - xbar this is (1/n) [sum_i d_i^2 + 2 sum_{(u, v) in E} d_u d_v],
+    one product per edge, so O(n + E) in time and memory per row.
+    Row-independent: every gather and sum runs over each row of a
     C-contiguous array, so a one-row call is bit-identical to the same row
     inside any batch.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.shape[-1] != g.n:
         raise InvalidInputError(f"data has length {X.shape[-1]}, graph has n = {g.n}")
-    members, starts, pairs, weights = g.clique_cover
     d = X - X.mean(axis=-1, keepdims=True)
     # np.take, not d[..., idx]: fancy indexing returns F-strided rows, whose
     # sums would depend on the batch
-    sums = np.add.reduceat(d if members is None else np.take(d, members, axis=-1), starts, axis=-1)
-    edge_sums = np.take(d, pairs[:, 0], axis=-1)
-    edge_sums += np.take(d, pairs[:, 1], axis=-1)
-    sums *= sums
-    edge_sums *= edge_sums
-    total = sums.sum(axis=-1) + edge_sums.sum(axis=-1)
-    if weights is not None:
-        d *= d
-        d *= weights
-        total += d.sum(axis=-1)
-    return total / g.n
+    cross = np.take(d, g.edges[:, 0], axis=-1)
+    cross *= np.take(d, g.edges[:, 1], axis=-1)
+    d *= d
+    return (d.sum(axis=-1) + 2.0 * cross.sum(axis=-1)) / g.n
 
 
 def second_moment_rows(X: np.ndarray) -> np.ndarray:

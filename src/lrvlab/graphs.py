@@ -6,18 +6,14 @@ of cliques).  The statistics reported here are the ones the estimation theory
 is phrased in: maximum degree, average degree, clique number, and the
 composite ratio d_max^2 * d_avg / n.
 
-Each graph also carries an edge-disjoint clique cover, built once from its
-edge array: every complete component of three or more nodes is one clique and
-every other edge a 2-clique.  The graph estimator evaluates the quadratic form
-d'(I + A)d over it as squared segment sums plus a per-node correction
-(DependencyGraph.clique_cover), in O(n + E) even on a large clique and
-without a sparse matrix.
+A graph keeps its edges once, as a sorted (E, 2) array; the graph estimator
+(estimators.graph_rows) evaluates the quadratic form d'(I + A)d as one
+product per edge, in O(n + E) and without a sparse matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,8 +25,9 @@ from .errors import InvalidInputError, require_int
 EXACT_CLIQUE_CAP = 64
 
 # generate_graph refuses a graph with more edges than this before building
-# any: it bounds the memory of the edge array (16 bytes an edge) and the
-# O(n + E) work of the graph estimator on each row.
+# any: it bounds the memory of generate_graph's edge array (16 bytes an edge).
+# It is also the documented refusal of graph cells, which check the count
+# (generated_edge_count) and quarantine a graph above it.
 GENERATED_EDGE_CAP = 10**6
 
 # Number of highest-degree seeds the greedy lower bound grows cliques from.
@@ -75,45 +72,6 @@ class DependencyGraph:
         edges.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
-
-    @cached_property
-    def clique_cover(self) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray | None]:
-        """An edge-disjoint clique cover as (members, starts, pairs, weights),
-        built once per graph.
-
-        Every complete component of three or more nodes is one clique, the
-        segment members[starts[c]:starts[c + 1]]; members is None when these
-        cliques are runs that tile the nodes 0..n-1 in order, as in a
-        generated cluster graph of such blocks.  Every other edge, one of the
-        (E', 2) array pairs, is a 2-clique.  weights[i] = 1 - (number of cover
-        cliques that hold node i): 0 inside a large clique, 1 - degree(i)
-        elsewhere; weights is None when all of them are 0.  Then, for any
-        vector d,
-        d'(I + A)d = sum_i w_i d_i^2 + sum_c (sum_{i in c} d_i)^2.
-        """
-        edges, deg = self.edges, self.degrees()
-        # A complete component C is exactly the set of nodes whose closed
-        # neighborhoods have min(C) as their smallest node; a set of nodes
-        # sharing that anchor is a complete component when no edge leaves it
-        # and each of its members has degree |set| - 1.
-        anchor = np.arange(self.n)
-        np.minimum.at(anchor, edges[:, 1], edges[:, 0])
-        size = np.bincount(anchor, minlength=self.n)[anchor]
-        incomplete = np.zeros(self.n, dtype=bool)
-        incomplete[anchor[deg != size - 1]] = True
-        leaving = edges[anchor[edges[:, 0]] != anchor[edges[:, 1]]]
-        incomplete[anchor[leaving.ravel()]] = True
-        # Smaller complete components stay out of the segments: reduceat pays
-        # per segment, and a pair sum or a weight of 1 is cheaper.
-        in_clique = ~incomplete[anchor] & (size >= 3)
-        members = np.flatnonzero(in_clique)
-        members = members[np.argsort(anchor[members], kind="stable")]
-        starts = np.flatnonzero(np.diff(anchor[members], prepend=-1))
-        weights = np.where(in_clique, 0.0, 1.0 - deg)
-        if np.array_equal(members, np.arange(self.n)):
-            members = None
-        pairs = edges[~in_clique[edges[:, 0]]]
-        return members, starts, pairs, weights if weights.any() else None
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.n)

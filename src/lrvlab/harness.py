@@ -12,8 +12,8 @@ replication (sampler.normal_rows): replication r reads its own stream, keyed
 (cell seed, r).  The normals are reduced straight to the class statistics
 of the rows that mixing them would give, and to each row's first value
 (sampler.mixed_class_stats), and each graph's estimate is a closed form in
-those (estimators.graph_stat_rows), so no mixed row, edge array or clique
-cover is built; the edge cap of generate_graph is checked on the edge count
+those (estimators.graph_stat_rows), so no mixed row or edge array is
+built; the edge cap of generate_graph is checked on the edge count
 (graphs.generated_edge_count).  Estimator,
 contiguity and test cells draw each replication's class statistics
 (sampler.class_stat_rows): 11H + 1 words, where H counts the model's
@@ -328,6 +328,8 @@ def _resolve_deltas(spec, cs: ClusterStructure):
     if not isinstance(spec, dict) or "scheme" not in spec:
         raise InvalidInputError('deltas must be {"scheme": ...}')
     scheme = spec["scheme"]
+    if scheme not in ("explicit", "common-variance", "constant", "dbar-over-nstar", "delta-over-n"):
+        raise InvalidInputError(f"unknown delta scheme {scheme!r}")
     _known_keys(spec, ("scheme", "values" if scheme == "explicit" else "value"), "deltas")
     if scheme == "explicit":
         values = spec.get("values")
@@ -343,9 +345,7 @@ def _resolve_deltas(spec, cs: ClusterStructure):
         if cs.n_star == 0:
             return [0.0] * cs.M
         return [value / cs.n_star] * cs.M
-    if scheme == "delta-over-n":
-        return [value / cs.n] * cs.M
-    raise InvalidInputError(f"unknown delta scheme {scheme!r}")
+    return [value / cs.n] * cs.M  # delta-over-n
 
 
 def _resolve_mu(entries, sigma_sq: float, n: int):

@@ -80,7 +80,7 @@ def sign_test_stat_rows(a, q, t, model: BlockEquicorrModel, alpha: float, c=None
     """(V, 0, p) per row from class statistics: V = sgn(xbar), the tie counted
     as +1, and p = 2 alpha 1{V = +1}.  Requires alpha in (0, 1/2); q, t and c
     are unused."""
-    alpha = float(alpha)
+    alpha = require_float(alpha, "alpha")
     if not (0.0 < alpha < 0.5):
         raise InvalidInputError(f"alpha must lie in (0, 1/2), got {alpha}")
     nonnegative = a.sum(axis=-1) / model.structure.n >= 0.0
@@ -95,7 +95,7 @@ def sign_test(x, alpha: float, u: float) -> TestOutcome:
     Requires alpha in (0, 1/2).
     """
     row = _as_row(x)
-    u = float(u)
+    u = require_float(u, "randomization input u")
     if not (0.0 <= u <= 1.0):
         raise InvalidInputError(f"randomization input u must lie in [0, 1], got {u}")
     return _outcome(sign_test_stat_rows(*row_stats(row), alpha), alpha, u)
@@ -141,7 +141,7 @@ def cluster_t_stat_rows(a, q, t, model: BlockEquicorrModel, alpha: float, c=None
     """(V', t(M-1) quantile at 1 - alpha, p = 1{V' > quantile}) per row, with
     V' = sqrt(M) U'/sqrt(T') (+-inf or nan where T' = 0).  Requires alpha in
     (0, 1) and M >= 2; t and c are unused."""
-    alpha = float(alpha)
+    alpha = require_float(alpha, "alpha")
     if not (0.0 < alpha < 1.0):
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
     m = model.structure.M
@@ -178,7 +178,7 @@ def z_test_stat_rows(a, q, t, model: BlockEquicorrModel, alpha: float, c: float)
     c = require_float(c, "variance bound c")
     if not (c > 0.0):
         raise InvalidInputError(f"variance bound c must be positive, got {c}")
-    alpha = float(alpha)
+    alpha = require_float(alpha, "alpha")
     if not (0.0 < alpha < 1.0):
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
     n = model.structure.n
@@ -202,7 +202,7 @@ def student_t_quantile(df: int, p: float) -> float:
     df = require_int(df, "degrees of freedom")
     if df < 1:
         raise InvalidInputError(f"degrees of freedom must be >= 1, got {df}")
-    p = float(p)
+    p = require_float(p, "p")
     if not (0.0 < p < 1.0):
         raise InvalidInputError(f"p must lie in (0, 1), got {p}")
     return float(stdtrit(df, p))

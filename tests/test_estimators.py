@@ -220,28 +220,18 @@ def _irregular_graph(n: int, seed: int):
 
 
 @pytest.mark.parametrize("n", [100, 101, 2000, 10_000])
-@pytest.mark.parametrize("kind", ["cluster", "empty", "irregular"])
+@pytest.mark.parametrize("kind", ["cluster", "cliques", "empty", "irregular"])
 def test_graph_rows_do_not_depend_on_the_batch(n, kind):
     """Each row's estimate is the same bits alone as inside any batch, so
     reports do not depend on how replications are chunked."""
     if kind == "cluster":
         g = generate_graph("cluster", cs=[4] * (n // 4) + [n % 4] * (n % 4 > 0))
+    elif kind == "cliques":  # cliques of 3 between isolated nodes
+        g = generate_graph("cluster", cs=[3, 1] * (n // 4) + [1] * (n % 4))
     elif kind == "empty":
         g = generate_graph("empty", n=n)
     else:
         g = _irregular_graph(n, 2012 + n)
-    X = np.random.default_rng(n).normal(loc=3.0, size=(7, n))
-    batch = graph_rows(X, g)
-    for r in range(7):
-        assert graph_rows(X[r : r + 1], g)[0] == batch[r]
-    assert_array_equal(np.concatenate((graph_rows(X[:3], g), graph_rows(X[3:], g))), batch)
-
-
-@pytest.mark.parametrize("n", [100, 2000])
-def test_gathered_cliques_do_not_depend_on_the_batch(n):
-    """Cliques of 3 between isolated nodes are gathered before their sums."""
-    g = generate_graph("cluster", cs=[3, 1] * (n // 4) + [1] * (n % 4))
-    assert g.clique_cover[0] is not None
     X = np.random.default_rng(n).normal(loc=3.0, size=(7, n))
     batch = graph_rows(X, g)
     for r in range(7):

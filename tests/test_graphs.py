@@ -10,7 +10,6 @@ import dataclasses
 import networkx as nx
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
 
 from lrvlab import (
     DependencyGraph,
@@ -161,48 +160,6 @@ def test_large_graph_uses_flagged_greedy_bound():
     assert stats.clique_exact is False
     assert stats.clique_number == 8  # a lower bound that is tight by design
     assert stats.d_max == 7
-
-
-def test_clique_cover_is_the_large_complete_components_plus_edges():
-    """Against networkx: the segments are the complete components of three
-    or more nodes, every other edge is one pair, the two are edge-disjoint
-    and cover E, and each weight is 1 - (cliques holding the node)."""
-    rng = np.random.default_rng(2014)
-    for _ in range(60):
-        n = int(rng.integers(1, 30))
-        nodes, edges, pos = rng.permutation(n), set(), 0
-        while pos < n:
-            comp = sorted(nodes[pos : pos + int(rng.integers(1, 7))].tolist())
-            pos += len(comp)
-            keep = 1.0 if rng.random() < 0.5 else 0.7
-            edges |= {(a, b) for i, a in enumerate(comp) for b in comp[i + 1 :] if rng.random() < keep}
-        g = make_graph(n, edges)
-        members, starts, pairs, weights = g.clique_cover
-        members = np.arange(n) if members is None else members
-        cliques = [set(c.tolist()) for c in np.split(members, starts[1:])] if starts.size else []
-        nxg = nx.Graph(g.edges.tolist())
-        nxg.add_nodes_from(range(n))
-        want = [c for c in nx.connected_components(nxg) if len(c) >= 3 and nx.density(nxg.subgraph(c)) == 1]
-        assert sorted(map(sorted, cliques)) == sorted(map(sorted, want))
-        clique_edges = {(a, b) for c in cliques for a in c for b in c if a < b}
-        pair_edges = {tuple(e) for e in pairs.tolist()}
-        assert len(pair_edges) == len(pairs) and not clique_edges & pair_edges
-        assert clique_edges | pair_edges == set(map(tuple, g.edges.tolist()))
-        holding = np.zeros(n)
-        for c in cliques:
-            holding[list(c)] += 1
-        np.add.at(holding, pairs.ravel(), 1)
-        assert_array_equal(np.zeros(n) if weights is None else weights, 1.0 - holding)
-
-
-def test_clique_cover_gathers_nothing_for_cluster_graphs_of_large_blocks():
-    assert generate_graph("cluster", cs=[3, 5, 4]).clique_cover[0] is None
-    assert generate_graph("complete", n=3).clique_cover[0] is None
-    members, starts, pairs, weights = generate_graph("cluster", cs=[3, 1, 2, 4]).clique_cover
-    assert_array_equal(members, [0, 1, 2, 6, 7, 8, 9])
-    assert_array_equal(starts, [0, 3])
-    assert_array_equal(pairs, [[4, 5]])
-    assert_array_equal(weights, [0, 0, 0, 1, 0, 0, 0, 0, 0, 0])
 
 
 def test_generate_graph_examples():

@@ -415,6 +415,12 @@ class TestQuarantine:
         (cell,) = run_from(cfg).cells
         assert cell.error is not None and "adaptive" in cell.error
 
+        # the scheme is checked before its value is read
+        cfg = pairs_config(replications=100)
+        cfg["design"]["deltas"] = {"scheme": "constnat"}
+        (cell,) = run_from(cfg).cells
+        assert cell.error == "InvalidInputError: unknown delta scheme 'constnat'"
+
         cfg = pairs_config(replications=100)
         cfg["design"]["structure"] = {"pattern": "lattice"}
         (cell,) = run_from(cfg).cells

@@ -93,6 +93,11 @@ class TestSignTest:
             sign_test([1.0], 0.0, u=0.1)
         with pytest.raises(InvalidInputError):
             sign_test([1.0], ALPHA, u=1.5)
+        # a string or a bool is refused, not converted
+        with pytest.raises(InvalidInputError, match="^alpha must be a finite number, got '0.05'$"):
+            sign_test([1.0], "0.05", u=0.5)
+        with pytest.raises(InvalidInputError, match="^randomization input u must be a finite number, got True$"):
+            sign_test([1.0], ALPHA, u=True)
 
     def test_size_is_alpha_under_the_null(self):
         model = block_model(build_structure([1] * 100), [0.0] * 100)
@@ -195,6 +200,8 @@ class TestClusterTTest:
             cluster_t_test([1.0, 1.0, 1.0, 1.0], build_structure([2, 2]), ALPHA)
         with pytest.raises(InvalidInputError):
             cluster_t_test([1.0, 2.0], build_structure([1, 1]), 1.5)
+        with pytest.raises(InvalidInputError, match="^alpha must be a finite number, got '0.05'$"):
+            cluster_t_test([1.0, 2.0], build_structure([1, 1]), "0.05")
 
     def test_size_under_common_variance_null(self):
         """xi are iid normal under these deltas, so V' is exactly t(M-1)."""
@@ -234,6 +241,8 @@ class TestKnownBoundZTest:
         # True tested against c = 1
         with pytest.raises(InvalidInputError, match="^variance bound c must be a finite number"):
             known_bound_z_test([5.0] * 10, True, ALPHA)
+        with pytest.raises(InvalidInputError, match="^alpha must be a finite number, got '0.05'$"):
+            known_bound_z_test([1.0], 1.0, "0.05")
 
     def test_exact_size_at_the_true_variance(self):
         cs = build_structure([2] * 50)
@@ -274,6 +283,8 @@ class TestStudentTQuantile:
         # 2.5 was read as df = 2
         with pytest.raises(InvalidInputError, match="^degrees of freedom must be an integer"):
             student_t_quantile(2.5, 0.95)
+        with pytest.raises(InvalidInputError, match="^p must be a finite number, got '0.9'$"):
+            student_t_quantile(3, "0.9")
         assert student_t_quantile(np.int64(2), 0.95) == student_t_quantile(2, 0.95)
 
 
