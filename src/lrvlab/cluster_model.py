@@ -38,6 +38,10 @@ from .errors import (
 # Dense-matrix operations (oracles/validators only) refuse larger inputs.
 DENSE_N_CAP = 2048
 
+# The largest index numpy can hold: a structure's n and a graph's n above it
+# are refused, as their index arrays could not be built.
+INDEX_MAX = int(np.iinfo(np.intp).max)
+
 
 @dataclass(frozen=True)
 class ClusterStructure:
@@ -45,9 +49,10 @@ class ClusterStructure:
     construction.
 
     sizes holds the cluster sizes n_m in index order; an empty list, a size
-    that is not an integer (a float or bool is refused, not converted) or a
-    size < 1 raises InvalidInputError.  dataclasses.replace re-validates, so
-    no invalid structure can be built.  The summaries derive from sizes:
+    that is not an integer (a float or bool is refused, not converted), a
+    size < 1 and sizes that sum to more than INDEX_MAX raise
+    InvalidInputError.  dataclasses.replace re-validates, so no invalid
+    structure can be built.  The summaries derive from sizes:
 
     n : total number of observations, sum of sizes.
     n_star : number of observations living in non-singleton clusters.
@@ -68,6 +73,10 @@ class ClusterStructure:
         if any(s < 1 for s in sizes):
             raise InvalidInputError(f"cluster sizes must be >= 1, got {min(sizes)}")
         object.__setattr__(self, "sizes", sizes)
+        if self.n > INDEX_MAX:
+            raise InvalidInputError(
+                f"structure n (the sum of the cluster sizes) must be at most {INDEX_MAX}, got {self.n}"
+            )
 
     @cached_property
     def n(self) -> int:
@@ -332,6 +341,16 @@ def class_stats(X, model: BlockEquicorrModel):
     resid = X - np.repeat(s1 / cs.sizes_array, cs.sizes_array, axis=-1)
     t_block = np.add.reduceat(resid * resid, cs.starts, axis=-1)
     return a, per_class(dev * dev), per_class(t_block)
+
+
+def data_row(x) -> np.ndarray:
+    """A 1-d data vector as a one-row (1, n) matrix, the input of row_stats
+    and the row kernels, which refuse it when it is empty.  Any other shape
+    raises InvalidInputError."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise InvalidInputError(f"expected a 1-d data vector, got shape {x.shape}")
+    return x[np.newaxis, :]
 
 
 def row_stats(X, cs: ClusterStructure | None = None):

@@ -34,14 +34,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster_model import BlockEquicorrModel, ClusterStructure, row_stats
+from .cluster_model import BlockEquicorrModel, ClusterStructure, data_row, row_stats
 from .errors import InvalidInputError
 from .graphs import DependencyGraph
 
 
 @dataclass(frozen=True)
 class LrvEstimate:
-    """A long-run-variance estimate; negative_flag is True iff value < 0."""
+    """A long-run-variance estimate; negative_flag is True iff value < 0.
+
+    A cross-product estimate whose exact value is 0 (the graph estimator on
+    a complete graph: d'11'd = 0 for centred d) reads as rounding noise of
+    either sign, so there negative_flag flags cancellation, not a negative
+    estimate.
+    """
 
     value: float
     estimator_kind: str  # sample_variance | cluster | graph | second_moment
@@ -51,13 +57,6 @@ class LrvEstimate:
 def _make(value: float, kind: str) -> LrvEstimate:
     value = float(value)
     return LrvEstimate(value=value, estimator_kind=kind, negative_flag=value < 0.0)
-
-
-def _as_rows(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise InvalidInputError("expected a 1-d data vector")
-    return x[np.newaxis, :]
 
 
 def _centred_block_mass(a: np.ndarray, q: np.ndarray, model: BlockEquicorrModel) -> np.ndarray:
@@ -102,7 +101,8 @@ def graph_stat_rows(a, q, t, model: BlockEquicorrModel, x0, kind: str) -> np.nda
     within each block, which is the cluster estimator; the empty graph keeps
     only the diagonal, the sample variance; the complete graph gives
     (sum d)^2 / n = 0; and the star about node 0 adds 2 d_0 sum_{i > 0} d_i =
-    -2 d_0^2 to sum d^2.
+    -2 d_0^2 to sum d^2.  Any other kind raises InvalidInputError, also on an
+    empty batch, which is how a graph cell checks its kinds before drawing.
     """
     if kind == "cluster":
         return cluster_stat_rows(a, q, t, model)
@@ -159,7 +159,7 @@ def second_moment_rows(X: np.ndarray) -> np.ndarray:
 
 def lrv_sample_variance(x) -> LrvEstimate:
     """The naive variance estimator; requires n >= 2."""
-    rows = _as_rows(x)
+    rows = data_row(x)
     if rows.shape[-1] < 2:
         raise InvalidInputError("sample variance needs at least two observations")
     return _make(sample_variance_rows(rows)[0], "sample_variance")
@@ -167,17 +167,19 @@ def lrv_sample_variance(x) -> LrvEstimate:
 
 def lrv_cluster(x, cs: ClusterStructure) -> LrvEstimate:
     """The cluster estimator; equals lrv_sample_variance when all clusters are singletons."""
-    return _make(cluster_rows(_as_rows(x), cs)[0], "cluster")
+    return _make(cluster_rows(data_row(x), cs)[0], "cluster")
 
 
 def lrv_graph(x, g: DependencyGraph) -> LrvEstimate:
-    """The dependency-graph estimator over closed neighborhoods."""
-    return _make(graph_rows(_as_rows(x), g)[0], "graph")
+    """The dependency-graph estimator over closed neighborhoods.
+
+    On a graph whose estimate is exactly 0 (the complete graph) the value is
+    rounding noise of either sign, tiny against the sample variance, so
+    negative_flag may be set.
+    """
+    return _make(graph_rows(data_row(x), g)[0], "graph")
 
 
 def lrv_second_moment(x) -> LrvEstimate:
     """The uncentered second moment, for designs with a known zero mean."""
-    rows = _as_rows(x)
-    if rows.shape[-1] < 1:
-        raise InvalidInputError("empty data vector")
-    return _make(second_moment_rows(rows)[0], "second_moment")
+    return _make(second_moment_rows(data_row(x))[0], "second_moment")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster_model import ClusterStructure
+from .cluster_model import INDEX_MAX, ClusterStructure
 from .errors import InvalidInputError, require_int
 
 # Exact max-clique search is confined to graphs this small; beyond it a
@@ -25,9 +25,8 @@ from .errors import InvalidInputError, require_int
 EXACT_CLIQUE_CAP = 64
 
 # generate_graph refuses a graph with more edges than this before building
-# any: it bounds the memory of generate_graph's edge array (16 bytes an edge).
-# It is also the documented refusal of graph cells, which check the count
-# (generated_edge_count) and quarantine a graph above it.
+# any: it bounds the memory of its edge array (16 bytes an edge).  Graph cells
+# build no edges (estimators.graph_stat_rows), so the cap does not bound them.
 GENERATED_EDGE_CAP = 10**6
 
 # Number of highest-degree seeds the greedy lower bound grows cliques from.
@@ -41,9 +40,9 @@ class DependencyGraph:
     edges may be given as any (E, 2) array of integer pairs; it is stored as
     a read-only (E, 2) intp array of the distinct pairs (i, j) with i < j in
     lexicographic order, so reversed and repeated pairs are one edge.  An n
-    that is not an integer >= 1, an edge array of another shape or of a
-    non-integer dtype (floats and bools are refused, not converted), a ragged
-    sequence, a self-loop and an out-of-range endpoint raise
+    that is not an integer in [1, INDEX_MAX], an edge array of another shape
+    or of a non-integer dtype (floats and bools are refused, not converted),
+    a ragged sequence, a self-loop and an out-of-range endpoint raise
     InvalidInputError; dataclasses.replace re-validates.  Graphs compare by
     identity.
     """
@@ -107,6 +106,8 @@ def _node_count(n) -> int:
     n = require_int(n, "graph n")
     if n < 1:
         raise InvalidInputError(f"graph needs at least one node, got n = {n}")
+    if n > INDEX_MAX:
+        raise InvalidInputError(f"graph n must be at most {INDEX_MAX}, got n = {n}")
     return n
 
 
@@ -193,39 +194,15 @@ def generate_graph(kind: str, **params) -> DependencyGraph:
     star/empty/complete take n; cluster takes cs (a ClusterStructure or a
     list of sizes) and yields the disjoint union of complete blocks, and a
     complete graph is the cluster graph of one block.  A complete or cluster
-    graph of more than GENERATED_EDGE_CAP edges raises InvalidInputError.
-    The edges are built as arrays and go through the graph's constructor,
-    without make_graph's check of each endpoint.
+    graph of more than GENERATED_EDGE_CAP edges raises InvalidInputError
+    before any edge is built.  The edges are built as arrays and go through
+    the graph's constructor, without make_graph's check of each endpoint.
     """
-    n, cs, _ = _generated(kind, params)
-    if kind == "star":
-        return DependencyGraph(n, np.column_stack((np.zeros(n - 1, np.intp), np.arange(1, n))))
-    if cs is None:  # the empty graph
-        return DependencyGraph(n, [])
-    # The pairs of each block size once, offset by the starts of its blocks.
-    sizes, starts = cs.sizes_array, cs.starts
-    blocks = [
-        (starts[sizes == k, None, None] + np.column_stack(np.triu_indices(k, 1))).reshape(-1, 2)
-        for k in np.unique(sizes)
-    ]
-    return DependencyGraph(n, np.concatenate(blocks))
-
-
-def generated_edge_count(kind: str, **params) -> int:
-    """The number of edges of generate_graph(kind, **params), counted without
-    building any.  Raises InvalidInputError where generate_graph would: an
-    unknown kind, a missing or invalid n or cs, and a complete or cluster
-    graph of more than GENERATED_EDGE_CAP edges."""
-    return _generated(kind, params)[2]
-
-
-def _generated(kind: str, params: dict):
-    """(n, cs, edge count) of a generated graph, checked: cs is the structure
-    whose blocks are the cliques of a cluster or complete graph, None for a
-    star or an empty graph."""
     if kind in ("star", "empty"):
         n = _node_count(params.get("n"))
-        return n, None, n - 1 if kind == "star" else 0
+        if kind == "empty":
+            return DependencyGraph(n, [])
+        return DependencyGraph(n, np.column_stack((np.zeros(n - 1, np.intp), np.arange(1, n))))
     if kind == "complete":
         cs = [_node_count(params.get("n"))]
     elif kind == "cluster":
@@ -241,7 +218,13 @@ def _generated(kind: str, params: dict):
         raise InvalidInputError(
             f"{kind} graph would have {count} edges, above the cap of {GENERATED_EDGE_CAP}"
         )
-    return cs.n, cs, count
+    # The pairs of each block size once, offset by the starts of its blocks.
+    sizes, starts = cs.sizes_array, cs.starts
+    blocks = [
+        (starts[sizes == k, None, None] + np.column_stack(np.triu_indices(k, 1))).reshape(-1, 2)
+        for k in np.unique(sizes)
+    ]
+    return DependencyGraph(cs.n, np.concatenate(blocks))
 
 
 def graph_to_dict(g: DependencyGraph) -> dict:

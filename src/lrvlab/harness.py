@@ -12,9 +12,8 @@ replication (sampler.normal_rows): replication r reads its own stream, keyed
 (cell seed, r).  The normals are reduced straight to the class statistics
 of the rows that mixing them would give, and to each row's first value
 (sampler.mixed_class_stats), and each graph's estimate is a closed form in
-those (estimators.graph_stat_rows), so no mixed row or edge array is
-built; the edge cap of generate_graph is checked on the edge count
-(graphs.generated_edge_count).  Estimator,
+those (estimators.graph_stat_rows), so no mixed row or edge array is built
+and a graph costs O(n) per replication whatever its edge count.  Estimator,
 contiguity and test cells draw each replication's class statistics
 (sampler.class_stat_rows): 11H + 1 words, where H counts the model's
 classes (the distinct (k, delta) among its blocks): one normal per class
@@ -109,6 +108,7 @@ import numpy as np
 
 from . import __version__
 from .cluster_model import (
+    INDEX_MAX,
     ClusterStructure,
     block_model,
     build_structure,
@@ -123,7 +123,6 @@ from .estimators import (
     sample_variance_stat_rows,
     second_moment_stat_rows,
 )
-from .graphs import generated_edge_count
 from .inference_tests import cluster_t_stat_rows, sign_test_stat_rows, z_test_stat_rows
 from .likelihood import _check_budget, lr_draw, lr_metrics
 from .sampler import _chunks, _class_chunks, class_stat_rows, mixed_class_stats, normal_rows
@@ -244,8 +243,8 @@ def _parse_entry(raw: dict, pos: int) -> ExperimentConfig:
     if not isinstance(n_grid, list) or not n_grid:
         raise InvalidInputError("n_grid must be a nonempty list")
     n_grid = tuple(require_int(n, "n_grid entry") for n in n_grid)
-    if any(n < 1 for n in n_grid):
-        raise InvalidInputError("n_grid entries must be >= 1")
+    if any(not 1 <= n <= INDEX_MAX for n in n_grid):
+        raise InvalidInputError(f"n_grid entries must lie in [1, {INDEX_MAX}]")
     reps = require_int(raw.get("replications"), "replications")
     if reps < 100:
         raise InvalidInputError("replications must be >= 100")
@@ -523,6 +522,7 @@ def _plan_graph_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) -
     specs = entry.design.get("graphs")
     if not isinstance(specs, list) or not specs:
         raise InvalidInputError("graph_estimation needs a design.graphs list")
+    empty = np.empty((0, model.class_sizes.size))
     graphs = []
     for pos, spec in enumerate(specs):
         if not isinstance(spec, dict):
@@ -532,9 +532,9 @@ def _plan_graph_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) -
         gid = spec.get("id", f"{kind}-{pos}")
         if not isinstance(gid, str):
             raise InvalidInputError(f"graph id must be a string, got {gid!r}")
-        # refuses an unknown kind and a graph above the edge cap, as
-        # generate_graph would, without building an edge
-        generated_edge_count(kind, cs=cs, n=cs.n)
+        # the kernel refuses an unknown kind on an empty batch, so a refused
+        # cell is quarantined before it draws
+        graph_stat_rows(empty, empty, empty, model, empty[:, 0], kind)
         graphs.append((gid, kind))
 
     # Each thread keeps its last chunk's rows until it draws the next chunk,

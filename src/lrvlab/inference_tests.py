@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri, stdtrit
 
-from .cluster_model import BlockEquicorrModel, ClusterStructure, block_sums, row_stats
+from .cluster_model import BlockEquicorrModel, ClusterStructure, block_sums, data_row, row_stats
 from .errors import DegenerateDataError, InvalidInputError, require_float, require_int
 
 
@@ -61,14 +61,6 @@ class ClusterSummary:
     T_prime: float
 
 
-def _as_row(x) -> np.ndarray:
-    """A nonempty 1-d data vector as a one-row (1, n) matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size < 1:
-        raise InvalidInputError("expected a nonempty 1-d data vector")
-    return x[np.newaxis, :]
-
-
 def _outcome(kernel_out, alpha: float, u: float = 0.0) -> TestOutcome:
     """The TestOutcome of a one-row kernel evaluation; it rejects when p > u."""
     statistic, critical, p = kernel_out
@@ -94,7 +86,7 @@ def sign_test(x, alpha: float, u: float) -> TestOutcome:
     rejects with probability 2*alpha when V = +1 and never when V = -1.
     Requires alpha in (0, 1/2).
     """
-    row = _as_row(x)
+    row = data_row(x)
     u = require_float(u, "randomization input u")
     if not (0.0 <= u <= 1.0):
         raise InvalidInputError(f"randomization input u must lie in [0, 1], got {u}")
@@ -128,7 +120,7 @@ def _xi_moments(a: np.ndarray, q: np.ndarray, model: BlockEquicorrModel):
 
 def cluster_summary(x, cs: ClusterStructure) -> ClusterSummary:
     """The per-cluster normalized means xi and their moments U', T'."""
-    row = _as_row(x)
+    row = data_row(x)
     a, q, _, model = row_stats(row, cs)
     u_prime, t_prime = _xi_moments(a, q, model)
     xi = block_sums(row, cs)[0] / np.sqrt(cs.sizes_array)
@@ -160,7 +152,7 @@ def cluster_t_test(x, cs: ClusterStructure, alpha: float) -> TestOutcome:
     Needs M >= 2 clusters; constant cluster means (T' = 0) raise
     DegenerateDataError.
     """
-    outcome = _outcome(cluster_t_stat_rows(*row_stats(_as_row(x), cs), alpha), alpha)
+    outcome = _outcome(cluster_t_stat_rows(*row_stats(data_row(x), cs), alpha), alpha)
     if not math.isfinite(outcome.statistic):  # T' = 0
         raise DegenerateDataError("all cluster means are equal; T' = 0")
     return outcome
@@ -189,7 +181,7 @@ def z_test_stat_rows(a, q, t, model: BlockEquicorrModel, alpha: float, c: float)
 
 def known_bound_z_test(x, c: float, alpha: float) -> TestOutcome:
     """One-sided z-test using a known upper bound c on the long-run variance."""
-    return _outcome(z_test_stat_rows(*row_stats(_as_row(x)), alpha, c), alpha)
+    return _outcome(z_test_stat_rows(*row_stats(data_row(x)), alpha, c), alpha)
 
 
 def z_test_rows(X: np.ndarray, c: float, alpha: float) -> np.ndarray:

@@ -261,6 +261,12 @@ class TestSpectral:
         code, _, err = invoke(["spectral", "--sizes", "3,x", "--deltas", "0.1,0.1"])
         assert code == 1 and "lrvlab:" in err
 
+    def test_sizes_beyond_the_index_range_exit_one(self):
+        code, out, err = invoke(["spectral", "--sizes", str(10**30), "--deltas", "0"])
+        assert (code, out) == (1, "")
+        assert err.startswith("lrvlab: structure n (the sum of the cluster sizes) must be at most ")
+        assert err.count("\n") == 1
+
 
 class TestStats:
     def test_star_graph_report(self, tmp_path):
@@ -292,6 +298,13 @@ class TestStats:
         path.write_text('{"n": 3, "n": 4, "edges": [[0, 3]]}', encoding="utf-8")
         code, out, err = invoke(["stats", "--graph", str(path)])
         assert (code, out, err) == (1, "", "lrvlab: repeated JSON key 'n'\n")
+
+    def test_node_count_beyond_the_index_range_exits_one(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text(f'{{"n": {10**30}, "edges": []}}', encoding="utf-8")
+        code, out, err = invoke(["stats", "--graph", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("lrvlab: graph n must be at most ") and err.count("\n") == 1
 
     def test_missing_graph_file_exits_one(self, tmp_path):
         code, _, err = invoke(["stats", "--graph", str(tmp_path / "none.json")])

@@ -26,7 +26,7 @@ from lrvlab import (
     permutation_average,
     spectral_block,
 )
-from lrvlab.cluster_model import class_stats, row_stats
+from lrvlab.cluster_model import INDEX_MAX, class_stats, row_stats
 from lrvlab.estimators import (
     sample_variance_rows,
     sample_variance_stat_rows,
@@ -112,6 +112,21 @@ def test_build_structure_rejects_bad_sizes():
         build_structure([3, 0])
     with pytest.raises(InvalidInputError):
         build_structure([2, -1, 2])
+
+
+@pytest.mark.parametrize(
+    "sizes", [[2**62] * 3, [INDEX_MAX, 1], [10**30]], ids=["three-2^62", "one-past", "10^30"]
+)
+def test_structures_beyond_the_index_range_are_refused(sizes):
+    # their starts would wrap (three blocks of 2**62 read [0, 2**62, -2**63])
+    # and sizes_array could not be built
+    message = rf"^structure n \(the sum of the cluster sizes\) must be at most {INDEX_MAX}, got {sum(sizes)}$"
+    with pytest.raises(InvalidInputError, match=message):
+        ClusterStructure(sizes)
+    with pytest.raises(InvalidInputError, match=message):
+        dataclasses.replace(build_structure([2, 2]), sizes=sizes)
+    cs = ClusterStructure([INDEX_MAX - 1, 1])
+    assert cs.n == INDEX_MAX and cs.starts.tolist() == [0, INDEX_MAX - 1]
 
 
 @pytest.mark.parametrize(

@@ -187,6 +187,15 @@ def test_graph_estimate_can_go_negative_and_is_flagged():
     assert lrv_cluster([2.0, -1.0, -1.0], build_structure([3])).value >= 0.0
 
 
+def test_complete_graph_estimate_is_zero_up_to_rounding():
+    """d'11'd = 0 for centred d, so on the complete graph the estimate is
+    rounding noise, of either sign: negative_flag may be set."""
+    x = np.random.default_rng(2).normal(size=1414)
+    est = lrv_graph(x, generate_graph("complete", n=1414))
+    assert abs(est.value) <= 1e-12 * lrv_sample_variance(x).value
+    assert est.negative_flag is True  # here the noise is negative (-1.6e-16)
+
+
 def test_cluster_estimator_is_always_nonnegative():
     # each term is the square of a cluster's deviation total
     rng = np.random.default_rng(2008)

@@ -23,6 +23,7 @@ from lrvlab import (
     make_graph,
 )
 from lrvlab import graphs
+from lrvlab.cluster_model import INDEX_MAX
 from lrvlab.graphs import EXACT_CLIQUE_CAP
 
 
@@ -174,7 +175,7 @@ def test_generate_graph_examples():
         generate_graph("cluster")
     for kind, params in [("lattice", {"n": 4}), ("star", {}), ("cluster", {}), ("empty", {"n": 0})]:
         with pytest.raises(InvalidInputError):
-            graphs.generated_edge_count(kind, **params)
+            generate_graph(kind, **params)
 
 
 def test_generated_edges_match_loops():
@@ -192,9 +193,6 @@ def test_generated_edges_match_loops():
             [i, j] for i in range(n) for j in range(i + 1, n)
         ]
         assert generate_graph("star", n=n).edges.tolist() == [[0, i] for i in range(1, n)]
-        # the count a sweep checks the cap with, without building the edges
-        for kind, params in [("cluster", {"cs": sizes}), ("complete", {"n": n}), ("star", {"n": n}), ("empty", {"n": n})]:
-            assert graphs.generated_edge_count(kind, **params) == len(generate_graph(kind, **params).edges)
 
 
 @pytest.mark.parametrize("kind,params", [("cluster", {"cs": [10**4]}), ("complete", {"n": 10**4})])
@@ -202,8 +200,6 @@ def test_generated_graphs_over_the_edge_cap_are_refused(kind, params):
     # 49,995,000 edges: refused from the count, before any edge is built
     with pytest.raises(InvalidInputError, match="49995000 edges, above the cap"):
         generate_graph(kind, **params)
-    with pytest.raises(InvalidInputError, match="49995000 edges, above the cap"):
-        graphs.generated_edge_count(kind, **params)
 
 
 def test_edge_cap_boundary(monkeypatch):
@@ -221,6 +217,22 @@ def test_generated_graph_node_count_is_checked(n):
     # a float or bool n is refused, not converted, as make_graph refuses it
     with pytest.raises(InvalidInputError):
         generate_graph("star", n=n)
+
+
+@pytest.mark.parametrize("n", [INDEX_MAX + 1, 10**30])
+def test_node_counts_beyond_the_index_range_are_refused(n):
+    # np.bincount and np.arange could not take such an n
+    message = f"^graph n must be at most {INDEX_MAX}, got n = {n}$"
+    with pytest.raises(InvalidInputError, match=message):
+        DependencyGraph(n, [])
+    with pytest.raises(InvalidInputError, match=message):
+        make_graph(n, [])
+    with pytest.raises(InvalidInputError, match=message):
+        graph_from_dict({"n": n, "edges": []})
+    for kind in ("star", "empty", "complete"):
+        with pytest.raises(InvalidInputError, match=message):
+            generate_graph(kind, n=n)
+    assert DependencyGraph(INDEX_MAX, []).n == INDEX_MAX
 
 
 def test_serialization_round_trip():

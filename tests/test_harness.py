@@ -16,6 +16,7 @@ import pytest
 
 from lrvlab import InvalidInputError, block_model, build_structure, generate_graph, lr_diagnostics
 from lrvlab import harness, sampler
+from lrvlab.cluster_model import INDEX_MAX
 from lrvlab.estimators import graph_rows, sample_variance_rows
 from lrvlab.harness import (
     config_hash,
@@ -116,6 +117,9 @@ class TestLoadConfig:
             load_config(pairs_config(n_grid=[]))
         with pytest.raises(InvalidInputError):
             load_config(pairs_config(n_grid=[0]))
+        # the patterns' size lists could not be built (OverflowError)
+        with pytest.raises(InvalidInputError, match=rf"^n_grid entries must lie in \[1, {INDEX_MAX}\]$"):
+            load_config(pairs_config(n_grid=[2 * 10**30]))
         with pytest.raises(InvalidInputError):
             load_config(pairs_config(n_grid=[10.5]))
         with pytest.raises(InvalidInputError):
@@ -292,6 +296,34 @@ class TestCellEvaluation:
             "graph[miss]_rmse",
         ]
 
+    def test_true_graph_of_one_large_cluster_reads_zero(self):
+        """The abstract's one-large-cluster failure, shown by a sweep.  On one
+        block the true graph is complete (49,995,000 edges at n = 10^4, none
+        of them built), so its estimate d'11'd / n is 0 in every replication
+        and its bias is -sigma_LR^2 = -(1 + (n - 1) delta)."""
+        cfg = {
+            "experiment": "graph_estimation",
+            "design": {
+                "structure": {"pattern": "single"},
+                "deltas": {"scheme": "constant", "value": 0.1},
+                "graphs": [{"id": "true", "kind": "cluster"}],
+            },
+            "n_grid": [10_000],
+            "replications": 100,
+            "master_seed": 6003,
+        }
+        seed, (entry,) = load_config(cfg)
+        cs = build_structure([10_000])
+        (values,) = harness._plan_graph_cell(entry, cs, seed).rows(0, 100)
+        scale = sample_variance_rows(sample_rows(block_model(cs, [0.1]), 0.0, seed, range(100)))
+        assert np.all(np.abs(values) <= 1e-12 * scale)
+        (cell,) = run_from(cfg).cells
+        assert cell.error is None
+        metrics = {m.metric: m.value for m in cell.metrics}
+        sigma_sq = 1.0 + 9_999 * 0.1
+        assert abs(metrics["graph[true]_mean"]) <= 1e-12 * scale.min()
+        assert abs(metrics["graph[true]_bias"] + sigma_sq) <= 1e-12 * scale.min()
+
     def test_cell_seeds_follow_config_order(self):
         entry = pairs_config(n_grid=[4, 8], replications=100)
         del entry["master_seed"]
@@ -377,26 +409,6 @@ class TestQuarantine:
         assert cell.error.startswith("DegenerateDataError: metric moment_1pe is not finite")
         assert "Infinity" not in summarize(report, "json")
 
-    def test_oversized_graph_is_quarantined(self):
-        # the true graph of one cluster of 10**4 has 49,995,000 edges
-        cfg = {
-            "experiment": "graph_estimation",
-            "design": {
-                "structure": {"pattern": "single"},
-                "deltas": {"scheme": "constant", "value": 0.1},
-                "graphs": [{"id": "true", "kind": "cluster"}],
-            },
-            "n_grid": [10_000],
-            "replications": 100,
-            "master_seed": 6003,
-        }
-        (cell,) = run_from(cfg).cells
-        assert cell.metrics == ()
-        assert cell.error == (
-            "InvalidInputError: cluster graph would have 49995000 edges, "
-            "above the cap of 1000000"
-        )
-
     @pytest.mark.filterwarnings("error")
     def test_non_finite_moments_are_computed_without_warnings(self):
         # the overflow in the moment's variance is expected, not a warning
@@ -435,6 +447,11 @@ class TestQuarantine:
         }
         (cell,) = run_from(cfg).cells
         assert cell.error is not None and "wald" in cell.error
+
+        cfg = pairs_config(experiment="graph_estimation", n_grid=[10])
+        cfg["design"] = {"structure": {"pattern": "pairs"}, "graphs": [{"kind": "empty"}, {"kind": "lattice"}]}
+        (cell,) = run_from(cfg).cells
+        assert cell.error == "InvalidInputError: unknown graph kind 'lattice'"
 
     @pytest.mark.parametrize(
         "kind, mu, message",
@@ -760,7 +777,7 @@ class TestReports:
                     "design": {
                         "structure": {"pattern": "single"},
                         "deltas": {"scheme": "delta-over-n", "value": 0.5},
-                        "graphs": [{"kind": "empty"}, {"kind": "star"}],
+                        "graphs": [{"kind": kind} for kind in GRAPH_KINDS],
                     },
                     "n_grid": [10_000],
                     "replications": 100,
@@ -778,7 +795,9 @@ class TestReports:
         [
             ({"pattern": "pairs"}, {"scheme": "constant", "value": 0.4}, 0.0, 20, GRAPH_KINDS),
             ({"pattern": "equal", "clusters": 5}, {"scheme": "constant", "value": -0.3}, 0.0, 20, GRAPH_KINDS),
-            # the true and complete graphs of one 10^4 block are above the edge cap
+            # the sweep runs every kind here, but the oracle's generate_graph
+            # refuses the true and complete graphs of one 10^4 block (above its
+            # edge cap)
             ({"pattern": "single"}, {"scheme": "delta-over-n", "value": 0.5}, 0.0, 10_000, ("star", "empty")),
             (
                 {"pattern": "explicit", "sizes": GRAPH_SIZES},
