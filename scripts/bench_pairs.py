@@ -18,8 +18,10 @@ pair falls on both sides alike.  The output holds, per workload and
 end-to-end metric (BENCHMARK.json), each side's runs in pair order, their
 median and quartiles (statistics.quantiles, exclusive method), the pairs in
 which the change is better, and the median ratio; plus the seeds, the order
-within each pair, correctness counts and the host's core count.  It is
-rewritten after every pair, so an interrupted run keeps what it measured.
+within each pair, correctness counts and the host's core count, and the
+code lines of each snapshot's src/lrvlab (code_lines.count) as
+code_lines.parent and code_lines.change.  It is rewritten after every pair,
+so an interrupted run keeps what it measured.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+from code_lines import count  # scripts/code_lines.py, beside this script
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 300
@@ -140,6 +144,7 @@ def main(argv=None) -> int:
             path.mkdir()
         _snapshot_parent(parent_rev, sides["parent"])
         _snapshot_working_tree(sides["change"])
+        out["code_lines"] = {side: count(path / "src" / "lrvlab") for side, path in sides.items()}
         for workload, pairs in plan:
             results = {"pairs": 0, "seeds": [], "first": [], "parent": [], "change": []}
             for p in range(pairs):

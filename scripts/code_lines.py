@@ -52,14 +52,22 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
+def count(package_dir) -> dict:
+    """{"modules": {file name: code lines}, "total": their sum} over the
+    modules (*.py) of a package directory, in file name order."""
+    modules = {
+        path.name: code_lines(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(package_dir).glob("*.py"))
+    }
+    return {"modules": modules, "total": sum(modules.values())}
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "lrvlab"
-    total = 0
-    for path in sorted(root.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    counts = count(root)
+    for name, lines in counts["modules"].items():
+        print(f"{lines:6d}  {name}")
+    print(f"{counts['total']:6d}  total")
     return 0
 
 

@@ -12,12 +12,11 @@ environment variable, then the config file's master_seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .cluster_model import block_model, build_structure, long_run_variance
-from .errors import InvalidInputError, unique_keys
+from .errors import InvalidInputError, load_json
 from .graphs import graph_from_dict, graph_stats
 from .harness import load_config, run_sweep, summarize
 
@@ -103,8 +102,7 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        g = graph_from_dict(json.load(fh, object_pairs_hook=unique_keys))
+    g = graph_from_dict(load_json(args.graph))
     stats = graph_stats(g)
     print(f"nodes: {g.n}")
     print(f"edges: {len(g.edges)}")

@@ -301,9 +301,12 @@ def block_sums(X, cs: ClusterStructure) -> np.ndarray:
     batch, adjacent columns in pairs (about 20 against 260 us for 2**16
     scalars of pairs).  Both are row-independent: a row's sums do not depend
     on the batch it is in.  (np.einsum is not: past 8192 values per block
-    its sums depend on the batch.)
+    its sums depend on the batch.)  Rows whose length is not cs.n raise
+    InvalidInputError.
     """
     X = np.asarray(X)
+    if X.shape[-1] != cs.n:
+        raise InvalidInputError(f"data has length {X.shape[-1]}, structure has n = {cs.n}")
     k = cs.sizes[0]
     if cs.M < 2 or k < 2 or k & (k - 1) or np.any(cs.sizes_array != k):
         return np.add.reduceat(X, cs.starts, axis=-1)
@@ -367,8 +370,6 @@ def row_stats(X, cs: ClusterStructure | None = None):
         raise InvalidInputError(f"data rows must be nonempty, got shape {X.shape}")
     if cs is None:
         cs = ClusterStructure([X.shape[-1]])
-    elif X.shape[-1] != cs.n:
-        raise InvalidInputError(f"data has length {X.shape[-1]}, structure has n = {cs.n}")
     model = BlockEquicorrModel(cs, (0.0,) * cs.M)
     return (*class_stats(X, model), model)
 

@@ -1,10 +1,11 @@
 """Exception taxonomy shared across the package, its one integer reader, its
-one real-number reader and its JSON object reader.
+one real-number reader and its one JSON file reader.
 
 All exceptions derive from ValueError so callers that only want "bad input"
 semantics can catch one base class.
 """
 
+import json
 import operator
 import sys
 
@@ -81,3 +82,15 @@ def unique_keys(pairs) -> dict:
             raise InvalidInputError(f"repeated JSON key {key!r}")
         obj[key] = value
     return obj
+
+
+def load_json(path):
+    """The JSON document in the UTF-8 file at path.  A key repeated in one
+    object (unique_keys) and nesting too deep for the parser raise
+    InvalidInputError; a missing file raises OSError and malformed JSON
+    json.JSONDecodeError, a ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, object_pairs_hook=unique_keys)
+        except RecursionError:
+            raise InvalidInputError(f"{path}: JSON nested too deeply") from None

@@ -29,18 +29,18 @@ and contiguity cells turn the statistics into null N(0, I) statistics
 Threads: each cell is planned (model, kernels, graphs, and the keys of its
 per-replication values: an estimate per estimator or graph, the log-LR W of
 a contiguity cell, a rejection 1{p > u} per test and mean) and gets one
-array of length reps per key.  Its replication chunks (sampler._chunks,
-_class_chunks) are cut into min(threads, chunks) contiguous runs; a task
-evaluates one run in the harness's one chunk loop, which writes each
-replication's values by its index, and returns only its error.  The pool
-works through the tasks of every cell in order, so one large cell spreads
-over the workers instead of holding up the sweep.  A cell's metrics are
-computed from its filled arrays once its tasks are done (a test cell counts
-its rejections there), so the report does not depend on the thread count.
-A cell whose plan raises gets no tasks; a task that raises quarantines its
-cell with the error of the cell's first failing run, which is the same at
-any thread count.  With threads = 1 each cell is a single task, planned, run
-and finished before the next cell is planned.
+array of length reps per key.  Each of its replication chunks
+(sampler._chunks, _class_chunks) is one task, which the harness's one chunk
+loop evaluates by writing each replication's values by its index; it
+returns only its error.  The pool works through the tasks of every cell in
+order, so one large cell spreads over the workers instead of holding up the
+sweep.  A cell's metrics are computed from its filled arrays when the
+outcome of its last chunk is in (a test cell counts its rejections there),
+so the report does not depend on the thread count.  A cell whose plan
+raises gets no tasks; a task that raises quarantines its cell with the
+error of the cell's first failing chunk, which is the same at any thread
+count.  With threads = 1 each cell is planned, run and finished before the
+next cell is planned.
 
 Each estimator and test is one kernel over the drawn class statistics,
 looked up by its config name (estimators.*_stat_rows,
@@ -116,7 +116,7 @@ from .cluster_model import (
     long_run_variance,
     max_cluster_share,
 )
-from .errors import DegenerateDataError, InvalidInputError, require_float, require_int, unique_keys
+from .errors import DegenerateDataError, InvalidInputError, load_json, require_float, require_int
 from .estimators import (
     cluster_stat_rows,
     graph_stat_rows,
@@ -129,7 +129,14 @@ from .sampler import _chunks, _class_chunks, class_stat_rows, mixed_class_stats,
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a kind, a design, an n grid, and budgets."""
+    """One experiment: a kind, a design, an n grid, and budgets.
+
+    The kind must be one of EXPERIMENT_KINDS, n_grid a nonempty list of
+    integers in [1, INDEX_MAX], replications an integer >= 100, alpha a
+    number in (0, 1) and epsilon a positive number; anything else raises
+    InvalidInputError.  dataclasses.replace re-validates, so every cell of a
+    sweep has replications, and a last chunk.
+    """
 
     experiment: str
     design: dict
@@ -137,6 +144,26 @@ class ExperimentConfig:
     replications: int
     alpha: float
     epsilon: float
+
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENT_KINDS:
+            raise InvalidInputError(f"experiment must be one of {EXPERIMENT_KINDS}, got {self.experiment!r}")
+        if not isinstance(self.n_grid, (list, tuple)) or not self.n_grid:
+            raise InvalidInputError("n_grid must be a nonempty list")
+        n_grid = tuple(require_int(n, "n_grid entry") for n in self.n_grid)
+        if any(not 1 <= n <= INDEX_MAX for n in n_grid):
+            raise InvalidInputError(f"n_grid entries must lie in [1, {INDEX_MAX}]")
+        reps = require_int(self.replications, "replications")
+        if reps < 100:
+            raise InvalidInputError("replications must be >= 100")
+        alpha = require_float(self.alpha, "alpha")
+        if not (0.0 < alpha < 1.0):
+            raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
+        epsilon = require_float(self.epsilon, "epsilon")
+        if not (epsilon > 0.0):
+            raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
+        for name, value in (("n_grid", n_grid), ("replications", reps), ("alpha", alpha), ("epsilon", epsilon)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -188,8 +215,7 @@ def load_config(source) -> tuple[int, list[ExperimentConfig]]:
     if isinstance(source, dict):
         obj = source
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, object_pairs_hook=unique_keys)
+        obj = load_json(source)
     if not isinstance(obj, dict):
         raise InvalidInputError("config must be a JSON object")
     if "experiments" not in obj:
@@ -231,38 +257,19 @@ def _known_keys(obj: dict, known, where: str) -> None:
 def _parse_entry(raw: dict, pos: int) -> ExperimentConfig:
     _known_keys(raw, _ENTRY_KEYS, "experiment entry")
     kind = raw.get("experiment")
-    if kind not in EXPERIMENT_KINDS:
-        raise InvalidInputError(
-            f"experiment must be one of {EXPERIMENT_KINDS}, got {kind!r}"
-        )
     design = raw.get("design")
     if not isinstance(design, dict) or "structure" not in design:
         raise InvalidInputError("design must be an object with a structure entry")
     _known_keys(design, _DESIGN_KEYS, "design")
-    n_grid = raw.get("n_grid")
-    if not isinstance(n_grid, list) or not n_grid:
-        raise InvalidInputError("n_grid must be a nonempty list")
-    n_grid = tuple(require_int(n, "n_grid entry") for n in n_grid)
-    if any(not 1 <= n <= INDEX_MAX for n in n_grid):
-        raise InvalidInputError(f"n_grid entries must lie in [1, {INDEX_MAX}]")
-    reps = require_int(raw.get("replications"), "replications")
-    if reps < 100:
-        raise InvalidInputError("replications must be >= 100")
-    alpha = require_float(raw.get("alpha", 0.05), "alpha")
-    if not (0.0 < alpha < 1.0):
-        raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
-    epsilon = require_float(raw.get("epsilon", 0.1), "epsilon")
-    if not (epsilon > 0.0):
-        raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
     if design.get("id") is None:
         design = dict(design, id=f"{kind}-{pos}")
     return ExperimentConfig(
         experiment=kind,
         design=design,
-        n_grid=n_grid,
-        replications=reps,
-        alpha=alpha,
-        epsilon=epsilon,
+        n_grid=raw.get("n_grid"),
+        replications=raw.get("replications"),
+        alpha=raw.get("alpha", 0.05),
+        epsilon=raw.get("epsilon", 0.1),
     )
 
 
@@ -583,22 +590,21 @@ def _checked(metrics) -> tuple[Metric, ...]:
 
 
 class _Cell:
-    """One (design, n) cell of a sweep: its plan, one array of length reps
-    per key of the plan, the runs of chunks its tasks evaluate into them, and
-    the count of runs still pending.
+    """One (design, n) cell of a sweep: its plan and one array of length reps
+    per key of the plan, which its tasks, one per chunk of the plan, fill.
 
-    A cell whose plan raises is quarantined and has no runs.  Once its last
-    run is in, the cell is finished: quarantined with the error of its first
-    failing run if one failed (runs come back in task order, so it is the
-    lowest-numbered), else given the metrics of its plan's finish step and
-    the summary of its structure.  Then the structure, the plan and the
-    arrays are dropped.
+    A cell whose plan raises is quarantined and has no tasks.  finish() is
+    called once the outcome of its last chunk is in: it quarantines the cell
+    with the error of its first failing chunk if one failed (outcomes come
+    back in task order, so it is the lowest-numbered), else gives it the
+    metrics of its plan's finish step and the summary of its structure.
+    Then the structure, the plan and the arrays are dropped.
     """
 
-    def __init__(self, entry: ExperimentConfig, n: int, seed: int, threads: int):
+    def __init__(self, entry: ExperimentConfig, n: int, seed: int):
         self.entry, self.n, self.seed = entry, n, seed
         self.plan = self.acc = self.error = None
-        self.metrics, self.runs = (), []
+        self.metrics = ()
         self.summary = (0, 0, 0.0, 0.0)  # n_star, M, h, max_cluster_share
         try:
             self.cs = _resolve_structure(entry.design.get("structure"), n)
@@ -607,20 +613,8 @@ class _Cell:
             self.cs, self.error = None, _describe(exc)
             return
         self.acc = {key: np.empty(entry.replications) for key in self.plan.keys}
-        # min(threads, chunks) contiguous runs of near-equal chunk counts
-        # (one, possibly empty, when there are no chunks)
-        chunks = self.plan.chunks
-        parts = max(1, min(threads, len(chunks)))
-        bounds = [len(chunks) * p // parts for p in range(parts + 1)]
-        self.runs = [chunks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        self.pending = len(self.runs)
 
-    def collect(self, error: str | None) -> None:
-        """Take the error (None if it succeeded) of the cell's next run."""
-        self.error = self.error or error
-        self.pending -= 1
-        if self.pending:
-            return
+    def finish(self) -> None:
         if self.error is None:
             try:
                 metrics = _checked(self.plan.finish(self.acc))
@@ -649,18 +643,19 @@ class _Cell:
 
 
 def _run_task(task):
-    """(cell, None) once one run of a cell's chunks has written each chunk's
-    rows by replication index into the cell's arrays, or (cell, error) when
-    it raises.  This is the harness's one chunk loop."""
-    cell, run = task
-    plan, acc = cell.plan, cell.acc
-    try:
-        for lo, hi in run:
-            for key, values in zip(plan.keys, plan.rows(lo, hi)):
-                acc[key][lo:hi] = values
-    except Exception as exc:  # quarantined by the cell once its runs are in
-        return cell, _describe(exc)
-    return cell, None
+    """(cell, hi, error) for one chunk (lo, hi) of a cell: its rows written
+    by replication index into the cell's arrays and error None, or the error
+    it raised.  This is the harness's one chunk loop.  A chunk of a cell
+    that an earlier chunk has already failed is skipped: the cell keeps that
+    error whatever the later chunks give."""
+    cell, (lo, hi) = task
+    if cell.error is None:
+        try:
+            for key, values in zip(cell.plan.keys, cell.plan.rows(lo, hi)):
+                cell.acc[key][lo:hi] = values
+        except Exception as exc:  # quarantines the cell when its last chunk is in
+            return cell, hi, _describe(exc)
+    return cell, hi, None
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +665,9 @@ def _run_task(task):
 def run_sweep(entries, master_seed: int, threads: int = 1) -> ExperimentReport:
     """Evaluate every (design, n) cell of every experiment, in a fixed order.
 
-    Cell i uses master seed master_seed + i.  The unit of threaded work is a
-    contiguous run of one cell's replication chunks (see the module
-    docstring), and the report is identical for any threads >= 1.
+    Cell i uses master seed master_seed + i.  The unit of threaded work is
+    one chunk of one cell's replications (see the module docstring), and the
+    report is identical for any threads >= 1.
     """
     entries = list(entries)
     threads = require_int(threads, "threads")
@@ -682,21 +677,21 @@ def run_sweep(entries, master_seed: int, threads: int = 1) -> ExperimentReport:
 
     def tasks():
         # Lazy: the serial map below plans a cell only when the previous
-        # cell's tasks have run.
-        index = 0
+        # cell's last chunk has run and the cell is finished.
         for entry in entries:
             for n in entry.n_grid:
-                cell = _Cell(entry, n, master_seed + index, threads)
+                cell = _Cell(entry, n, master_seed + len(cells))
                 cells.append(cell)
-                index += 1
-                for run in cell.runs:
-                    yield cell, run
+                for chunk in cell.plan.chunks if cell.plan else ():
+                    yield cell, chunk
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # Executor.map submits every task at once and yields the outcomes in
         # task order; the built-in map runs each task when its outcome is read.
-        for cell, error in (pool.map if threads > 1 else map)(_run_task, tasks()):
-            cell.collect(error)
+        for cell, hi, error in (pool.map if threads > 1 else map)(_run_task, tasks()):
+            cell.error = cell.error or error
+            if hi == cell.entry.replications:
+                cell.finish()
     return ExperimentReport(
         version=__version__,
         master_seed=master_seed,

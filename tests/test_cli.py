@@ -335,6 +335,30 @@ class TestStats:
         assert code == 1 and err.startswith("lrvlab:")
 
 
+DEPTH = 10**5
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * DEPTH + "]" * DEPTH, '{"a": ' * DEPTH + "1" + "}" * DEPTH],
+    ids=["array", "object"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--config", "{path}", "--out", "{out}"], ["stats", "--graph", "{path}"]],
+    ids=["run", "stats"],
+)
+def test_deeply_nested_json_file_exits_one(tmp_path, text, argv):
+    # the JSON parser runs out of recursion depth on this file
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    out_dir = tmp_path / "x"
+    code, out, err = invoke([a.format(path=path, out=out_dir) for a in argv])
+    assert (code, out) == (1, "")
+    assert err == f"lrvlab: {path}: JSON nested too deeply\n"
+    assert not out_dir.exists()
+
+
 def _loaded_by_cli_import(module: str) -> bool:
     """Whether a fresh interpreter has `module` loaded after `import lrvlab.cli`."""
     src = str(Path(lrvlab.__file__).resolve().parents[1])

@@ -34,7 +34,8 @@ from lrvlab.estimators import (
     second_moment_stat_rows,
 )
 from lrvlab.inference_tests import sign_test_rows, sign_test_stat_rows, z_test_rows, z_test_stat_rows
-from lrvlab.sampler import sample_rows
+from lrvlab.likelihood import loglr_cluster_rows
+from lrvlab.sampler import mixed_class_stats, sample_rows
 
 
 def dense_block(k, delta):
@@ -521,6 +522,27 @@ def test_class_stats_masses_survive_a_large_mean():
     _, q, t = class_stats(x, block_model(build_structure([3, 3]), [0.1, 0.1]))
     assert t[0, 0] == 2.0
     assert q[0, 0] == 4.5  # block sums 3e9 + 3 and 3e9 about their mean
+
+
+@pytest.mark.parametrize("sizes", [[2, 2, 2, 2], [3, 5]], ids=["pairs", "unequal"])
+@pytest.mark.parametrize("width", [6, 7, 9, 10])
+@pytest.mark.parametrize(
+    "reduce",
+    [
+        lambda x, model: class_stats(x, model),
+        lambda x, model: mixed_class_stats(x, model, 0.0),
+        lambda x, model: loglr_cluster_rows(x, model, 0.0),
+    ],
+    ids=["class_stats", "mixed_class_stats", "loglr_cluster_rows"],
+)
+def test_rows_of_the_wrong_width_are_refused(sizes, width, reduce):
+    # block_sums refuses them on both of its paths: the halving of equal
+    # power-of-two blocks and np.add.reduceat, which would read rows of any
+    # width past the last block start
+    model = block_model(build_structure(sizes), [0.1] * len(sizes))
+    x = np.random.default_rng(width).normal(size=(3, width))
+    with pytest.raises(InvalidInputError, match=f"^data has length {width}, structure has n = 8$"):
+        reduce(x, model)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 100, 2000])

@@ -45,3 +45,10 @@ def test_prints_one_row_per_module_and_a_total(tmp_path, capsys):
     assert _load().main(["code_lines.py", str(tmp_path)]) == 0
     rows = capsys.readouterr().out.split("\n")
     assert rows[:3] == ["     7  a.py", "     1  b.py", "     8  total"]
+
+
+def test_count_gives_each_module_and_the_total(tmp_path):
+    (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
+    (tmp_path / "a.py").write_text(FIXTURE)
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    assert _load().count(tmp_path) == {"modules": {"a.py": 7, "b.py": 1}, "total": 8}

@@ -6,6 +6,7 @@ because the per-replication streams and the fixed aggregation order are what
 make sweep results reproducible.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -142,6 +143,15 @@ class TestLoadConfig:
         target[key] = 0.5
         with pytest.raises(InvalidInputError, match=f"^unknown {level} key '{key}' "):
             load_config(cfg)
+
+
+    @pytest.mark.parametrize("reps", [0, -5, 99])
+    def test_config_validates_itself_also_under_replace(self, reps):
+        # a sweep of such an entry quarantined its cell with a ZeroDivisionError
+        # (0) or aborted on numpy's "negative dimensions" (-5)
+        _, (entry,) = load_config(pairs_config())
+        with pytest.raises(InvalidInputError, match=r"^replications must be >= 100$"):
+            dataclasses.replace(entry, replications=reps)
 
 
 class TestCellEvaluation:
@@ -350,6 +360,39 @@ class TestQuarantine:
         assert ",11," not in csv_text
         obj = json.loads(summarize(report, "json"))
         assert obj["cells"][0]["error"] == bad.error
+
+    def test_cells_without_tasks_keep_their_place_under_threads(self, monkeypatch):
+        # Cells quarantined at planning get no tasks.  Between cells that run
+        # in many chunks each, they keep their place, seed and error, and the
+        # report does not depend on the thread count.
+        pairs = pairs_config(n_grid=[10, 11, 12], replications=150)
+        unknown = pairs_config(n_grid=[10], replications=100)
+        unknown["design"] = dict(unknown["design"], id="median", estimators=["median"])
+        graph = {
+            "experiment": "graph_estimation",
+            "design": {"id": "graph", "structure": {"pattern": "pairs"}, "graphs": [{"kind": "cluster"}]},
+            "n_grid": [9, 10],
+            "replications": 100,
+        }
+        for entry in (pairs, unknown):
+            del entry["master_seed"]
+        sweep = {"master_seed": 70, "experiments": [pairs, unknown, graph]}
+        monkeypatch.setattr(sampler, "_CHUNK_SCALARS", 64)
+        odd = "InvalidInputError: pairs pattern needs even n, got {}"
+        want = [
+            ("pairs", 10, 70, None),
+            ("pairs", 11, 71, odd.format(11)),
+            ("pairs", 12, 72, None),
+            ("median", 10, 73, "InvalidInputError: unknown estimator 'median'"),
+            ("graph", 9, 74, odd.format(9)),
+            ("graph", 10, 75, None),
+        ]
+        reports = [run_from(sweep, threads=threads) for threads in (1, 2, 3)]
+        for report in reports:
+            assert [(c.design_id, c.n, c.seed, c.error) for c in report.cells] == want
+            assert all(bool(c.metrics) == (c.error is None) for c in report.cells)
+        assert summarize(reports[0], "json") == summarize(reports[1], "json")
+        assert summarize(reports[0], "json") == summarize(reports[2], "json")
 
     def test_infeasible_common_variance_is_quarantined(self):
         cfg = pairs_config(replications=100)
@@ -690,10 +733,10 @@ class TestReports:
     )
     def test_failing_chunk_quarantines_only_its_cell(self, monkeypatch, experiment, design):
         # Every chunk of the n = 24 cell that holds a replication >= 100
-        # fails, with its own message.  At 3 threads the cell's 19 chunks
-        # make runs from chunks 0, 6 and 12; the second and third runs fail,
-        # and the cell keeps the error of the second, the chunk at 96, as the
-        # serial run does.
+        # fails, with its own message.  Each of the cell's 19 chunks is one
+        # task, and at 3 threads chunks 6 to 18 fail in whatever order the
+        # workers reach them; the cell keeps the error of the first in task
+        # order, the chunk at 96, as the serial run does.
         entry = pairs_config(experiment=experiment, n_grid=[12, 24], replications=300)
         del entry["master_seed"], entry["design"]["estimators"]
         entry["design"].update(design)
@@ -722,6 +765,23 @@ class TestReports:
             assert failed.metrics == () and failed.M == 0
             assert first == clean.cells[0] and graph == clean.cells[2]
         assert summarize(reports[0], "json") == summarize(reports[1], "json")
+
+    def test_serial_run_draws_no_chunk_after_a_failing_one(self, monkeypatch):
+        # chunks of 16 replications; the chunk at 96 fails, so of the cell's
+        # 19 chunks only the first 7 are drawn
+        monkeypatch.setattr(sampler, "_CHUNK_SCALARS", 192)
+        draw, starts = harness.class_stat_rows, []
+
+        def failing_draw(model, master_seed, replications):
+            starts.append(replications.start)
+            if replications.start == 96:
+                raise RuntimeError("no draw at 96")
+            return draw(model, master_seed, replications)
+
+        monkeypatch.setattr(harness, "class_stat_rows", failing_draw)
+        (cell,) = run_from(pairs_config(n_grid=[24])).cells
+        assert cell.error == "RuntimeError: no draw at 96"
+        assert starts == list(range(0, 112, 16))
 
     def test_reports_identical_across_chunk_sizes(self, monkeypatch):
         # chunk boundaries change batch shapes but never replication streams
