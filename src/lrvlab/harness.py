@@ -15,13 +15,13 @@ of the rows that mixing them would give, and to each row's first value
 those (estimators.graph_stat_rows), so no mixed row or edge array is built
 and a graph costs O(n) per replication whatever its edge count.  Estimator,
 contiguity and test cells draw each replication's class statistics
-(sampler.class_stat_rows): 11H + 1 words, where H counts the model's
+(sampler.class_stat_rows): 7H + 1 words, where H counts the model's
 classes (the distinct (k, delta) among its blocks): one normal per class
-sum, five words per chi-square (two Marsaglia-Tsang attempts and a
+sum, three words per chi-square (one Marsaglia-Tsang attempt and a
 gammaincinv fallback, exact whichever fires), and last the randomization
 uniform of test cells.  They all come from one stream per cell, keyed
 (cell seed, 2**64 - 1): replication r reads its Philox blocks
-[r b, (r + 1) b), b = ceil((11H + 1) / 4).  The draw is at mu_bar = 0;
+[r b, (r + 1) b), b = ceil((7H + 1) / 4).  The draw is at mu_bar = 0;
 estimator and test cells add M_h k_h mu_bar to each class sum A_h per mean,
 and contiguity cells turn the statistics into null N(0, I) statistics
 (likelihood.lr_draw).
@@ -261,8 +261,11 @@ def _parse_entry(raw: dict, pos: int) -> ExperimentConfig:
     if not isinstance(design, dict) or "structure" not in design:
         raise InvalidInputError("design must be an object with a structure entry")
     _known_keys(design, _DESIGN_KEYS, "design")
-    if design.get("id") is None:
+    design_id = design.get("id")
+    if design_id is None:
         design = dict(design, id=f"{kind}-{pos}")
+    elif not isinstance(design_id, str):
+        raise InvalidInputError(f"design id must be a string, got {design_id!r}")
     return ExperimentConfig(
         experiment=kind,
         design=design,
@@ -279,7 +282,13 @@ def _json_dict(pairs) -> dict:
 
 
 def canonical_config(master_seed: int, entries) -> dict:
-    """The normalized sweep this run will execute (defaults applied)."""
+    """The normalized sweep this run will execute.
+
+    Only entry defaults are applied: alpha, epsilon and the design id.  A
+    design key left out stays out, so a design that spells out its defaults
+    (say "estimators": ["cluster", "sample_variance"]) runs byte-identically
+    to one that omits them but hashes differently.
+    """
     return {
         "master_seed": master_seed,
         "experiments": [asdict(e, dict_factory=_json_dict) for e in entries],

@@ -335,9 +335,10 @@ def lr_metrics(model: BlockEquicorrModel, epsilon: float, w: np.ndarray) -> dict
             f"(W in [{float(np.min(w)):.6g}, {float(np.max(w)):.6g}])"
         )
     se_mean_lr = float(np.std(lr, ddof=1) / math.sqrt(reps))
-    # A heavy tail may overflow the power or its squares; the moment or its
-    # se is then not finite, and the harness quarantines the cell.
-    with np.errstate(over="ignore"):
+    # A heavy tail may overflow the power or its squares (and an infinite
+    # power makes its deviation inf - inf); the moment or its se is then not
+    # finite, and the harness quarantines the cell.
+    with np.errstate(over="ignore", invalid="ignore"):
         powered = lr ** (1.0 + epsilon)
         moment_1pe = float(np.mean(powered))
         se_moment_1pe = float(np.std(powered, ddof=1) / math.sqrt(reps))

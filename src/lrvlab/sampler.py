@@ -63,29 +63,27 @@ A_h ~ N(M_h k mu_bar, M_h k top) and the within-class square mass
 Q_h ~ k top chi^2(M_h - 1) are independent; the residual mass of a block is
 base chi^2(k - 1), independent of its sum, so T_h ~ base chi^2(M_h (k - 1)).
 class_stat_rows is the one draw of these statistics, at mu_bar = 0 (a mean
-only adds M_h k mu_bar to A_h), from 11H + 1 words per replication, laid out
-by role: word h < H gives A_h through ndtri(u); word 11H is the
-randomization uniform; and the 2H chi-squares, j < H for Q_h and
-j = H + h for T_h, take five words each, z_1 = ndtri(word H + j),
-u_1 = word 3H + j, z_2 = ndtri(word 5H + j), u_2 = word 7H + j and the
-fallback word 9H + j.  A chi-square with nu = 0 is exactly 0 and one with
-nu = 1 is z_1^2.  For nu >= 2 the draw is Marsaglia and Tsang's (ACM TOMS
+only adds M_h k mu_bar to A_h), from 7H + 1 words per replication, laid out
+by role: word h < H gives A_h through ndtri(u); word 7H is the randomization
+uniform; and the 2H chi-squares, j < H for Q_h and j = H + h for T_h, take
+three words each, z = ndtri(word H + j), u = word 3H + j and the fallback
+word 5H + j.  A chi-square with nu = 0 is exactly 0 and one with nu = 1 is
+z^2.  For nu >= 2 the draw is one attempt of Marsaglia and Tsang's (ACM TOMS
 26, 2000) for Gamma(nu / 2), with d = nu / 2 - 1/3, c = 1 / sqrt(9 d) and
-v_i = (1 + c z_i)^3: attempt i accepts when v_i > 0 and
-log u_i < z_i^2 / 2 + d - d v_i + d log v_i, the value is 2 d v_i of the
-first attempt that accepts, and when neither does (0.23% of the time at
-nu = 2, less at larger nu) it is 2 gammaincinv(nu / 2, fallback word).  This
-is exact: an accepted attempt is exactly Gamma(nu / 2), and the attempts and
+v = (1 + c z)^3: the attempt accepts when v > 0 and
+log u < z^2 / 2 + d - d v + d log v, and the value is then 2 d v; when it
+rejects (4.8% of the time at nu = 2, 2.7% at nu = 3, 0.6% at nu = 10 and
+less at larger nu) the value is 2 gammaincinv(nu / 2, fallback word).  This
+is exact: an accepted attempt is exactly Gamma(nu / 2), and the attempt and
 the fallback read disjoint words, so whichever branch fires the value is
-exactly chi^2(nu).  gammaincinv is only the fallback: the first attempt
-accepts over 95% of the time, and the second attempt and the fallback are
-evaluated only for the values that need them.  A replication costs O(H)
-whatever the number of blocks: 1000 pairs cost 12 words, not 2000.
+exactly chi^2(nu).  gammaincinv is only the fallback, evaluated only for the
+values that need it.  A replication costs O(H) whatever the number of
+blocks: 1000 pairs cost 8 words, not 2000.
 
 The class words of a cell come from one stream, the class stream keyed
 (master_seed, 2**64 - 1).  Philox is counter-based, so the stream can be
-addressed by block: replication r takes the first 11H + 1 words of its
-blocks [r b, (r + 1) b), where b = ceil((11H + 1) / 4) and block j is the
+addressed by block: replication r takes the first 7H + 1 words of its
+blocks [r b, (r + 1) b), where b = ceil((7H + 1) / 4) and block j is the
 j-th 4-word block a freshly keyed generator emits.  A range of replications
 is then one numpy draw that starts at counter lo b, and row r is still a
 pure function of (master_seed, r): it does not depend on the range it is
@@ -109,9 +107,9 @@ _INV_2_53 = 2.0 ** -53
 # on it.
 _CHUNK_SCALARS = 1 << 16
 
-# Words per class in a class draw: one for A_h and five for each of the
+# Words per class in a class draw: one for A_h and three for each of the
 # chi-squares of Q_h and T_h (see the module docstring).
-_CLASS_WORDS = 11
+_CLASS_WORDS = 7
 
 
 class RandomStream:
@@ -315,49 +313,36 @@ def class_stat_rows(model: BlockEquicorrModel, master_seed: int, replications: r
     raw = bits.random_raw(len(replications) * 4 * blocks).reshape(-1, 4 * blocks)
     w = _to_uniform(raw[:, :width])
     dof = np.concatenate((counts - 1, counts * (sizes - 1)))
-    chi2 = _chi_squares(dof, w[:, h : width - 1].reshape(-1, 5, 2 * h))
+    chi2 = _chi_squares(dof, w[:, h : width - 1].reshape(-1, 3, 2 * h))
     a = np.sqrt(counts * sizes * top) * ndtri(w[:, :h])
     return a, sizes * top * chi2[:, :h], base * chi2[:, h:], w[:, width - 1]
 
 
 def _chi_squares(dof: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Exact chi-squares, column j with dof[j] degrees of freedom, from a
-    (B, 5, J) block of uniforms whose rows along axis 1 are the words
-    (z_1, u_1, z_2, u_2, fallback) of each value (see the module docstring).
+    (B, 3, J) block of uniforms whose rows along axis 1 are the words
+    (z, u, fallback) of each value (see the module docstring).
 
-    Only values whose first attempt rejects go on to the second attempt, and
-    only those that reject twice to gammaincinv; every step is elementwise,
-    so a value's bits do not depend on the rest of the block.
+    Only values whose Marsaglia-Tsang attempt rejects go on to gammaincinv;
+    every step is elementwise, so a value's bits do not depend on the rest of
+    the block.
     """
     gamma = dof >= 2  # the other columns are replaced at the end
     d = np.maximum(0.5 * dof, 1.0) - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
     z = ndtri(w[:, 0])
-    v, accept = _gamma_attempt(z, w[:, 1], d, c)
-    chi2 = 2.0 * d * v
-    rows, cols = np.nonzero(~accept & gamma)
-    if rows.size:
-        d, c = d[cols], c[cols]
-        v, accept = _gamma_attempt(ndtri(w[rows, 2, cols]), w[rows, 3, cols], d, c)
-        value = 2.0 * d * v
-        miss = ~accept
-        value[miss] = 2.0 * gammaincinv(0.5 * dof[cols[miss]], w[rows[miss], 4, cols[miss]])
-        chi2[rows, cols] = value
-    return np.where(gamma, chi2, np.where(dof == 1, z * z, 0.0))
-
-
-def _gamma_attempt(z, u, d, c):
-    """One Marsaglia-Tsang attempt at Gamma(d + 1/3) from a normal z and a
-    uniform u: (v, accept), where d v is the draw when accept holds."""
     v = 1.0 + c * z
     v = v * v * v
     with np.errstate(invalid="ignore", divide="ignore"):  # v > 0 masks log v where v <= 0
-        accept = (v > 0.0) & (np.log(u) < 0.5 * z * z + d - d * v + d * np.log(v))
-    return v, accept
+        accept = (v > 0.0) & (np.log(w[:, 1]) < 0.5 * z * z + d - d * v + d * np.log(v))
+    chi2 = 2.0 * d * v
+    rows, cols = np.nonzero(~accept & gamma)
+    chi2[rows, cols] = 2.0 * gammaincinv(0.5 * dof[cols], w[rows, 2, cols])
+    return np.where(gamma, chi2, np.where(dof == 1, z * z, 0.0))
 
 
 def _class_chunks(model: BlockEquicorrModel, reps: int):
-    """_chunks for class_stat_rows, which draws 11H + 1 words per replication."""
+    """_chunks for class_stat_rows, which draws 7H + 1 words per replication."""
     return _chunks(reps, _CLASS_WORDS * model.class_counts.size + 1)
 
 

@@ -152,6 +152,15 @@ class TestRun:
         assert err.startswith("lrvlab: unknown design key 'estimator' ") and err.count("\n") == 1
         assert not out_dir.exists()
 
+    def test_non_string_design_id_fails_cleanly(self, tmp_path):
+        cfg = dict(BASE_CONFIG, design=dict(BASE_CONFIG["design"], id={"a": [1, 2]}))
+        path = write_config(tmp_path, cfg)
+        out_dir = tmp_path / "x"
+        code, out, err = invoke(["run", "--config", str(path), "--out", str(out_dir)])
+        assert (code, out) == (1, "")
+        assert err == "lrvlab: design id must be a string, got {'a': [1, 2]}\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "old, new, key",
         [
@@ -383,5 +392,5 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
-    """The graph estimator sums over a clique cover; no sparse matrix is built."""
+    """The graph estimator is an edge sum and builds no sparse matrix."""
     assert not _loaded_by_cli_import("scipy.sparse")
