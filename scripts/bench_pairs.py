@@ -17,11 +17,14 @@ even pairs and the change in odd ones, so drift of the host's speed within a
 pair falls on both sides alike.  The output holds, per workload and
 end-to-end metric (BENCHMARK.json), each side's runs in pair order, their
 median and quartiles (statistics.quantiles, exclusive method), the pairs in
-which the change is better, and the median ratio; plus the seeds, the order
+which the change is better, the median ratio, and `within_bound`: whether
+the change's median is no worse than the parent's by more than the metric's
+BENCHMARK.json bound, in its `better` direction; plus the seeds, the order
 within each pair, correctness counts and the host's core count, and the
 code lines of each snapshot's src/lrvlab (code_lines.count) as
 code_lines.parent and code_lines.change.  It is rewritten after every pair,
-so an interrupted run keeps what it measured.
+so an interrupted run keeps what it measured.  At the end, every metric
+that is not within its bound is printed on standard error.
 """
 
 from __future__ import annotations
@@ -94,6 +97,7 @@ def _workload_entry(results: dict, declared: list[dict]) -> dict:
         sign = 1.0 if m["better"] == "lower" else -1.0
         wins = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
         parent, change = _summary(sides["parent"]), _summary(sides["change"])
+        limit = parent["median"] * (1.0 + sign * m["bound"])  # the worst median within the bound
         metrics[name] = {
             "unit": m["unit"],
             "better": m["better"],
@@ -101,9 +105,24 @@ def _workload_entry(results: dict, declared: list[dict]) -> dict:
             "change": change,
             "change_better_in_pairs": f"{wins}/{len(sides['parent'])}",
             "median_ratio": change["median"] / parent["median"] if parent["median"] else None,
+            "within_bound": change["median"] <= limit if sign > 0 else change["median"] >= limit,
         }
     entry["metrics"] = metrics
     return entry
+
+
+def out_of_bound(out: dict) -> list[str]:
+    """One line per workload and metric whose change median is not within
+    its bound."""
+    lines = []
+    for workload, entry in out["end_to_end"]["workloads"].items():
+        for name, metric in entry["metrics"].items():
+            if not metric["within_bound"]:
+                lines.append(
+                    f"{workload} {name}: change median {metric['change']['median']!r} against parent "
+                    f"{metric['parent']['median']!r} (ratio {metric['median_ratio']!r}, {metric['better']} is better)"
+                )
+    return lines
 
 
 def main(argv=None) -> int:
@@ -158,6 +177,8 @@ def main(argv=None) -> int:
                 results["first"].append(order[0])
                 out["end_to_end"]["workloads"][workload] = _workload_entry(results, declared)
                 args.out.write_text(json.dumps(out, indent=1) + "\n")
+    for line in out_of_bound(out):
+        print(f"out of bound: {line}", file=sys.stderr)
     return 0
 
 

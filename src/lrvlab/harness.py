@@ -7,21 +7,25 @@ replication-index order, so reports are byte-identical for a given config and
 master seed regardless of the worker count.
 
 Stream allocation: cells are enumerated in config order, and cell i draws
-with the cell seed master_seed + i.  Graph cells consume n normals per
-replication (sampler.normal_rows): replication r reads its own stream, keyed
-(cell seed, r).  The normals are reduced straight to the class statistics
-of the rows that mixing them would give, and to each row's first value
-(sampler.mixed_class_stats), and each graph's estimate is a closed form in
-those (estimators.graph_stat_rows), so no mixed row or edge array is built
-and a graph costs O(n) per replication whatever its edge count.  Estimator,
-contiguity and test cells draw each replication's class statistics
-(sampler.class_stat_rows): 7H + 1 words, where H counts the model's
-classes (the distinct (k, delta) among its blocks): one normal per class
-sum, three words per chi-square (one Marsaglia-Tsang attempt and a
-gammaincinv fallback, exact whichever fires), and last the randomization
-uniform of test cells.  They all come from one stream per cell, keyed
-(cell seed, 2**64 - 1): replication r reads its Philox blocks
-[r b, (r + 1) b), b = ceil((7H + 1) / 4).  The draw is at mu_bar = 0;
+with the cell seed master_seed + i.  Every word becomes a normal or a
+uniform by the sampler's exact transform (numpy's uniform x, centred as
+q = (x - 1/2) + 2**-54, then the AS241 inverse normal or u = 1 - 2|q|).
+Graph cells consume n normals per replication (sampler.normal_rows):
+replication r reads its own stream, keyed (cell seed, r).  The normals are
+reduced straight to the class statistics of the rows that mixing them would
+give, and to each row's first value (sampler.mixed_class_stats), and each
+graph's estimate is a closed form in those (estimators.graph_stat_rows), so
+no mixed row or edge array is built and a graph costs O(n) per replication
+whatever its edge count.  Estimator, contiguity and test cells draw each
+replication's class statistics (sampler.class_stat_rows): 5H + 1 words,
+where H counts the model's classes (the distinct (k, delta) among its
+blocks): one normal per class sum, a normal and a uniform per chi-square
+(the first Marsaglia-Tsang attempt; a rejected one retries from its own
+counter region of the stream until an attempt accepts, so the value is
+exact), and last the randomization uniform of test cells.  They all come
+from one stream per cell, keyed (cell seed, 2**64 - 1): replication r
+reads its Philox blocks [r b, (r + 1) b), b = ceil((5H + 1) / 4).  The
+draw is at mu_bar = 0;
 estimator and test cells add M_h k_h mu_bar to each class sum A_h per mean,
 and contiguity cells turn the statistics into null N(0, I) statistics
 (likelihood.lr_draw).

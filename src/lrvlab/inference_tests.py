@@ -23,14 +23,15 @@ and call the same kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri, stdtrit
 
 from .cluster_model import BlockEquicorrModel, ClusterStructure, block_sums, data_row, row_stats
 from .errors import DegenerateDataError, InvalidInputError, require_float, require_int
+from .sampler import _normal_quantile
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,7 @@ def z_test_stat_rows(a, q, t, model: BlockEquicorrModel, alpha: float, c: float)
     if not (0.0 < alpha < 1.0):
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
     n = model.structure.n
-    critical = float(ndtri(1.0 - alpha))
+    critical = _normal_quantile(1.0 - alpha)
     statistic = math.sqrt(n) * (a.sum(axis=-1) / n) / math.sqrt(c)
     return statistic, critical, statistic > critical
 
@@ -190,11 +191,115 @@ def z_test_rows(X: np.ndarray, c: float, alpha: float) -> np.ndarray:
 
 
 def student_t_quantile(df: int, p: float) -> float:
-    """p-quantile of Student's t with df degrees of freedom (accuracy <= 1e-8)."""
+    """p-quantile of Student's t with df degrees of freedom (accuracy <= 1e-8
+    relative to max(1, |quantile|)).
+
+    The tail P(|T| > t) = 2 min(p, 1 - p) is solved for t >= 0 by Newton's
+    method on log t and log P(|T| > t) (_t_log_tail), kept inside the
+    bracket of the iterates seen so far, from a Cornish-Fisher start.
+    Results are cached per (df, p).
+    """
     df = require_int(df, "degrees of freedom")
     if df < 1:
         raise InvalidInputError(f"degrees of freedom must be >= 1, got {df}")
     p = require_float(p, "p")
     if not (0.0 < p < 1.0):
         raise InvalidInputError(f"p must lie in (0, 1), got {p}")
-    return float(stdtrit(df, p))
+    return _t_quantile(df, p)
+
+
+# A test cell's kernel asks for the same quantile once per chunk and mean.
+@functools.lru_cache(maxsize=64)
+def _t_quantile(df: int, p: float) -> float:
+    """student_t_quantile of checked arguments."""
+    if p == 0.5:
+        return 0.0
+    log_target = math.log(2.0 * min(p, 1.0 - p))  # 1 - p is exact for p >= 1/2
+    z = abs(_normal_quantile(max(min(p, 1.0 - p), 2.0**-54)))
+    u = math.log(z + (z**3 + z) / (4.0 * df))  # log t
+    lo, hi = -math.inf, math.inf
+    for _ in range(200):
+        t = math.exp(u)
+        log_tail = _t_log_tail(df, t)
+        gap = log_tail - log_target
+        if gap > 0.0:
+            lo = u  # the tail is too heavy: t is too small
+        else:
+            hi = u
+        # d log P(|T| > t) / d log t = -2 t f(t) / P(|T| > t)
+        slope = -2.0 * math.exp(u + _t_log_density(df, t) - log_tail)
+        step = max(-8.0, min(8.0, -gap / slope)) if slope < 0.0 else (8.0 if gap > 0.0 else -8.0)
+        if abs(step) <= 1e-14 * max(1.0, abs(u)):
+            break
+        # a step out of the bracket falls back to bisection; both ends are
+        # then finite, since a step leaves the side it starts from
+        u = u + step if lo < u + step < hi else 0.5 * (lo + hi)
+    t = math.exp(u)
+    return t if p > 0.5 else -t
+
+
+def _t_log_density(df: int, t: float) -> float:
+    """log of Student's t density with df degrees of freedom at t."""
+    return (
+        math.lgamma(0.5 * (df + 1))
+        - math.lgamma(0.5 * df)
+        - 0.5 * math.log(df * math.pi)
+        - 0.5 * (df + 1) * _log1p_square(t / math.sqrt(df))
+    )
+
+
+def _log1p_square(x: float) -> float:
+    """log(1 + x^2) without overflow."""
+    return math.log1p(x * x) if x < 1e150 else 2.0 * math.log(x)
+
+
+def _t_log_tail(df: int, t: float) -> float:
+    """log P(|T| > t) for Student's t with integer df at t > 0, from the
+    finite sums of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df).
+
+    With theta = atan(t / sqrt(df)), y = cos^2 theta and K = df // 2, the
+    sums are S = sum_{k < K} c_k y^k, c_0 = 1 and c_k / c_(k-1) = (2k - 1)/(2k)
+    (even) or 2k / (2k + 1) (odd), and P(|T| <= t) is sin(theta) S (even) or
+    (2 / pi) (theta + sin(theta) cos(theta) S) (odd).  The full series sums to
+    1 / sin(theta) (even) or (pi / 2 - theta) / (sin(theta) cos(theta))
+    (odd), so the tail is the same prefactor times sum_{k >= K} c_k y^k.  The
+    tail is read as 1 minus the finite form while that is above 1e-3, and
+    from the remainder of the series below, where the subtraction would
+    lose its digits.
+    """
+    odd, k_terms = df % 2, df // 2
+    root = math.hypot(math.sqrt(df), t)
+    sin, cos = t / root, math.sqrt(df) / root
+    y = cos * cos
+    scale = 2.0 / math.pi * sin * cos if odd else sin
+    inside = scale * _series(y, 0, k_terms, odd)
+    if odd:
+        inside += 2.0 / math.pi * math.atan2(t, math.sqrt(df))
+    if 1.0 - inside > 1e-3:
+        return math.log1p(-inside)
+    if odd:  # c_K = (2K)!! / (2K + 1)!!
+        log_c = math.lgamma(k_terms + 1.0) + 0.5 * math.log(math.pi) - math.log(2.0) - math.lgamma(k_terms + 1.5)
+    else:  # c_K = (2K - 1)!! / (2K)!!
+        log_c = math.lgamma(k_terms + 0.5) - math.lgamma(k_terms + 1.0) - 0.5 * math.log(math.pi)
+    remainder = _series(y, k_terms, math.inf, odd)
+    log_y = -_log1p_square(t / math.sqrt(df))
+    return math.log(scale) + log_c + k_terms * log_y + math.log(remainder)
+
+
+_SERIES_BLOCK = 4096
+
+
+def _series(y: float, start: int, count, odd: int) -> float:
+    """sum_{i < count} prod_{k = start}^{start + i - 1} y (2k + 1 + odd) / (2k + 2 + odd),
+    in blocks of _SERIES_BLOCK terms, stopping once the terms no longer
+    change the sum (count may be inf)."""
+    total, term, k = 0.0, 1.0, start
+    while k < start + count and term > 1e-17 * total:
+        n = int(min(_SERIES_BLOCK, start + count - k))
+        j = np.arange(k, k + n, dtype=np.float64)
+        ratios = y * (2.0 * j + 1.0 + odd) / (2.0 * j + 2.0 + odd)
+        terms = term * np.cumprod(np.concatenate(([1.0], ratios[:-1])))
+        total += float(terms.sum())
+        term = float(terms[-1] * ratios[-1])
+        k += n
+    return total

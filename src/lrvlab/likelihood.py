@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfc
 
 from .cluster_model import (
     DENSE_N_CAP,
@@ -60,7 +59,12 @@ _DENSE_AGREEMENT = 1e-8
 def chi2_cdf_1df(t) -> np.ndarray | float:
     """CDF of a chi-square with one degree of freedom: P(Z^2 <= t) = erf(sqrt(t/2))."""
     t = np.asarray(t, dtype=np.float64)
-    return np.where(t > 0.0, erf(np.sqrt(np.maximum(t, 0.0) / 2.0)), 0.0)
+    return np.where(t > 0.0, _each(math.erf, np.sqrt(np.maximum(t, 0.0) / 2.0)), 0.0)
+
+
+def _each(fn, x: np.ndarray) -> np.ndarray:
+    """fn (a math function of one float) at every element of x."""
+    return np.fromiter(map(fn, x.ravel().tolist()), dtype=np.float64, count=x.size).reshape(x.shape)
 
 
 def loglr_stat_rows(a, q, t, model: BlockEquicorrModel, mu_bar: float) -> np.ndarray:
@@ -146,9 +150,7 @@ def _chol_quad(sigma: np.ndarray, resid: np.ndarray, name: str):
         lower = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"{name} is not positive definite: {exc}") from exc
-    import scipy.linalg  # the dense oracle only; no sweep pays for the import
-
-    half = scipy.linalg.solve_triangular(lower, resid, lower=True)
+    half = np.linalg.solve(lower, resid)
     return 2.0 * float(np.sum(np.log(np.diagonal(lower)))), float(half @ half)
 
 
@@ -235,7 +237,7 @@ class LimitLaw:
         if self.delta > 0.0:
             out = chi2_cdf_1df(t)
         else:
-            out = np.where(t > 0.0, erfc(np.sqrt(np.maximum(t, 0.0) / 2.0)), 1.0)
+            out = np.where(t > 0.0, _each(math.erfc, np.sqrt(np.maximum(t, 0.0) / 2.0)), 1.0)
         if out.ndim == 0:
             return float(out)
         return out

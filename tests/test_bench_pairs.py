@@ -1,0 +1,78 @@
+"""scripts/bench_pairs.py summarizes alternating pairs and flags every
+metric whose change median leaves its benchmark bound."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+DECLARED = [
+    {"name": "sweep_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1},
+]
+
+
+def _load():
+    sys.path.insert(0, str(SCRIPTS))  # bench_pairs imports code_lines beside it
+    try:
+        spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(SCRIPTS))
+    return module
+
+
+def _results(parent, change):
+    """Synthetic runs: parent[i] and change[i] are (sweep_s, rate) of pair i."""
+
+    def run(values):
+        return {
+            "correct": True,
+            "failed": 0,
+            "attempted": 12,
+            "metrics": {m["name"]: {"value": v, "unit": m["unit"]} for m, v in zip(DECLARED, values)},
+        }
+
+    return {
+        "pairs": len(parent),
+        "seeds": list(range(len(parent))),
+        "first": ["parent", "change"] * (len(parent) // 2) + ["parent"] * (len(parent) % 2),
+        "parent": [run(v) for v in parent],
+        "change": [run(v) for v in change],
+    }
+
+
+@pytest.mark.parametrize(
+    "change, within",
+    [
+        # medians 1.0 s and 10/s at the parent; the bounds allow 1.25 s and 9/s
+        ([(1.25, 9.0)] * 3, {"sweep_s": True, "rate": True}),
+        ([(1.26, 9.0)] * 3, {"sweep_s": False, "rate": True}),
+        ([(0.5, 8.9)] * 3, {"sweep_s": True, "rate": False}),
+        ([(1.3, 20.0), (1.2, 20.0), (1.2, 20.0)], {"sweep_s": True, "rate": True}),
+    ],
+)
+def test_within_bound_compares_medians_in_the_better_direction(change, within):
+    bench = _load()
+    parent = [(1.0, 10.0), (0.9, 11.0), (1.1, 9.0)]
+    entry = bench._workload_entry(_results(parent, change), DECLARED)
+    assert {name: m["within_bound"] for name, m in entry["metrics"].items()} == within
+    out = {"end_to_end": {"workloads": {"w": entry}}}
+    flagged = [line.split(":")[0] for line in bench.out_of_bound(out)]
+    assert flagged == [f"w {name}" for name, ok in within.items() if not ok]
+
+
+def test_out_of_bound_names_each_workload_and_metric():
+    bench = _load()
+    parent = [(1.0, 10.0)] * 2
+    workloads = {
+        "a": bench._workload_entry(_results(parent, [(2.0, 10.0)] * 2), DECLARED),
+        "b": bench._workload_entry(_results(parent, [(1.0, 1.0)] * 2), DECLARED),
+    }
+    lines = bench.out_of_bound({"end_to_end": {"workloads": workloads}})
+    assert [line.split(":")[0] for line in lines] == ["a sweep_s", "b rate"]
+    assert "change median 2.0 against parent 1.0 (ratio 2.0, lower is better)" in lines[0]

@@ -394,3 +394,9 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 def test_cli_import_leaves_scipy_sparse_unloaded():
     """The graph estimator is an edge sum and builds no sparse matrix."""
     assert not _loaded_by_cli_import("scipy.sparse")
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test dependency only: importing it was most of a cold
+    start, so the package must load no scipy module at all."""
+    assert not _loaded_by_cli_import("scipy")

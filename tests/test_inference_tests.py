@@ -29,7 +29,7 @@ from lrvlab import (
     student_t_quantile,
 )
 from lrvlab.inference_tests import cluster_t_rows, sign_test_rows, z_test_rows
-from lrvlab.sampler import _to_uniform, raw_rows, sample_rows
+from lrvlab.sampler import derive_stream, sample_rows
 
 ALPHA = 0.05
 
@@ -37,7 +37,7 @@ ALPHA = 0.05
 def rows_and_uniform(model, seed, reps):
     """Null data rows and, from word n of the same streams, one uniform each."""
     n = model.structure.n
-    u = _to_uniform(raw_rows(seed, range(reps), n + 1)[:, n])
+    u = np.array([derive_stream(seed, r).uniforms(n + 1)[n] for r in range(reps)])
     return sample_rows(model, 0.0, seed, range(reps)), u
 
 
@@ -274,6 +274,19 @@ class TestStudentTQuantile:
             for p in (0.9, 0.95, 0.975):
                 want = t_quantile_by_quadrature(df, p)
                 assert abs(student_t_quantile(df, p) - want) < 1e-8, (df, p)
+
+    def test_matches_scipy_stdtrit(self):
+        """Within the documented 1e-8, relative beyond |t| = 1, from the
+        centre to p = 1e-10 on both sides and for df from 1 to 10^4."""
+        from scipy.special import stdtrit
+
+        ps = [1e-10, 1e-7, 1e-4, 0.01, 0.05, 0.3, 0.5 - 1e-9, 0.5]
+        ps += [1.0 - p for p in ps[:-1]]
+        for df in (1, 2, 3, 4, 5, 8, 29, 30, 101, 1000, 4999, 10_000):
+            for p in ps:
+                want = float(stdtrit(df, p))
+                got = student_t_quantile(df, p)
+                assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (df, p, got, want)
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):

@@ -341,6 +341,20 @@ class TestLimitLaw:
         LimitLaw(1.0)  # the right endpoint is allowed
         assert LimitLaw(np.float32(0.5)).delta == 0.5
 
+    @pytest.mark.parametrize("delta", [1.0, 0.3, -0.3, -0.9])
+    def test_cdf_matches_scipy_erf_and_erfc(self, delta):
+        """The CDF is erf(sqrt(t / 2)) for delta > 0 and erfc(sqrt(t / 2))
+        for delta < 0, t = 2 (1 + delta)(w - bound) / delta; it takes them
+        from math, point by point."""
+        from scipy.special import erf, erfc
+
+        law = LimitLaw(delta)
+        w = law.support_bound + np.sign(delta) * np.geomspace(1e-12, 60.0, 10_000)
+        t = 2.0 * (1.0 + delta) * (w - law.support_bound) / delta
+        want = (erf if delta > 0.0 else erfc)(np.sqrt(t / 2.0))
+        assert_allclose(law.cdf(w), want, rtol=1e-13, atol=0.0)
+        assert law.cdf(w.reshape(100, 100)).shape == (100, 100)
+
     def test_unit_mean_by_quadrature(self):
         """E[e^W] = 1: integrate exp(w(z)) against the standard normal density."""
         for delta in (0.5, -0.5, 0.9, 1.0):

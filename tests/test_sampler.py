@@ -27,13 +27,32 @@ from lrvlab import (
 )
 from lrvlab.cluster_model import BlockEquicorrModel, class_stats, dense_sigma
 from lrvlab.sampler import (
-    _to_uniform,
+    _centered,
+    _inverse_normal,
+    _uniforms,
     class_stat_rows,
     mixed_class_stats,
     normal_rows,
-    raw_rows,
     sample_rows,
 )
+
+_MASK = (1 << 64) - 1
+
+
+def normals_of_words(words) -> np.ndarray:
+    """The documented transform, out of place: x = (w >> 11) 2**-53,
+    q = (x - 1/2) + 2**-54 and the inverse normal of q."""
+    x = (np.asarray(words, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
+    return _inverse_normal(_centered(x))
+
+
+def ulps_apart(a, b) -> np.ndarray:
+    """Distance in units in the last place between float arrays."""
+    def ordered(v):
+        i = np.asarray(v, dtype=np.float64).view(np.int64)
+        return np.where(i < 0, np.int64(-(2**63)) - i, i)
+
+    return np.abs(ordered(a) - ordered(b))
 
 
 def test_stream_replay_is_bit_identical():
@@ -52,6 +71,86 @@ def test_uniforms_live_strictly_inside_unit_interval():
     u = derive_stream(7, 3).uniforms(100_000)
     assert u.min() > 0.0
     assert u.max() < 1.0
+
+
+# Words at the ends and the middle of the range: m = w >> 11 is 0, 2**52 - 1,
+# 2**52, 2**53 - 2 and 2**53 - 1.  With u = ((w >> 11) + 1/2) 2**-53 the top
+# 2**11 words rounded to u = 1.0 and an infinite normal.
+EDGE_WORDS = [0, 2**63 - 1, 2**63, 2**64 - 2**11 - 1, 2**64 - 1]
+
+
+@pytest.mark.parametrize("word", EDGE_WORDS)
+def test_the_transform_is_exact_at_every_word(word):
+    m = word >> 11
+    q = _centered(np.array([m * 2.0**-53]))
+    # q 2**54 is the odd integer 2 (m - 2**52) + 1
+    assert int(q[0] * 2.0**54) == 2 * (m - 2**52) + 1
+    g = normals_of_words([word])
+    assert np.isfinite(g[0])
+    # complementing the top 53 bits negates the normal bit for bit
+    flipped = normals_of_words([word ^ (((1 << 53) - 1) << 11)])
+    assert_array_equal(flipped.view(np.uint64), (-g).view(np.uint64))
+    # the uniforms of the randomization and of Marsaglia-Tsang
+    u = _uniforms(q.copy())
+    assert 0.0 < u[0] < 1.0
+
+
+# ulps between the inverse normal and scipy's ndtri.  4 is not enough: over
+# 10^6 words scipy's own value is up to 5 ulps from the exact quantile
+# (mpmath, 40 digits) and AS241's up to 2 (central) or 4 (tails).
+NDTRI_ULPS = 6
+
+
+def test_inverse_normal_matches_scipy_ndtri_within_a_few_ulps():
+    """On 10^6 stream words, the inverse normal at 1/2 + q equals ndtri(p)
+    below 1/2 and -ndtri(p) above, with p = 1/2 - |q| exact, within
+    NDTRI_ULPS; and so down to p = 2**-54 on the odd multiples of 2**-54."""
+    q = _centered((derive_stream(2028, 0).raw(10**6) >> np.uint64(11)) * 2.0**-53)
+    got = _inverse_normal(q.copy())
+    p = 0.5 - np.abs(q)
+    want = np.where(q < 0.0, ndtri(p), -ndtri(p))
+    assert ulps_apart(got, want).max() <= NDTRI_ULPS
+    # every p = k 2**-54 with k odd below 2**12, and 2**12 of them after each
+    # power of two from 2**-42 up to 1/4
+    k = np.concatenate(
+        [np.arange(1, 2**12, 2)] + [2**e + np.arange(1, 2**13, 2) for e in range(12, 53)]
+    ).astype(np.float64)
+    p = k * 2.0**-54
+    p = p[p < 0.5]
+    lower = _inverse_normal(p - 0.5)
+    assert ulps_apart(lower, ndtri(p)).max() <= NDTRI_ULPS
+    assert_array_equal(_inverse_normal(0.5 - p), -lower)
+    assert p[0] == 2.0**-54 and np.all(np.isfinite(lower))
+
+
+def test_concurrent_inverse_normals_share_no_scratch():
+    """Calls in progress at once each take their own scratch buffer; a
+    shared one would mix the values of different arrays."""
+    inputs = [
+        _centered((derive_stream(7, k).raw(3 * 10**4 + k) >> np.uint64(11)) * 2.0**-53) for k in range(4)
+    ]
+    want = [_inverse_normal(q.copy()) for q in inputs]
+    errors = []
+
+    def work(k):
+        try:
+            for _ in range(30):
+                assert_array_equal(_inverse_normal(inputs[k].copy()), want[k])
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 def test_paired_streams_are_empirically_independent():
@@ -91,12 +190,11 @@ def test_scalar_sample_matches_batched_rows_bitwise():
 )
 def test_in_place_rows_equal_the_documented_expressions(sizes, deltas, mu):
     """sample_rows works in place; its rows must equal the out-of-place
-    transform ((w >> 11) + 0.5) 2**-53 -> ndtri and the mixing
+    transform of each stream's raw words (normals_of_words) and the mixing
     mu + a (g - means) + b means (or mu + g at delta = 0) bit for bit."""
     model = block_model(build_structure(sizes), deltas)
     cs = model.structure
-    raw = raw_rows(13, range(9), cs.n)
-    g = ndtri(((raw >> np.uint64(11)) + np.float64(0.5)) * 2.0**-53)
+    g = np.stack([normals_of_words(derive_stream(13, r).raw(cs.n)) for r in range(9)])
     if any(deltas):
         means = np.repeat(np.add.reduceat(g, cs.starts, axis=-1) / cs.sizes_array, sizes, axis=-1)
         a = np.repeat(np.sqrt(model.base), sizes)
@@ -170,15 +268,17 @@ def test_mixed_class_stats_of_a_row_do_not_depend_on_its_batch(sizes, deltas, mu
 
 
 class TestRawRows:
-    """raw_rows re-keys one generator per call; rows must equal fresh streams."""
+    """normal_rows re-keys one generator per call; rows must equal the
+    normals of fresh streams, and those the transform of their raw words."""
 
     @staticmethod
     def assert_rows_match_streams(seed, ids, width):
-        rows = raw_rows(seed, ids, width)
+        rows = normal_rows(seed, ids, width)
         assert rows.shape == (len(ids), width)
-        assert rows.dtype == np.uint64
+        assert rows.dtype == np.float64
         for r, rep in enumerate(ids):
-            assert_array_equal(rows[r], derive_stream(seed, rep).raw(width))
+            assert_array_equal(rows[r], derive_stream(seed, rep).normals(width))
+            assert_array_equal(rows[r], normals_of_words(derive_stream(seed, rep).raw(width)))
 
     def test_ids_out_of_order_repeated_and_past_2_63(self):
         ids = [9, 2, 2, 0, 2**63, 2**63 + 17, 2**64 - 1, 9, -1]
@@ -202,8 +302,8 @@ class TestRawRows:
             (lambda: derive_stream(1.9, 0), "master seed"),
             (lambda: derive_stream(1, 0.5), "replication id"),
             (lambda: derive_stream(True, 0), "master seed"),
-            (lambda: raw_rows(1.9, range(2), 3), "master seed"),
-            (lambda: raw_rows(1, range(2), 3.0), "width"),
+            (lambda: normal_rows(1.9, range(2), 3), "master seed"),
+            (lambda: normal_rows(1, range(2), 3.0), "width"),
             (
                 lambda: class_stat_rows(block_model(build_structure([2]), [0.1]), 1.9, range(2)),
                 "master seed",
@@ -217,13 +317,13 @@ class TestRawRows:
 
     def test_concurrent_calls_share_no_generator(self):
         ids = list(range(400))
-        jobs = {seed: raw_rows(seed, ids, 5) for seed in (101, 202)}
+        jobs = {seed: normal_rows(seed, ids, 5) for seed in (101, 202)}
         results, errors = {}, []
 
         def work(seed):
             try:
                 for attempt in range(20):
-                    results[(seed, attempt)] = raw_rows(seed, ids, 5)
+                    results[(seed, attempt)] = normal_rows(seed, ids, 5)
             except Exception as exc:  # surfaced by the assertion below
                 errors.append(exc)
 
@@ -245,7 +345,7 @@ class TestRawRows:
 
 
 class TestPhiloxPaths:
-    """raw_rows against fresh streams, for every form of the ids callers
+    """normal_rows against fresh streams, for every form of the ids callers
     pass and for widths that do and do not fill Philox's 4-word blocks."""
 
     # Keys reduce mod 2**64, so the ids cover negatives, ids past 2**63,
@@ -406,28 +506,40 @@ class TestBlockStatRows:
 
     @staticmethod
     def class_words(seed, reps, h):
-        """Uniforms of replications 0..reps-1 by the documented layout:
-        replication r takes the first 7H + 1 words of the 4-word blocks
-        [r b, (r + 1) b) of the stream keyed (seed, 2**64 - 1), with
-        b = ceil((7H + 1) / 4)."""
-        b = -(-(7 * h + 1) // 4)
+        """Centred words q of replications 0..reps-1 by the documented
+        layout: replication r takes the first 5H + 1 words of the 4-word
+        blocks [r b, (r + 1) b) of the stream keyed (seed, 2**64 - 1), with
+        b = ceil((5H + 1) / 4)."""
+        b = -(-(5 * h + 1) // 4)
         stream = derive_stream(seed, 2**64 - 1).raw(reps * 4 * b)
-        return _to_uniform(stream.reshape(reps, 4 * b)[:, : 7 * h + 1])
+        x = (stream.reshape(reps, 4 * b)[:, : 5 * h + 1] >> np.uint64(11)) * 2.0**-53
+        return _centered(x)
 
     @staticmethod
     def chi_square_words(words, h, j):
-        """(z, u, fallback) words of chi-square j (Q_h for j < H, T_(j - H)
-        after), one row per replication."""
-        return [words[:, h + 2 * h * role + j] for role in range(3)]
+        """(z, u) words of chi-square j (Q_h for j < H, T_(j - H) after), one
+        row per replication."""
+        return [words[:, h + 2 * h * role + j] for role in range(2)]
+
+    @staticmethod
+    def retry_words(seed, r, j, k):
+        """Centred words of round k of the retries of chi-square j of
+        replication r: the first block Philox emits keyed like the class
+        stream at counter (k, j, r, 1)."""
+        key = np.array([seed & _MASK, _MASK], dtype=np.uint64)
+        counter = np.array([k, j, r, 1], dtype=np.uint64)
+        raw = np.random.Philox(key=key, counter=counter).random_raw(4)
+        return _centered((raw >> np.uint64(11)) * 2.0**-53)
 
     @staticmethod
     def attempt(nu, z_word, u_word):
-        """One Marsaglia-Tsang attempt at Gamma(nu / 2), as documented:
-        (accepted, 2 d v).  The cube is two products, as in the sampler, so
-        the bits agree."""
+        """One Marsaglia-Tsang attempt at Gamma(nu / 2), as documented, from
+        centred words: (accepted, 2 d v).  The cube is two products, as in
+        the sampler, so the bits agree."""
         d = nu / 2.0 - 1.0 / 3.0
         c = 1.0 / np.sqrt(9.0 * d)
-        z = ndtri(z_word)
+        z = _inverse_normal(np.array(z_word, dtype=np.float64))
+        u_word = _uniforms(np.array(u_word, dtype=np.float64))
         v = 1.0 + c * z
         v = v * v * v
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -536,38 +648,53 @@ class TestBlockStatRows:
             for g, w in zip(got, want):
                 assert_array_equal(g, w)
 
-    def test_words_follow_the_documented_layout(self):
-        from scipy.special import gammaincinv
+    def first_attempt_and_retries(self, seed, r, j, nu, z_word, u_word):
+        """(branch, 2 d v) of one chi-square by the module docstring: its
+        first attempt, then rounds k = 0, 1, ... of two attempts each."""
+        accepted, value = self.attempt(nu, z_word, u_word)
+        if accepted:
+            return "first", value
+        k = 0
+        while True:
+            q = self.retry_words(seed, r, j, k)
+            for z_word, u_word in ((q[0], q[1]), (q[2], q[3])):
+                accepted, value = self.attempt(nu, z_word, u_word)
+                if accepted:
+                    return "retry", value
+            k += 1
 
+    def test_words_follow_the_documented_layout(self):
         model = self.model("mixed")
         h = 5
         reps = 3000
         words = self.class_words(31, reps, h)
         mass, var_a, scale_q, dof_q, scale_t, dof_t = self.laws(model)
         a, q, t, u = class_stat_rows(model, 31, range(reps))
-        assert_array_equal(a, np.sqrt(var_a) * ndtri(words[:, :h]))
-        assert_array_equal(u, words[:, 7 * h])
-        branches = {"first": 0, "fallback": 0}
-        # one value at a time, as the module docstring states the draw
+        assert_array_equal(a, np.sqrt(var_a) * _inverse_normal(words[:, :h].copy()))
+        assert_array_equal(u, 1.0 - 2.0 * np.abs(words[:, 5 * h]))
+        branches = {"first": 0, "retry": 0}
         for j, (got, scale, nu) in enumerate(
             [(q[:, i], scale_q[i], dof_q[i]) for i in range(h)]
             + [(t[:, i], scale_t[i], dof_t[i]) for i in range(h)]
         ):
-            z_words, u_words, fallback = self.chi_square_words(words, h, j)
-            for r in range(reps):
-                if nu == 0:
-                    chi2 = 0.0
-                elif nu == 1:
-                    z = ndtri(z_words[r])
-                    chi2 = z * z  # a numpy scalar's ** 2 may differ in the last bit
-                else:
-                    accepted, chi2 = self.attempt(nu, z_words[r], u_words[r])
-                    branch = "first"
-                    if not accepted:
-                        branch, chi2 = "fallback", 2.0 * gammaincinv(nu / 2.0, fallback[r])
-                    branches[branch] += 1
+            z_words, u_words = self.chi_square_words(words, h, j)
+            if nu == 0:
+                assert_array_equal(got, 0.0)
+                continue
+            z = _inverse_normal(z_words.copy())
+            if nu == 1:
+                assert_array_equal(got, scale * (z * z))
+                continue
+            accepted, value = self.attempt(nu, z_words, u_words)
+            assert_array_equal(got[accepted], scale * value[accepted])
+            branches["first"] += int(np.count_nonzero(accepted))
+            # the rejected values one at a time, as the docstring states them
+            for r in np.flatnonzero(~accepted):
+                branch, chi2 = self.first_attempt_and_retries(31, r, j, nu, z_words[r], u_words[r])
+                assert branch == "retry"
                 assert got[r] == scale * chi2, (j, r)
-        # every branch of the draw was compared (dof 2 rejects ~4.8% of the time)
+                branches[branch] += 1
+        # both branches of the draw were compared (dof 2 rejects ~4.8% of the time)
         assert min(branches.values()) > 0, branches
 
     @pytest.mark.parametrize("nu", [1, 2, 3, 19, 9999])
@@ -586,21 +713,26 @@ class TestBlockStatRows:
         q = class_stat_rows(pairs, 77, ids)[1][:, 0]
         assert scipy.stats.kstest(q / (2.0 * (1.0 + delta)), law).pvalue > 1e-6
 
-    def test_rejected_values_invert_the_chi_square_cdf(self):
-        from scipy.special import gammaincinv
+    @pytest.mark.parametrize("nu", [2, 3, 10])
+    def test_rejected_values_follow_the_chi_square_law(self, nu):
+        """The values whose first attempt rejects are made by the retries
+        alone, which are independent of that attempt, so they follow
+        chi^2(nu) themselves; and they are the same in any range."""
+        import scipy.stats
 
-        reps = 10_000
-        # three pairs: Q ~ 2 (1 + delta) chi^2(2), the chi-square of lowest
-        # acceptance; T ~ (1 - delta) chi^2(3)
-        model = block_model(build_structure([2] * 3), [0.25] * 3)
-        _, q, t, _ = class_stat_rows(model, 78, range(reps))
-        words = self.class_words(78, reps, 1)
-        for got, scale, j, nu in ((q[:, 0], 2.5, 0, 2), (t[:, 0], 0.75, 1, 3)):
-            z_words, u_words, fallback = self.chi_square_words(words, 1, j)
-            missed = ~self.attempt(nu, z_words, u_words)[0]
-            assert_array_equal(got[missed], scale * 2.0 * gammaincinv(nu / 2.0, fallback[missed]))
-            if nu == 2:
-                assert np.count_nonzero(missed) > 0
+        reps = 60_000
+        # nu + 1 pairs: Q ~ 2 (1 + delta) chi^2(nu)
+        model = block_model(build_structure([2] * (nu + 1)), [0.25] * (nu + 1))
+        q = class_stat_rows(model, 79, range(reps))[1][:, 0] / 2.5
+        z_words, u_words = self.chi_square_words(self.class_words(79, reps, 1), 1, 0)
+        missed = np.flatnonzero(~self.attempt(nu, z_words, u_words)[0])
+        # 4.8% of 60000 at nu = 2, 0.6% at nu = 10
+        assert missed.size > 300
+        assert scipy.stats.kstest(q[missed], scipy.stats.chi2(nu).cdf).pvalue > 1e-6
+        for r in missed[:20]:
+            for lo in (r, max(0, r - 7)):
+                alone = class_stat_rows(model, 79, range(lo, r + 3))[1][r - lo, 0] / 2.5
+                assert alone == q[r]
 
     def test_zero_dof_classes_give_zero_not_nan(self):
         ids = range(50)
