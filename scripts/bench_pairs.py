@@ -22,9 +22,13 @@ the change's median is no worse than the parent's by more than the metric's
 BENCHMARK.json bound, in its `better` direction; plus the seeds, the order
 within each pair, correctness counts and the host's core count, and the
 code lines of each snapshot's src/lrvlab (code_lines.count) as
-code_lines.parent and code_lines.change.  It is rewritten after every pair,
-so an interrupted run keeps what it measured.  At the end, every metric
-that is not within its bound is printed on standard error.
+code_lines.parent and code_lines.change.  With --claim, end_to_end.claim_met
+says whether the claimed metric improved on the claimed workload: the change
+is better in at least nine tenths of the pairs (ties count for neither) and
+its median beats the parent's by more than the distance between the
+parent's quartiles.  The output is rewritten after every pair, so an
+interrupted run keeps what it measured.  At the end, the claim's verdict and
+every metric that is not within its bound are printed on standard error.
 """
 
 from __future__ import annotations
@@ -111,6 +115,22 @@ def _workload_entry(results: dict, declared: list[dict]) -> dict:
     return entry
 
 
+def claim_met(out: dict) -> bool | None:
+    """Whether the claimed WORKLOAD:METRIC of out improved (see the module
+    docstring); None without a claim or before its workload has run."""
+    claim = out["end_to_end"]["claimed"]
+    workload, _, name = (claim or "").partition(":")
+    entry = out["end_to_end"]["workloads"].get(workload)
+    if entry is None:
+        return None
+    metric = entry["metrics"][name]
+    wins, pairs = map(int, metric["change_better_in_pairs"].split("/"))
+    parent, change = metric["parent"], metric["change"]
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    gain = sign * (parent["median"] - change["median"])
+    return 10 * wins >= 9 * pairs and gain > parent["q3"] - parent["q1"]
+
+
 def out_of_bound(out: dict) -> list[str]:
     """One line per workload and metric whose change median is not within
     its bound."""
@@ -137,6 +157,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     plan = [(w, int(n)) for w, n in (p.split("=", 1) for p in args.pairs)]
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    if args.claim is not None:
+        workload, _, name = args.claim.partition(":")
+        if workload not in dict(plan) or name not in {m["name"] for m in declared}:
+            parser.error(f"--claim {args.claim!r} names no planned workload and declared metric")
     parent_rev = _git("rev-parse", args.parent).decode().strip()
     out = {
         "change": args.change,
@@ -176,7 +200,10 @@ def main(argv=None) -> int:
                 results["seeds"].append(seed)
                 results["first"].append(order[0])
                 out["end_to_end"]["workloads"][workload] = _workload_entry(results, declared)
+                out["end_to_end"]["claim_met"] = claim_met(out)
                 args.out.write_text(json.dumps(out, indent=1) + "\n")
+    if args.claim is not None:
+        print(f"claim {args.claim}: claim_met = {out['end_to_end']['claim_met']}", file=sys.stderr)
     for line in out_of_bound(out):
         print(f"out of bound: {line}", file=sys.stderr)
     return 0

@@ -14,6 +14,15 @@ A BlockEquicorrModel checks on construction that both eigenvalues are
 positive and carries top, base and log_det as arrays, so the sampler, the
 likelihood and the CLI read them rather than derive them.
 
+Blocks that share (n_m, delta_m) form a class (BlockEquicorrModel.classes),
+and the statistics read a draw through per-class sums.  A model builds its
+class reducer once (class_reducer); it gathers the blocks into class order
+only when a class is split into several runs of blocks, which only explicit
+sizes or deltas can give.  Building a structure and a model costs a few numpy
+passes over the M blocks: sizes that are all Python ints and deltas that are
+all finite Python floats are checked at once, anything else one element at a
+time.
+
 Everything on the production path is closed-form and O(n); dense matrices
 appear only in oracles and validators and are capped at DENSE_N_CAP.
 """
@@ -65,12 +74,14 @@ class ClusterStructure:
 
     def __post_init__(self):
         try:
-            sizes = tuple(require_int(s, "cluster size") for s in self.sizes)
+            sizes = tuple(self.sizes)
         except TypeError:
             raise InvalidInputError(f"cluster sizes must be integers, got {self.sizes!r}") from None
+        if not set(map(type, sizes)) <= {int}:  # plain ints need no per-size check
+            sizes = tuple(require_int(s, "cluster size") for s in sizes)
         if not sizes:
             raise InvalidInputError("cluster size list is empty")
-        if any(s < 1 for s in sizes):
+        if min(sizes) < 1:
             raise InvalidInputError(f"cluster sizes must be >= 1, got {min(sizes)}")
         object.__setattr__(self, "sizes", sizes)
         if self.n > INDEX_MAX:
@@ -84,7 +95,7 @@ class ClusterStructure:
 
     @cached_property
     def n_star(self) -> int:
-        return sum(s for s in self.sizes if s >= 2)
+        return self.n - self.sizes.count(1)
 
     @cached_property
     def M(self) -> int:
@@ -92,7 +103,13 @@ class ClusterStructure:
 
     @cached_property
     def heterogeneity(self) -> float:
-        return sum(((s / self.n_star) ** 2 for s in self.sizes if s >= 2), 0.0)
+        """Each distinct size's squared share is taken once, with Python's
+        float power (numpy's square rounds differently from it about once in
+        10^3).  sum adds the shares in cluster order, a singleton's as 0.0,
+        which leaves every partial sum as it was: the bits of a sum over the
+        non-singleton clusters, without a Python step per cluster."""
+        squares = {k: (k / self.n_star) ** 2 if k > 1 else 0.0 for k in set(self.sizes)}
+        return sum(map(squares.__getitem__, self.sizes), 0.0)
 
     @cached_property
     def starts(self) -> np.ndarray:
@@ -126,7 +143,8 @@ class BlockEquicorrModel:
     finite nonnegative number (a bool is refused, not converted) raises
     InvalidInputError, and so does a delta that is not a finite number (a
     string or a bool is refused, not converted).  dataclasses.replace
-    re-validates, so no invalid model can be built.
+    re-validates, so no invalid model can be built.  deltas_array holds the
+    stored deltas as a float64 array.
     """
 
     structure: ClusterStructure
@@ -135,18 +153,26 @@ class BlockEquicorrModel:
 
     def __post_init__(self):
         cs = self.structure
-        deltas = [require_float(d, "delta") for d in self.deltas]
-        if len(deltas) != cs.M:
+        deltas = tuple(self.deltas)
+        # plain finite floats are checked in one pass, anything else one by one
+        array = np.array(deltas, dtype=np.float64) if set(map(type, deltas)) <= {float} else None
+        plain = array is not None and bool(np.isfinite(array).all())
+        if not plain:
+            array = np.array([require_float(d, "delta") for d in deltas], dtype=np.float64)
+        if array.size != cs.M:
             raise InvalidInputError(
-                f"expected {cs.M} deltas (one per cluster), got {len(deltas)}"
+                f"expected {cs.M} deltas (one per cluster), got {array.size}"
             )
         c = self.c_bound
         if c is not None:
             c = require_float(c, "c_bound")
             if not (c >= 0.0):
                 raise InvalidInputError(f"c_bound must be nonnegative, got {c}")
-        deltas = tuple(d if k > 1 else 0.0 for k, d in zip(cs.sizes, deltas))
-        object.__setattr__(self, "deltas", deltas)
+        if cs.n_star < cs.n:  # a singleton's delta is stored as 0.0
+            plain, array = False, np.where(cs.sizes_array > 1, array, 0.0)
+        # plain floats are stored as given: the floats the array holds
+        object.__setattr__(self, "deltas", deltas if plain else tuple(array.tolist()))
+        object.__setattr__(self, "deltas_array", array)
         object.__setattr__(self, "c_bound", c)
         invalid = ~((self.top > 0.0) & (self.base > 0.0))
         over = False
@@ -154,7 +180,7 @@ class BlockEquicorrModel:
             magnitude = np.abs(self.deltas_array)
             over = (magnitude > c) | ((cs.sizes_array - 1) * magnitude > c)
         for m in np.flatnonzero(invalid | over)[:1]:  # the first offending cluster
-            k, d = cs.sizes[m], deltas[m]
+            k, d = cs.sizes[m], self.deltas[m]
             if invalid[m]:
                 raise ModelInvalidError(
                     f"cluster {m} (size {k}, delta {d}) is not positive definite: "
@@ -163,10 +189,6 @@ class BlockEquicorrModel:
             raise BudgetExceededError(
                 f"cluster {m} (size {k}, delta {d}) exceeds eigenvalue budget c = {c}"
             )
-
-    @cached_property
-    def deltas_array(self) -> np.ndarray:
-        return np.asarray(self.deltas, dtype=np.float64)
 
     @cached_property
     def top(self) -> np.ndarray:
@@ -199,16 +221,30 @@ class BlockEquicorrModel:
         the graphs generate_graph builds, with each row's first value
         (estimators.graph_stat_rows).
         """
-        index = {}
-        keys = zip(self.structure.sizes, self.deltas)
-        return np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
+        return self._numbering[0]
 
     @cached_property
     def class_first(self) -> np.ndarray:
         """The first block of each class (length H); indexing a per-block
         array (sizes_array, deltas_array, top, base, log_det) with it gives the
         class's value."""
-        return np.unique(self.classes, return_index=True)[1]
+        return self._numbering[1]
+
+    @cached_property
+    def _numbering(self) -> tuple[np.ndarray, np.ndarray]:
+        """(classes, class_first), from one stable sort of the blocks by key."""
+        k, d = self.structure.sizes_array, self.deltas_array
+        order = np.lexsort((d, k))  # stable: each class's blocks in index order
+        k, d = k[order], d[order]
+        new = np.ones(k.size, dtype=bool)  # where a class starts in that order
+        new[1:] = (k[1:] != k[:-1]) | (d[1:] != d[:-1])
+        first = order[new]  # the first block of each class, in key order
+        by_appearance = np.argsort(first)
+        number = np.empty(first.size, dtype=np.intp)
+        number[by_appearance] = np.arange(first.size)
+        classes = np.empty(k.size, dtype=np.intp)
+        classes[order] = number[np.cumsum(new) - 1]
+        return classes, first[by_appearance]
 
     @cached_property
     def class_sizes(self) -> np.ndarray:
@@ -219,6 +255,20 @@ class BlockEquicorrModel:
     def class_counts(self) -> np.ndarray:
         """M_h: the number of blocks in each class."""
         return np.bincount(self.classes)
+
+    @cached_property
+    def _class_reducer(self):
+        """See class_reducer."""
+        counts = self.class_counts
+        bounds = np.cumsum(counts) - counts  # where each class starts in class order
+        # Classes are numbered by first appearance, so each is one run of
+        # blocks exactly when it starts where the blocks of the classes before
+        # it end; then the blocks already sit in class order.
+        if np.array_equal(self.class_first, bounds):
+            order = slice(None)  # a view, no copy
+        else:
+            order = np.argsort(self.classes, kind="stable")
+        return lambda v: np.add.reduceat(v[..., order], bounds, axis=-1)
 
 block_model = BlockEquicorrModel
 
@@ -318,11 +368,14 @@ def block_sums(X, cs: ClusterStructure) -> np.ndarray:
 
 
 def class_reducer(model: BlockEquicorrModel):
-    """A function that sums a per-block array (..., M) over the blocks of
-    each class of the model, giving (..., H)."""
-    order = np.argsort(model.classes, kind="stable")
-    bounds = np.flatnonzero(np.diff(model.classes[order], prepend=-1))
-    return lambda v: np.add.reduceat(v[..., order], bounds, axis=-1)
+    """The model's function that sums a per-block array (..., M) over the
+    blocks of each class, giving (..., H): np.add.reduceat over the blocks
+    in class order.  It is built once per model (class_reducer(m) is
+    class_reducer(m)).  When each class is one run of consecutive blocks, as
+    in every generated pattern, the blocks already sit in class order and
+    the array is read in place; only interleaved explicit sizes or deltas
+    make it gather a copy of the array in class order first."""
+    return model._class_reducer
 
 
 def class_stats(X, model: BlockEquicorrModel):
@@ -441,11 +494,11 @@ def deltas_for_common_variance(cs: ClusterStructure, sigma_sq: float):
     sigma_sq = require_float(sigma_sq, "sigma_sq")
     if sigma_sq <= 0.0:
         raise InvalidInputError("sigma_sq must be positive")
-    if any(k < 2 for k in cs.sizes):
+    if cs.sizes_array.min() < 2:
         raise InvalidInputError(
             "common-variance deltas require every cluster size >= 2"
         )
-    deltas = [(sigma_sq - 1.0) / (k - 1) for k in cs.sizes]
+    deltas = ((sigma_sq - 1.0) / (cs.sizes_array - 1)).tolist()
     block_model(cs, deltas)  # raises ModelInvalidError when infeasible
     return deltas
 

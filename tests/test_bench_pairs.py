@@ -1,5 +1,6 @@
-"""scripts/bench_pairs.py summarizes alternating pairs and flags every
-metric whose change median leaves its benchmark bound."""
+"""scripts/bench_pairs.py summarizes alternating pairs, flags every
+metric whose change median leaves its benchmark bound, and judges a claimed
+gain."""
 
 import importlib.util
 import sys
@@ -76,3 +77,30 @@ def test_out_of_bound_names_each_workload_and_metric():
     lines = bench.out_of_bound({"end_to_end": {"workloads": workloads}})
     assert [line.split(":")[0] for line in lines] == ["a sweep_s", "b rate"]
     assert "change median 2.0 against parent 1.0 (ratio 2.0, lower is better)" in lines[0]
+
+
+PARENT_SWEEPS = [1.0, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.0, 1.02, 0.98]
+
+
+@pytest.mark.parametrize(
+    "change, met",
+    [
+        # 10/10 wins, medians 1.0 -> 0.9 against a parent quartile spread of 0.035
+        ([s - 0.1 for s in PARENT_SWEEPS], True),
+        # the same gap with 8/10 wins: two pairs are worse
+        ([s - 0.1 for s in PARENT_SWEEPS[:8]] + [1.1, 1.1], False),
+        # 10/10 wins, but the medians differ by 0.01, inside the spread
+        ([s - 0.01 for s in PARENT_SWEEPS], False),
+    ],
+    ids=["met", "too-few-wins", "gap-inside-spread"],
+)
+def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_spread(change, met):
+    bench = _load()
+    # the rate runs mirror the sweeps, so "higher is better" is judged too
+    entry = bench._workload_entry(
+        _results([(s, 1 / s) for s in PARENT_SWEEPS], [(s, 1 / s) for s in change]), DECLARED
+    )
+    for name in ("sweep_s", "rate"):
+        out = {"end_to_end": {"claimed": f"w:{name}", "workloads": {"w": entry}}}
+        assert bench.claim_met(out) is met
+    assert bench.claim_met({"end_to_end": {"claimed": None, "workloads": {"w": entry}}}) is None

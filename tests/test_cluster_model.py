@@ -9,7 +9,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_equal
+from numpy.testing import assert_allclose, assert_array_equal, assert_equal
 
 from lrvlab import (
     BudgetExceededError,
@@ -26,7 +26,8 @@ from lrvlab import (
     permutation_average,
     spectral_block,
 )
-from lrvlab.cluster_model import INDEX_MAX, class_stats, row_stats
+from lrvlab import cluster_model, sampler
+from lrvlab.cluster_model import INDEX_MAX, class_reducer, class_stats, row_stats
 from lrvlab.estimators import (
     sample_variance_rows,
     sample_variance_stat_rows,
@@ -94,16 +95,51 @@ def test_build_structure_summaries():
     assert iid.heterogeneity == 0.0
 
 
+def test_classes_and_summaries_match_per_block_loops():
+    rng = np.random.default_rng(2901)
+    for _ in range(300):
+        sizes = rng.integers(1, 6, size=rng.integers(1, 300)).tolist()
+        deltas = rng.choice([0.0, -0.0, 0.1, 0.2, -0.1], size=len(sizes)).tolist()
+        model = block_model(build_structure(sizes), deltas)
+        index = {}  # -0.0 and 0.0 are one key, as they are one delta
+        keys = zip(model.structure.sizes, model.deltas)
+        assert model.classes.tolist() == [index.setdefault(key, len(index)) for key in keys]
+        first = [model.classes.tolist().index(h) for h in range(len(index))]
+        assert model.class_first.tolist() == first
+        v = rng.normal(size=(2, len(sizes)))
+        assert_array_equal(class_reducer(model)(v), gathered_class_reducer(model)(v))
+        n_star, h = sum(s for s in sizes if s >= 2), 0.0
+        for s in sizes:
+            if s >= 2:
+                h += (s / n_star) ** 2
+        assert model.structure.n_star == n_star
+        assert model.structure.heterogeneity == h
+    # (33/41)**2 is not (33/41)*(33/41), and the product would move h by an ulp
+    assert build_structure([33, 1, 8]).heterogeneity == (33 / 41) ** 2 + (8 / 41) ** 2
+
+
 def test_build_structure_starts_and_arrays():
     cs = build_structure([3, 1, 2])
     assert cs.starts.tolist() == [0, 3, 4]
     assert cs.sizes_array.tolist() == [3, 1, 2]
 
 
-@pytest.mark.parametrize("sizes", [[1.9, 2.1], [2.0], ["2"], 5, [True, 2]])
+@pytest.mark.parametrize(
+    "sizes", [[1.9, 2.1], [2.0], ["2"], 5, [True, 2], [2, 3, True, 2], [2, 3, 2.0], [np.int64(2), 2.5]]
+)
 def test_build_structure_refuses_non_integer_sizes(sizes):
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError) as info:
         build_structure(sizes)
+    if isinstance(sizes, list):  # the first size that is not an integer is named
+        bad = next(s for s in sizes if isinstance(s, (bool, float, str)))
+        assert str(info.value) == f"cluster size must be an integer, got {bad!r}"
+
+
+def test_build_structure_takes_numpy_integers_as_ints():
+    cs = build_structure([np.int64(3), 1, np.uint8(2)])
+    assert cs.sizes == (3, 1, 2)
+    assert all(type(s) is int for s in cs.sizes)
+    assert (cs.n, cs.n_star) == (6, 5)
 
 
 def test_build_structure_rejects_bad_sizes():
@@ -242,7 +278,20 @@ def test_block_model_validation_matches_a_per_cluster_loop():
         assert str(info.value).startswith(f"cluster {want[1]} ")
 
 
-@pytest.mark.parametrize("deltas", [["0.2", 0.1], [True, 0.1], [0.2, True], [0.2, float("nan")]])
+@pytest.mark.parametrize(
+    "deltas",
+    [
+        ["0.2", 0.1],
+        [True, 0.1],
+        [0.2, True],
+        [0.2, float("nan")],
+        [float("nan"), 0.1],
+        [0.2, float("inf")],
+        [float("-inf"), 0.1],
+        [0.2, "0.1"],
+        [np.float64(0.2), float("inf")],
+    ],
+)
 def test_block_model_refuses_deltas_that_are_not_numbers(deltas):
     # float() read "0.2" as 0.2 and True as 1.0 (stored as 0.0 on the singleton)
     with pytest.raises(InvalidInputError, match="^delta must be a finite number, got "):
@@ -250,6 +299,27 @@ def test_block_model_refuses_deltas_that_are_not_numbers(deltas):
     with pytest.raises(InvalidInputError, match="^delta must be a finite number, got "):
         dataclasses.replace(block_model(build_structure([3, 1]), [0.2, 0.0]), deltas=deltas)
     assert block_model(build_structure([3, 1]), [np.float32(0.25), 0]).deltas == (0.25, 0.0)
+
+
+def test_plain_sizes_and_deltas_are_checked_in_one_pass(monkeypatch):
+    # the per-element readers cost ~0.5 us a call, so a model of M blocks
+    # must not call them once per block
+    calls = []
+
+    def counted(reader):
+        return lambda value, name: calls.append(name) or reader(value, name)
+
+    monkeypatch.setattr(cluster_model, "require_int", counted(cluster_model.require_int))
+    monkeypatch.setattr(cluster_model, "require_float", counted(cluster_model.require_float))
+    M = 10**5
+    deltas = np.linspace(-0.5, 0.5, M).tolist()
+    model = block_model(build_structure([2] * (M - 1) + [1]), deltas, c_bound=1.0)
+    assert len(calls) <= 2
+    assert model.deltas == (*deltas[:-1], 0.0)
+    assert all(type(d) is float for d in model.deltas)
+    # numpy floats and Python ints take the per-delta path to the same model
+    mixed = [np.float64(deltas[0]), *deltas[1:-2], 0, np.float32(1.0)]
+    assert block_model(model.structure, mixed, c_bound=1.0).deltas == (*deltas[:-2], 0.0, 0.0)
 
 
 def test_spectral_block_closed_form():
@@ -522,6 +592,39 @@ def test_class_stats_masses_survive_a_large_mean():
     _, q, t = class_stats(x, block_model(build_structure([3, 3]), [0.1, 0.1]))
     assert t[0, 0] == 2.0
     assert q[0, 0] == 4.5  # block sums 3e9 + 3 and 3e9 about their mean
+
+
+def gathered_class_reducer(model):
+    """The gather formulation of the class sums: the blocks copied into
+    class order, then summed per class."""
+    order = np.argsort(model.classes, kind="stable")
+    bounds = np.flatnonzero(np.diff(model.classes[order], prepend=-1))
+    return lambda v: np.add.reduceat(v[..., order], bounds, axis=-1)
+
+
+@pytest.mark.parametrize(
+    "sizes, deltas",
+    [
+        ([2, 3, 2, 3, 1, 3], [0.1, 0.2] * 3),
+        ([2, 3, 2, 3, 1, 3] * 40, [0.1, 0.2] * 120),
+        ([2] * 300 + [3] * 40 + [1] * 9 + [4] * 150, [0.3] * 300 + [-0.2] * 40 + [0.0] * 9 + [0.1] * 150),
+    ],
+    ids=["interleaved", "interleaved-long", "grouped"],
+)
+def test_class_reducer_equals_the_gather_formulation(monkeypatch, sizes, deltas):
+    """The model's one reducer (which reads grouped classes in place) gives
+    the bits of gathering the blocks into class order, in class_stats and in
+    mixed_class_stats."""
+    model = block_model(build_structure(sizes), deltas)
+    assert class_reducer(model) is class_reducer(model)
+    rng = np.random.default_rng(len(sizes))
+    x = rng.normal(size=(9, model.structure.n)) * 2.0 + 1.0
+    got = [*class_stats(x, model), *mixed_class_stats(x.copy(), model, 0.3)]
+    monkeypatch.setattr(cluster_model, "class_reducer", gathered_class_reducer)
+    monkeypatch.setattr(sampler, "class_reducer", gathered_class_reducer)
+    want = [*class_stats(x, model), *mixed_class_stats(x.copy(), model, 0.3)]
+    for g, w in zip(got, want):
+        assert_array_equal(g, w)
 
 
 @pytest.mark.parametrize("sizes", [[2, 2, 2, 2], [3, 5]], ids=["pairs", "unequal"])
