@@ -354,7 +354,7 @@ def _resolve_deltas(spec, cs: ClusterStructure):
         values = spec.get("values")
         if not isinstance(values, list) or len(values) != cs.M:
             raise InvalidInputError(f"explicit deltas need {cs.M} values")
-        return [require_float(v, "delta value") for v in values]
+        return values  # the model checks each value
     if scheme == "common-variance":
         return deltas_for_common_variance(cs, require_float(spec.get("value"), "delta value"))
     value = require_float(spec.get("value"), "delta value")
@@ -527,7 +527,6 @@ def _plan_test_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) ->
         ]
 
     def finish(acc):
-        # keys, not the dict: a repeated name must repeat its metric
         counts = [(key, int(np.count_nonzero(acc[key]))) for key in keys]
         return [
             Metric(f"{name}_reject[mu={label}]", k / reps, _proportion_se(k, reps))
@@ -590,12 +589,9 @@ def _describe(exc: Exception) -> str:
 
 
 def _checked(metrics) -> tuple[Metric, ...]:
-    """The metrics, refused when their names repeat or a value or standard
-    error is not finite (the JSON report could not hold it)."""
+    """The metrics, refused when a value or standard error is not finite
+    (the JSON report could not hold it)."""
     metrics = tuple(metrics)
-    names = [m.metric for m in metrics]
-    if len(set(names)) != len(names):
-        raise InvalidInputError(f"metric names repeat: {names}")
     for m in metrics:
         if not (math.isfinite(m.value) and math.isfinite(m.se)):
             raise DegenerateDataError(f"metric {m.metric} is not finite: {m.value} +- {m.se}")
@@ -622,8 +618,11 @@ class _Cell:
         try:
             self.cs = _resolve_structure(entry.design.get("structure"), n)
             self.plan = _PLANNERS[entry.experiment](entry, self.cs, seed)
+            # a key names its metrics: a repeated one is refused before the draw
+            if len(set(self.plan.keys)) != len(self.plan.keys):
+                raise InvalidInputError(f"metric names repeat: {self.plan.keys}")
         except Exception as exc:  # quarantine the cell, keep the sweep going
-            self.cs, self.error = None, _describe(exc)
+            self.cs, self.plan, self.error = None, None, _describe(exc)
             return
         self.acc = {key: np.empty(entry.replications) for key in self.plan.keys}
 

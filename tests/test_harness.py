@@ -603,6 +603,28 @@ class TestQuarantine:
         assert cell.metrics == ()
 
     @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("test_size_power", "tests", ["sign", "sign"]),
+            ("test_size_power", "mu", [0.0, 0]),
+            ("estimator_consistency", "estimators", ["cluster", "cluster"]),
+            ("graph_estimation", "graphs", [{"id": "g", "kind": "empty"}, {"id": "g", "kind": "star"}]),
+        ],
+        ids=["same-test", "same-mu", "same-estimator", "same-graph-id"],
+    )
+    def test_repeated_metric_names_quarantine_before_drawing(self, monkeypatch, kind, field, value):
+        def no_draw(*args):
+            raise AssertionError("a refused cell must not draw")
+
+        monkeypatch.setattr(harness, "class_stat_rows", no_draw)
+        monkeypatch.setattr(harness, "normal_rows", no_draw)
+        cfg = pairs_config(replications=100, experiment=kind, n_grid=[10])
+        cfg["design"] = {"structure": {"pattern": "singletons"}, field: value}
+        (cell,) = run_from(cfg).cells
+        assert cell.error.startswith("InvalidInputError: metric names repeat")
+        assert cell.metrics == ()
+
+    @pytest.mark.parametrize(
         "kind, field, value, message",
         [
             ("test_size_power", "tests", 5, "design.tests"),
@@ -644,7 +666,7 @@ class TestQuarantine:
             (
                 "estimator_consistency",
                 {"deltas": {"scheme": "explicit", "values": [-math.inf] * 5}},
-                "delta value",
+                "delta",
             ),
         ],
         ids=["mu-nan", "mu-inf", "drift-nan", "z-bound-nan", "delta-nan", "deltas-minus-inf"],

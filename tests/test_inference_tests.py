@@ -8,6 +8,7 @@ quadrature-plus-bisection inversion of the t CDF.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from lrvlab import (
     sign_test,
     student_t_quantile,
 )
+from lrvlab import inference_tests
 from lrvlab.inference_tests import cluster_t_rows, sign_test_rows, z_test_rows
 from lrvlab.sampler import derive_stream, sample_rows
 
@@ -287,6 +289,63 @@ class TestStudentTQuantile:
                 want = float(stdtrit(df, p))
                 got = student_t_quantile(df, p)
                 assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (df, p, got, want)
+
+    # the tiny tails have no complement below 1 in floats
+    CLOSED_FORM_PS = [1e-300, 1e-100, 1e-16, 1e-10, 1e-4, 0.3, 0.5 - 1e-12]
+    CLOSED_FORM_PS += [1.0 - p for p in CLOSED_FORM_PS if 1.0 - p < 1.0]
+    # past df ~ 10^7 the incomplete beta fraction keeps its digits only when
+    # written in 1 - x
+    LARGE_DF = (100_000, 251_245, 1_000_000, 10**8, 10**12, 2**62)
+    LARGE_DF_PS = (1e-300, 1e-10, 0.05, 0.95, 0.9999993861673033, 1.0 - 1e-10)
+
+    @staticmethod
+    def cauchy_quantile(p):
+        """tan(pi (p - 1/2)), from the form that keeps its digits: p - 1/2
+        is exact near the centre, and 1 - p above 1/2."""
+        if p < 0.25:
+            return -1.0 / math.tan(math.pi * p)
+        if p > 0.75:
+            return 1.0 / math.tan(math.pi * (1.0 - p))
+        return math.tan(math.pi * (p - 0.5))
+
+    @pytest.mark.parametrize("p", CLOSED_FORM_PS)
+    def test_closed_forms_for_one_and_two_df(self, p):
+        assert student_t_quantile(1, p) == pytest.approx(self.cauchy_quantile(p), rel=1e-10, abs=0.0)
+        want = (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
+        assert student_t_quantile(2, p) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_large_df_matches_scipy_stdtrit(self):
+        from scipy.special import stdtrit
+
+        for df in self.LARGE_DF:
+            for p in self.LARGE_DF_PS:
+                want = float(stdtrit(df, p))
+                got = student_t_quantile(df, p)
+                assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (df, p, got, want)
+
+    def test_newton_takes_few_tail_evaluations(self, monkeypatch):
+        calls = []
+        tail = inference_tests._t_log_tail
+        monkeypatch.setattr(inference_tests, "_t_log_tail", lambda df, u: calls.append(df) or tail(df, u))
+        grid = [(df, p) for df in (1, 2) for p in self.CLOSED_FORM_PS]
+        grid += [(df, p) for df in self.LARGE_DF for p in self.LARGE_DF_PS]
+        grid += [(df, p) for df in (3, 99) for p in (1e-300, 0.05, 0.95)]
+        for df, p in grid:
+            calls.clear()
+            inference_tests._t_quantile.__wrapped__(df, p)
+            assert len(calls) <= 20, (df, p, len(calls))
+
+    def test_unconverged_newton_raises(self, monkeypatch):
+        # a tail that never meets its target makes every step the cap
+        monkeypatch.setattr(inference_tests, "_t_log_tail", lambda df, u: (0.0, 0.0))
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            inference_tests._t_quantile.__wrapped__(7, 0.95)
+
+    def test_large_df_first_call_is_fast(self):
+        inference_tests._t_quantile.cache_clear()
+        t0 = time.perf_counter()
+        student_t_quantile(251_245, 0.9999993861673033)
+        assert time.perf_counter() - t0 < 0.05
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
