@@ -2,7 +2,8 @@
 
     python3 scripts/bench_pairs.py --out BENCH_<pr>.json --first-seed S \
         --pairs small-n=4 one-large-cluster=4 many-small-clusters=10 \
-        [--parent REV] [--seconds 35] [--claim WORKLOAD:METRIC] [--change TEXT]
+        [--acceptance N] [--parent REV] [--seconds 35] \
+        [--claim WORKLOAD:METRIC] [--change TEXT]
 
 Both sides are snapshots in a temporary directory: the parent is
 `git archive REV` (default HEAD, so an uncommitted change is compared with
@@ -29,6 +30,14 @@ its median beats the parent's by more than the distance between the
 parent's quartiles.  The output is rewritten after every pair, so an
 interrupted run keeps what it measured.  At the end, the claim's verdict and
 every metric that is not within its bound are printed on standard error.
+
+With --acceptance N (alone, or after the workloads), each side also runs
+the whole process `python3 -m lrvlab.cli run --config
+configs/acceptance.json` from its snapshot with PYTHONPATH=src, in N
+alternating pairs in the same order.  The output's acceptance_run holds each
+side's wall times in seconds (median, quartiles and runs), the pairs in which
+the change is faster, the median ratio, and reports_identical: whether every
+pair's report.csv and report.json are byte-identical across the two sides.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 from code_lines import count  # scripts/code_lines.py, beside this script
@@ -83,9 +93,63 @@ def _run(side: Path, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(lines[-1])
 
 
+def _run_acceptance(side: Path, out: Path) -> float:
+    """Wall seconds of one whole `lrvlab run` of configs/acceptance.json
+    from the snapshot side, whose reports go to out (emptied first)."""
+    shutil.rmtree(out, ignore_errors=True)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "lrvlab.cli", "run", "--config", "configs/acceptance.json", "--out", str(out)]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, cwd=side, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    seconds = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise SystemExit(f"{side.name} acceptance run failed: {proc.stderr.strip()[-2000:]}")
+    return seconds
+
+
+def same_reports(a: Path, b: Path) -> bool:
+    """Whether the report directories a and b hold byte-identical report.csv
+    and report.json (a missing report is not identical)."""
+    return all(
+        (a / name).is_file() and (b / name).is_file() and (a / name).read_bytes() == (b / name).read_bytes()
+        for name in ("report.csv", "report.json")
+    )
+
+
 def _summary(runs: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(runs, n=4) if len(runs) > 1 else (runs[0],) * 3
     return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
+
+
+def _compare(parent_runs: list[float], change_runs: list[float], better: str) -> dict:
+    """Both sides' summaries, the pairs in which the change is better (ties
+    count for neither) and the ratio of the medians."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent_runs, change_runs))
+    parent, change = _summary(parent_runs), _summary(change_runs)
+    return {
+        "better": better,
+        "parent": parent,
+        "change": change,
+        "change_better_in_pairs": f"{wins}/{len(parent_runs)}",
+        "median_ratio": change["median"] / parent["median"] if parent["median"] else None,
+    }
+
+
+def _acceptance_entry(results: dict) -> dict:
+    """acceptance_run from results {"first", "parent", "change", "identical"}:
+    per pair, the side that ran first, each side's seconds, and whether the
+    two sides' reports were byte-identical."""
+    entry = {
+        "command": "python3 -m lrvlab.cli run --config configs/acceptance.json --out DIR, whole process, "
+        "PYTHONPATH=src, run from a snapshot of each side",
+        "unit": "s",
+        "pairs": len(results["identical"]),
+        "first": results["first"],
+    }
+    entry.update(_compare(results["parent"], results["change"], "lower"))
+    entry["reports_identical"] = all(results["identical"])
+    return entry
 
 
 def _workload_entry(results: dict, declared: list[dict]) -> dict:
@@ -98,19 +162,11 @@ def _workload_entry(results: dict, declared: list[dict]) -> dict:
     for m in declared:
         name = m["name"]
         sides = {side: [r["metrics"][name]["value"] for r in results[side]] for side in ("parent", "change")}
+        metric = metrics[name] = {"unit": m["unit"], **_compare(sides["parent"], sides["change"], m["better"])}
         sign = 1.0 if m["better"] == "lower" else -1.0
-        wins = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
-        parent, change = _summary(sides["parent"]), _summary(sides["change"])
-        limit = parent["median"] * (1.0 + sign * m["bound"])  # the worst median within the bound
-        metrics[name] = {
-            "unit": m["unit"],
-            "better": m["better"],
-            "parent": parent,
-            "change": change,
-            "change_better_in_pairs": f"{wins}/{len(sides['parent'])}",
-            "median_ratio": change["median"] / parent["median"] if parent["median"] else None,
-            "within_bound": change["median"] <= limit if sign > 0 else change["median"] >= limit,
-        }
+        parent, change = metric["parent"]["median"], metric["change"]["median"]
+        limit = parent * (1.0 + sign * m["bound"])  # the worst median within the bound
+        metric["within_bound"] = change <= limit if sign > 0 else change >= limit
     entry["metrics"] = metrics
     return entry
 
@@ -148,14 +204,20 @@ def out_of_bound(out: dict) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--first-seed", required=True, type=int)
-    parser.add_argument("--pairs", required=True, nargs="+", metavar="WORKLOAD=N")
+    parser.add_argument("--first-seed", type=int, default=None, help="needed with --pairs")
+    parser.add_argument("--pairs", nargs="+", default=[], metavar="WORKLOAD=N")
+    parser.add_argument("--acceptance", type=int, default=0, metavar="N",
+                        help="pairs of whole acceptance runs (configs/acceptance.json)")
     parser.add_argument("--parent", default="HEAD")
     parser.add_argument("--seconds", type=int, default=35)
     parser.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC")
     parser.add_argument("--change", default="", help="one line describing the change")
     args = parser.parse_args(argv)
     plan = [(w, int(n)) for w, n in (p.split("=", 1) for p in args.pairs)]
+    if not plan and args.acceptance < 1:
+        parser.error("give --pairs, --acceptance N (N >= 1), or both")
+    if plan and args.first_seed is None:
+        parser.error("--pairs needs --first-seed")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     if args.claim is not None:
         workload, _, name = args.claim.partition(":")
@@ -202,10 +264,22 @@ def main(argv=None) -> int:
                 out["end_to_end"]["workloads"][workload] = _workload_entry(results, declared)
                 out["end_to_end"]["claim_met"] = claim_met(out)
                 args.out.write_text(json.dumps(out, indent=1) + "\n")
+        results = {"first": [], "parent": [], "change": [], "identical": []}
+        for p in range(args.acceptance):
+            order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
+            for side in order:
+                results[side].append(_run_acceptance(sides[side], tmp / f"{side}_reports"))
+                print(f"acceptance pair {p} {side}: {results[side][-1]:.3f} s", file=sys.stderr)
+            results["first"].append(order[0])
+            results["identical"].append(same_reports(tmp / "parent_reports", tmp / "change_reports"))
+            out["acceptance_run"] = _acceptance_entry(results)
+            args.out.write_text(json.dumps(out, indent=1) + "\n")
     if args.claim is not None:
         print(f"claim {args.claim}: claim_met = {out['end_to_end']['claim_met']}", file=sys.stderr)
     for line in out_of_bound(out):
         print(f"out of bound: {line}", file=sys.stderr)
+    if args.acceptance and not out["acceptance_run"]["reports_identical"]:
+        print("acceptance run: the two sides' reports differ", file=sys.stderr)
     return 0
 
 

@@ -204,7 +204,9 @@ def student_t_quantile(df: int, p: float) -> float:
     stops once a step is at most 1e-10, a relative change of t that the
     tail's rounding (~1e-14) cannot mask, and the step just taken leaves an
     error of order its square; a call that has not stopped after 100 steps
-    raises ArithmeticError.  Results are cached per (df, p).
+    raises ArithmeticError.  A quantile beyond the float range is returned
+    as the nearest float, -inf (at df = 1, p below ~1.77e-309); p = 1 - alpha
+    of a sweep never comes near that.  Results are cached per (df, p).
     """
     df = require_int(df, "degrees of freedom")
     if df < 1:
@@ -233,7 +235,8 @@ def _t_quantile(df: int, p: float) -> float:
         step = max(-64.0, min(64.0, (log_tail - log_target) / (2.0 * math.exp(log_front - log_tail))))
         u += step
         if abs(step) <= 1e-10:
-            t = math.exp(u)
+            # 709.782712893384 is the log of the largest float: above it, exp overflows
+            t = math.exp(u) if u <= 709.782712893384 else math.inf
             return t if p > 0.5 else -t
     raise ArithmeticError(f"the t quantile did not converge (df = {df}, p = {p!r})")
 

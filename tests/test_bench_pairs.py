@@ -1,6 +1,6 @@
 """scripts/bench_pairs.py summarizes alternating pairs, flags every
-metric whose change median leaves its benchmark bound, and judges a claimed
-gain."""
+metric whose change median leaves its benchmark bound, judges a claimed
+gain, and compares the two sides' acceptance-run reports byte for byte."""
 
 import importlib.util
 import sys
@@ -104,3 +104,41 @@ def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_spread(change
         out = {"end_to_end": {"claimed": f"w:{name}", "workloads": {"w": entry}}}
         assert bench.claim_met(out) is met
     assert bench.claim_met({"end_to_end": {"claimed": None, "workloads": {"w": entry}}}) is None
+
+
+def test_acceptance_entry_summarizes_whole_runs_in_seconds():
+    bench = _load()
+    results = {
+        "first": ["parent", "change", "parent", "change", "parent"],
+        "parent": [0.60, 0.58, 0.62, 0.59, 0.61],
+        "change": [0.57, 0.59, 0.56, 0.55, 0.58],
+        "identical": [True] * 5,
+    }
+    entry = bench._acceptance_entry(results)
+    assert (entry["unit"], entry["better"], entry["pairs"]) == ("s", "lower", 5)
+    assert entry["first"] == results["first"]
+    assert entry["parent"]["runs"] == results["parent"]
+    assert entry["parent"]["median"] == 0.60 and entry["change"]["median"] == 0.57
+    # statistics.quantiles, exclusive method: q1 and q3 of five runs
+    assert entry["parent"]["q1"] == pytest.approx(0.585) and entry["parent"]["q3"] == pytest.approx(0.615)
+    assert entry["change_better_in_pairs"] == "4/5"
+    assert entry["median_ratio"] == pytest.approx(0.57 / 0.60)
+    assert entry["reports_identical"] is True
+    results["identical"][3] = False
+    assert bench._acceptance_entry(results)["reports_identical"] is False
+
+
+def test_same_reports_needs_both_reports_byte_identical(tmp_path):
+    bench = _load()
+    a, b = tmp_path / "a", tmp_path / "b"
+    for side in (a, b):
+        side.mkdir()
+        (side / "report.csv").write_bytes(b"metric,value\nx,0.1\n")
+        (side / "report.json").write_bytes(b'{"x": 0.1}\n')
+    assert bench.same_reports(a, b)
+    (b / "report.json").write_bytes(b'{"x": 0.10000000000000002}\n')
+    assert not bench.same_reports(a, b)
+    (b / "report.json").write_bytes(b'{"x": 0.1}\n')
+    (b / "report.csv").unlink()
+    assert not bench.same_reports(a, b)
+    assert not bench.same_reports(a, tmp_path / "missing")

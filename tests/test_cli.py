@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import lrvlab
-from lrvlab import generate_graph, graph_to_dict
+from lrvlab import cli, generate_graph, graph_to_dict
 from lrvlab.cli import main
 
 BASE_CONFIG = {
@@ -400,3 +400,11 @@ def test_cli_import_loads_no_scipy():
     """scipy is a test dependency only: importing it was most of a cold
     start, so the package must load no scipy module at all."""
     assert not _loaded_by_cli_import("scipy")
+
+
+def test_main_builds_its_parser_once_per_process():
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        code, out, _ = invoke(["spectral", "--sizes", "2", "--deltas", "0.3"])
+        assert code == 0 and out.startswith("block 0: size 2")
+    assert cli._build_parser.cache_info().misses == 1

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -310,6 +311,31 @@ class TestCellEvaluation:
             "graph[miss]_bias",
             "graph[miss]_rmse",
         ]
+
+    def test_graph_chunk_frees_its_rows_when_its_task_returns(self, monkeypatch):
+        drawn = []
+        draw = harness.normal_rows
+
+        def kept_normal_rows(*args):
+            g = draw(*args)
+            drawn.append(weakref.ref(g))
+            return g
+
+        monkeypatch.setattr(harness, "normal_rows", kept_normal_rows)
+        seed, (entry,) = load_config(
+            {
+                "experiment": "graph_estimation",
+                "design": {"structure": {"pattern": "pairs"}, "graphs": [{"kind": "star"}]},
+                "n_grid": [100],
+                "replications": 100,
+                "master_seed": 6007,
+            }
+        )
+        cell = harness._Cell(entry, 100, seed)
+        chunk = cell.plan.chunks[0]
+        assert harness._run_task((cell, chunk)) == (cell, chunk[1], None)
+        (ref,) = drawn
+        assert ref() is None
 
     def test_true_graph_of_one_large_cluster_reads_zero(self):
         """The abstract's one-large-cluster failure, shown by a sweep.  On one

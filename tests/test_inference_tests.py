@@ -323,6 +323,22 @@ class TestStudentTQuantile:
                 got = student_t_quantile(df, p)
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (df, p, got, want)
 
+    @pytest.mark.parametrize(
+        "df, p, want",
+        [
+            # the Cauchy quantile -1 / (pi p) is below -1.8e308: the nearest float is -inf
+            (1, 1e-320, -math.inf),
+            (1, 5e-324, -math.inf),
+            (1, 1.75e-309, -math.inf),
+            (1, 1.78e-309, -1.0 / (math.pi * 1.78e-309)),
+            (1, 1e-300, -3.1830988618381457e299),
+            # 1e-320 is the subnormal 9.99988...e-321: the quantile is -7.0711e159
+            (2, 1e-320, (2.0 * 1e-320 - 1.0) / math.sqrt(2.0 * 1e-320 * (1.0 - 1e-320))),
+        ],
+    )
+    def test_quantile_beyond_the_float_range_is_minus_inf(self, df, p, want):
+        assert student_t_quantile(df, p) == pytest.approx(want, rel=1e-10, abs=0.0)
+
     def test_newton_takes_few_tail_evaluations(self, monkeypatch):
         calls = []
         tail = inference_tests._t_log_tail
