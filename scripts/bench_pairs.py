@@ -21,9 +21,10 @@ median and quartiles (statistics.quantiles, exclusive method), the pairs in
 which the change is better, the median ratio, and `within_bound`: whether
 the change's median is no worse than the parent's by more than the metric's
 BENCHMARK.json bound, in its `better` direction; plus the seeds, the order
-within each pair, correctness counts and the host's core count, and the
-code lines of each snapshot's src/lrvlab (code_lines.count) as
-code_lines.parent and code_lines.change.  With --claim, end_to_end.claim_met
+within each pair, correctness counts, the host (its cores, its Python and
+whether the runs can cache bytecode), and the code lines of each
+snapshot's src/lrvlab (code_lines.count) as code_lines.parent and
+code_lines.change.  With --claim, end_to_end.claim_met
 says whether the claimed metric improved on the claimed workload: the change
 is better in at least nine tenths of the pairs (ties count for neither) and
 its median beats the parent's by more than the distance between the
@@ -201,6 +202,20 @@ def out_of_bound(out: dict) -> list[str]:
     return lines
 
 
+def host(environ=os.environ) -> dict:
+    """The host's cores and Python, and bytecode_cached: whether the runs,
+    which inherit environ, can write bytecode.  Under PYTHONDONTWRITEBYTECODE
+    (any non-empty value) every round compiles src/lrvlab afresh inside
+    setup_s, so BENCH files that differ in it cannot be compared."""
+    return {
+        "cores": len(os.sched_getaffinity(0)),
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "bytecode_cached": not environ.get("PYTHONDONTWRITEBYTECODE"),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path)
@@ -227,12 +242,7 @@ def main(argv=None) -> int:
     out = {
         "change": args.change,
         "parent": parent_rev,
-        "host": {
-            "cores": len(os.sched_getaffinity(0)),
-            "cpu_count": os.cpu_count(),
-            "machine": platform.machine(),
-            "python": platform.python_version(),
-        },
+        "host": host(),
         "end_to_end": {
             "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0, "
             "run from a snapshot of each side",

@@ -5,8 +5,8 @@
     lrvlab spectral --sizes 3,4 --deltas 0.2,-0.1
     lrvlab stats --graph graph.json
 
-The run command's seed precedence is: --seed flag, then the LRVLAB_SEED
-environment variable, then the config file's master_seed.
+The run command's seed precedence is: --seed flag, then the config file's
+master_seed.  The environment is not read.
 """
 
 from __future__ import annotations
@@ -45,29 +45,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("csv", "json"), default=None,
         help="restrict output to one format (default: both)",
     )
+    run_p.set_defaults(handler=_cmd_run)
 
     spectral_p = sub.add_parser("spectral", help="print closed-form block spectra")
     spectral_p.add_argument("--sizes", required=True, help="comma-separated cluster sizes")
     spectral_p.add_argument("--deltas", required=True, help="comma-separated per-cluster deltas")
+    spectral_p.set_defaults(handler=_cmd_spectral)
 
     stats_p = sub.add_parser("stats", help="print dependency-graph statistics")
     stats_p.add_argument("--graph", required=True, help='path to {"n":..., "edges":[[i,j],...]}')
+    stats_p.set_defaults(handler=_cmd_stats)
     return parser
 
 
 def _cmd_run(args) -> int:
-    seed_override = args.seed
-    if seed_override is None:
-        env = os.environ.get("LRVLAB_SEED")
-        if env is not None:
-            try:
-                seed_override = int(env)
-            except ValueError:
-                print(f"lrvlab: LRVLAB_SEED is not an integer: {env!r}", file=sys.stderr)
-                return 1
     master_seed, entries = load_config(args.config)
-    if seed_override is not None:
-        master_seed = seed_override
+    if args.seed is not None:
+        master_seed = args.seed
     report = run_sweep(entries, master_seed, threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
     written = []
@@ -122,16 +116,10 @@ def _cmd_stats(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "spectral":
-            return _cmd_spectral(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"lrvlab: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -464,6 +464,12 @@ def permutation_average(delta_dense: np.ndarray, cs: ClusterStructure):
     return deltas
 
 
+def require_dense_n(n: int) -> None:
+    """Refuse a dense operation (oracles and validators only) on n > DENSE_N_CAP."""
+    if n > DENSE_N_CAP:
+        raise InvalidInputError(f"dense operations are capped at n = {DENSE_N_CAP}")
+
+
 def eigen_bounds(delta_dense: np.ndarray) -> tuple[float, float]:
     """(lambda_min, lambda_max) of a dense symmetric matrix, for budget checks.
 
@@ -472,10 +478,7 @@ def eigen_bounds(delta_dense: np.ndarray) -> tuple[float, float]:
     delta_dense = np.asarray(delta_dense, dtype=np.float64)
     if delta_dense.ndim != 2 or delta_dense.shape[0] != delta_dense.shape[1]:
         raise InvalidInputError("expected a square matrix")
-    if delta_dense.shape[0] > DENSE_N_CAP:
-        raise InvalidInputError(
-            f"dense operations are capped at n = {DENSE_N_CAP}"
-        )
+    require_dense_n(delta_dense.shape[0])
     if not np.array_equal(delta_dense, delta_dense.T):
         raise InvalidInputError("matrix is not symmetric")
     w = np.linalg.eigvalsh(delta_dense)
@@ -506,8 +509,7 @@ def deltas_for_common_variance(cs: ClusterStructure, sigma_sq: float):
 def dense_sigma(model: BlockEquicorrModel) -> np.ndarray:
     """Materialize Sigma densely (oracle/validator path; capped at DENSE_N_CAP)."""
     cs = model.structure
-    if cs.n > DENSE_N_CAP:
-        raise InvalidInputError(f"dense operations are capped at n = {DENSE_N_CAP}")
+    require_dense_n(cs.n)
     sigma = np.eye(cs.n)
     for start, k, d in zip(cs.starts, cs.sizes, model.deltas):
         block = np.full((k, k), d)

@@ -35,12 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster_model import (
-    DENSE_N_CAP,
     BlockEquicorrModel,
     ClusterStructure,
     block_model,
     build_structure,
     class_stats,
+    require_dense_n,
 )
 from .errors import (
     DegenerateDataError,
@@ -128,8 +128,7 @@ class DenseGaussianPair:
         n = self.mu0.shape[0] if self.mu0.ndim == 1 else -1
         if n < 1:
             raise InvalidInputError("mu0 must be a nonempty vector")
-        if n > DENSE_N_CAP:
-            raise InvalidInputError(f"dense operations are capped at n = {DENSE_N_CAP}")
+        require_dense_n(n)
         if self.mu1.shape != (n,):
             raise InvalidInputError("mu0 and mu1 must have the same length")
         for name in ("sigma0", "sigma1"):

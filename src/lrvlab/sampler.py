@@ -113,7 +113,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.random import Generator, Philox  # numpy imports its random module lazily
 
-from .cluster_model import DENSE_N_CAP, BlockEquicorrModel, block_sums, class_reducer
+from .cluster_model import BlockEquicorrModel, block_sums, class_reducer, require_dense_n
 from .errors import FactorizationError, InvalidInputError, require_float, require_int
 
 _U64_MASK = (1 << 64) - 1
@@ -542,8 +542,7 @@ def sample_dense(mean, sigma, stream: RandomStream) -> np.ndarray:
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise InvalidInputError("sigma must be a square matrix")
     n = sigma.shape[0]
-    if n > DENSE_N_CAP:
-        raise InvalidInputError(f"dense operations are capped at n = {DENSE_N_CAP}")
+    require_dense_n(n)
     if mean.shape != (n,):
         raise InvalidInputError(f"mean must be a vector of length {n}")
     try:

@@ -142,3 +142,15 @@ def test_same_reports_needs_both_reports_byte_identical(tmp_path):
     (b / "report.csv").unlink()
     assert not bench.same_reports(a, b)
     assert not bench.same_reports(a, tmp_path / "missing")
+
+
+@pytest.mark.parametrize(
+    "environ, cached",
+    [({}, True), ({"PYTHONDONTWRITEBYTECODE": ""}, True), ({"PYTHONDONTWRITEBYTECODE": "1"}, False)],
+    ids=["unset", "empty", "set"],
+)
+def test_host_records_whether_runs_can_cache_bytecode(environ, cached):
+    # Python reads an empty PYTHONDONTWRITEBYTECODE as unset
+    info = _load().host(environ)
+    assert info["bytecode_cached"] is cached
+    assert set(info) == {"cores", "cpu_count", "machine", "python", "bytecode_cached"}

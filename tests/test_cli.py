@@ -94,39 +94,47 @@ class TestRun:
             )
         assert texts[0] == texts[1]
 
-    def test_seed_flag_beats_env_beats_config(self, tmp_path, monkeypatch):
+    def test_seed_flag_beats_config(self, tmp_path):
         cfg = write_config(tmp_path)
-
-        monkeypatch.setenv("LRVLAB_SEED", "42")
-        code, out, _ = invoke(
-            ["run", "--config", str(cfg), "--out", str(tmp_path / "env")]
-        )
-        assert code == 0 and "seed: 42" in out
 
         code, out, _ = invoke(
             ["run", "--config", str(cfg), "--out", str(tmp_path / "flag"), "--seed", "9"]
         )
         assert code == 0 and "seed: 9" in out
 
-        monkeypatch.delenv("LRVLAB_SEED")
         code, out, _ = invoke(
             ["run", "--config", str(cfg), "--out", str(tmp_path / "cfgseed")]
         )
         assert code == 0 and "seed: 7100" in out
 
-        env_json = json.loads((tmp_path / "env" / "report.json").read_text("utf-8"))
         flag_json = json.loads((tmp_path / "flag" / "report.json").read_text("utf-8"))
-        assert env_json["master_seed"] == 42
         assert flag_json["master_seed"] == 9
+        assert [c["seed"] for c in flag_json["cells"]] == [9]
 
-    def test_bad_env_seed_fails_cleanly(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("value", ["42", "many"])
+    def test_seed_is_not_read_from_the_environment(self, tmp_path, monkeypatch, value):
+        # the seed is the config's or the flag's: nothing outside them moves it
         cfg = write_config(tmp_path)
-        monkeypatch.setenv("LRVLAB_SEED", "many")
-        code, _, err = invoke(
-            ["run", "--config", str(cfg), "--out", str(tmp_path / "x")]
-        )
-        assert code == 1
-        assert "LRVLAB_SEED" in err and err.startswith("lrvlab:")
+        monkeypatch.setenv("LRVLAB_SEED", value)
+        code, out, err = invoke(["run", "--config", str(cfg), "--out", str(tmp_path / "env")])
+        assert code == 0 and err == "" and "seed: 7100" in out
+        obj = json.loads((tmp_path / "env" / "report.json").read_text("utf-8"))
+        assert obj["master_seed"] == 7100
+        assert [c["seed"] for c in obj["cells"]] == [7100]
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ([BASE_CONFIG], "config must be a JSON object"),
+            ({"master_seed": 1, "experiments": []}, "experiments must be a nonempty list"),
+        ],
+        ids=["array", "no-experiments"],
+    )
+    def test_config_of_the_wrong_shape_fails_cleanly(self, tmp_path, cfg, message):
+        cfg = write_config(tmp_path, cfg)
+        code, out, err = invoke(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert (code, out, err) == (1, "", f"lrvlab: {message}\n")
+        assert not (tmp_path / "x").exists()
 
     def test_missing_config_fails_cleanly(self, tmp_path):
         code, _, err = invoke(

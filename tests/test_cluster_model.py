@@ -14,20 +14,32 @@ from numpy.testing import assert_allclose, assert_array_equal, assert_equal
 from lrvlab import (
     BudgetExceededError,
     ClusterStructure,
+    DenseGaussianPair,
     InvalidInputError,
     ModelInvalidError,
     StructureMismatchError,
     block_model,
     build_structure,
     deltas_for_common_variance,
+    derive_stream,
     eigen_bounds,
     long_run_variance,
     max_cluster_share,
     permutation_average,
+    sample_dense,
     spectral_block,
 )
 from lrvlab import cluster_model, sampler
-from lrvlab.cluster_model import INDEX_MAX, class_reducer, class_stats, row_stats
+from lrvlab.cluster_model import (
+    DENSE_N_CAP,
+    INDEX_MAX,
+    class_reducer,
+    class_stats,
+    dense_sigma,
+    require_dense_n,
+    row_stats,
+)
+from lrvlab.errors import require_float
 from lrvlab.estimators import (
     sample_variance_rows,
     sample_variance_stat_rows,
@@ -140,6 +152,11 @@ def test_build_structure_takes_numpy_integers_as_ints():
     assert cs.sizes == (3, 1, 2)
     assert all(type(s) is int for s in cs.sizes)
     assert (cs.n, cs.n_star) == (6, 5)
+
+
+def test_require_float_takes_numpy_integers_as_floats():
+    value = require_float(np.int64(3), "x")
+    assert value == 3.0 and type(value) is float
 
 
 def test_build_structure_rejects_bad_sizes():
@@ -487,6 +504,33 @@ def test_permutation_average_rejects_structure_violations():
 
     with pytest.raises(InvalidInputError):
         permutation_average(np.zeros((3, 3)), cs)
+
+    with pytest.raises(InvalidInputError) as info:
+        permutation_average(np.zeros((4, 3)), cs)
+    assert str(info.value) == "delta_dense must be a square matrix"
+
+
+# Every dense operation refuses n above the cap with one message; the
+# broadcast matrix is a view, so nothing of size n x n is allocated.
+_ABOVE_CAP = DENSE_N_CAP + 1
+_SQUARE_ABOVE_CAP = np.broadcast_to(0.0, (_ABOVE_CAP, _ABOVE_CAP))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eigen_bounds(_SQUARE_ABOVE_CAP),
+        lambda: dense_sigma(block_model(build_structure([_ABOVE_CAP]), [0.0])),
+        lambda: sample_dense(np.zeros(_ABOVE_CAP), _SQUARE_ABOVE_CAP, derive_stream(0, 0)),
+        lambda: DenseGaussianPair(np.zeros(_ABOVE_CAP), np.zeros(_ABOVE_CAP), np.eye(1), np.eye(1)),
+    ],
+    ids=["eigen_bounds", "dense_sigma", "sample_dense", "DenseGaussianPair"],
+)
+def test_dense_operations_share_one_cap(call):
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    assert str(info.value) == "dense operations are capped at n = 2048"
+    require_dense_n(DENSE_N_CAP)  # the cap itself is allowed
 
 
 def test_eigen_bounds_on_a_rank_one_perturbation():

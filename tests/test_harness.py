@@ -603,6 +603,55 @@ class TestQuarantine:
         (cell,) = run_from(cfg).cells
         assert cell.error == f"InvalidInputError: {message}"
 
+    @pytest.mark.parametrize(
+        "kind, design, message",
+        [
+            ("estimator_consistency", {"structure": "pairs"}, 'structure must be {"pattern": ...}'),
+            (
+                "estimator_consistency",
+                {"structure": {"pattern": "equal", "clusters": 3}},
+                "equal pattern needs n divisible by clusters=3",
+            ),
+            ("estimator_consistency", {"structure": {"pattern": "explicit"}}, "explicit pattern needs a sizes list"),
+            (
+                "estimator_consistency",
+                {"structure": {"pattern": "explicit", "sizes": [3, 4]}},
+                "explicit sizes sum to 7 but the grid asks for n = 10",
+            ),
+            ("estimator_consistency", {"structure": {"pattern": "pairs"}, "deltas": 0.5}, 'deltas must be {"scheme": ...}'),
+            (
+                "estimator_consistency",
+                {"structure": {"pattern": "pairs"}, "deltas": {"scheme": "explicit", "values": [0.1, 0.2]}},
+                "explicit deltas need 5 values",
+            ),
+            ("graph_estimation", {"structure": {"pattern": "pairs"}}, "graph_estimation needs a design.graphs list"),
+        ],
+        ids=[
+            "structure-not-object",
+            "equal-indivisible",
+            "explicit-no-sizes",
+            "explicit-wrong-sum",
+            "deltas-not-object",
+            "explicit-deltas-count",
+            "graph-no-graphs",
+        ],
+    )
+    def test_unresolvable_designs_are_quarantined(self, kind, design, message):
+        cfg = pairs_config(replications=100, experiment=kind, n_grid=[10], design=design)
+        (cell,) = run_from(cfg).cells
+        assert cell.metrics == ()
+        assert cell.error == f"InvalidInputError: {message}"
+
+    def test_dbar_over_nstar_on_singletons_reads_as_independence(self):
+        # n* = 0 on all singletons: the scheme gives zero deltas, not 0/0
+        design = {"structure": {"pattern": "singletons"}, "deltas": {"scheme": "dbar-over-nstar", "value": 0.5}}
+        zero = dict(design, deltas={"scheme": "constant", "value": 0.0})
+        scaled, independent = (
+            run_from(pairs_config(replications=100, n_grid=[10], design=d)).cells[0] for d in (design, zero)
+        )
+        assert scaled.error is None and scaled.n_star == 0
+        assert scaled.metrics == independent.metrics
+
     def test_bad_mu_entry(self):
         cfg = pairs_config(replications=100)
         cfg["design"]["mu"] = [{"shift": 1.0}]

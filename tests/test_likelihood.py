@@ -33,7 +33,7 @@ from lrvlab import (
     lr_diagnostics,
 )
 from lrvlab.cluster_model import class_stats, dense_sigma
-from lrvlab.likelihood import chi2_cdf_1df, ks_distance, loglr_cluster_rows, loglr_stat_rows
+from lrvlab.likelihood import chi2_cdf_1df, ks_distance, loglr_cluster_rows, loglr_stat_rows, lr_metrics
 
 
 def dense_loglr_oracle(x, mu0, mu1, sigma0, sigma1):
@@ -173,6 +173,31 @@ def test_cluster_loglr_random_designs_against_dense():
             x, np.zeros(cs.n), np.full(cs.n, mu), np.eye(cs.n), sigma
         )
         assert abs(loglr_cluster(x, cs, deltas, mu) - want) < 1e-8
+
+
+def test_data_of_the_wrong_length_is_refused():
+    with pytest.raises(InvalidInputError) as info:
+        loglr_cluster(np.zeros(4), build_structure([2, 3]), [0.1, 0.2], 0.0)
+    assert str(info.value) == "expected a data vector of length 5"
+    pair = DenseGaussianPair(mu0=[0.0, 0.0], mu1=[0.0, 1.0], sigma0=np.eye(2), sigma1=np.eye(2))
+    with pytest.raises(InvalidInputError) as info:
+        loglr_dense(np.zeros(3), pair)
+    assert str(info.value) == "expected a data vector of length 2"
+
+
+# The cap is checked with the other dense operations (test_cluster_model).
+@pytest.mark.parametrize(
+    "mu0, sigma0, message",
+    [
+        (np.zeros(0), np.eye(1), "mu0 must be a nonempty vector"),
+        (np.zeros(2), np.eye(3), "sigma0 must be 2x2"),
+    ],
+    ids=["empty", "sigma-shape"],
+)
+def test_dense_pair_refusals(mu0, sigma0, message):
+    with pytest.raises(InvalidInputError) as info:
+        DenseGaussianPair(mu0=mu0, mu1=mu0, sigma0=sigma0, sigma1=sigma0)
+    assert str(info.value) == message
 
 
 class TestLoglrDense:
@@ -448,6 +473,17 @@ class TestLrDiagnostics:
         model = block_model(build_structure([2] * 1000), [0.9] * 1000)
         with pytest.raises(DegenerateDataError, match="underflows to 0"):
             lr_diagnostics(model, 0.1, 1000, seed=97)
+
+    def test_overflowing_weights_raise(self):
+        # one exp(W) is inf: the mean would print as inf, not a moment
+        model = block_model(build_structure([4]), [0.1])
+        w = np.zeros(1000)
+        w[7] = 800.0
+        with pytest.raises(DegenerateDataError) as info:
+            lr_metrics(model, 0.1, w)
+        assert str(info.value) == (
+            "likelihood ratios are degenerate: exp(W) is not finite in some replication (W in [0, 800])"
+        )
 
     def test_chunk_size_does_not_move_diagnostics(self, monkeypatch):
         from lrvlab import sampler
