@@ -24,7 +24,9 @@ all finite Python floats are checked at once, anything else one element at a
 time.
 
 Everything on the production path is closed-form and O(n); dense matrices
-appear only in oracles and validators and are capped at DENSE_N_CAP.
+appear only in oracles and validators and are capped at DENSE_N_CAP.  They
+are read through one reader, require_symmetric, and factored through one
+Cholesky, cholesky_factor.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
+    FactorizationError,
     InvalidInputError,
     ModelInvalidError,
     StructureMismatchError,
@@ -436,31 +439,23 @@ def permutation_average(delta_dense: np.ndarray, cs: ClusterStructure):
     delta_m = 1' Delta_m 1 / (n_m (n_m - 1)) (0 for singletons), the unique
     equicorrelated block with the same total mass 1' Delta_m 1.
     """
-    delta_dense = np.asarray(delta_dense, dtype=np.float64)
-    if delta_dense.ndim != 2 or delta_dense.shape[0] != delta_dense.shape[1]:
-        raise InvalidInputError("delta_dense must be a square matrix")
+    delta_dense = require_symmetric(delta_dense, "delta_dense")
     if delta_dense.shape[0] != cs.n:
         raise InvalidInputError(
             f"matrix is {delta_dense.shape[0]}x{delta_dense.shape[0]}, structure has n={cs.n}"
         )
-    if not np.array_equal(delta_dense, delta_dense.T):
-        raise InvalidInputError("delta_dense must be symmetric")
     if np.any(np.diagonal(delta_dense) != 0.0):
         raise InvalidInputError("delta_dense must have a zero diagonal")
-    mask = np.zeros_like(delta_dense, dtype=bool)
-    for start, k in zip(cs.starts, cs.sizes):
-        mask[start : start + k, start : start + k] = True
-    if np.any(delta_dense[~mask] != 0.0):
-        raise StructureMismatchError(
-            "delta_dense has nonzero entries outside the declared blocks"
-        )
+    # each block of the copy is zeroed once averaged, so what is left is
+    # the mass outside the blocks
+    rest = delta_dense.copy()
     deltas = []
     for start, k in zip(cs.starts, cs.sizes):
-        if k < 2:
-            deltas.append(0.0)
-            continue
-        block = delta_dense[start : start + k, start : start + k]
-        deltas.append(float(block.sum() / (k * (k - 1))))
+        block = rest[start : start + k, start : start + k]
+        deltas.append(float(block.sum() / (k * (k - 1))) if k > 1 else 0.0)
+        block[...] = 0.0
+    if np.any(rest != 0.0):
+        raise StructureMismatchError("delta_dense has nonzero entries outside the declared blocks")
     return deltas
 
 
@@ -470,17 +465,33 @@ def require_dense_n(n: int) -> None:
         raise InvalidInputError(f"dense operations are capped at n = {DENSE_N_CAP}")
 
 
+def require_symmetric(matrix, name: str) -> np.ndarray:
+    """matrix as a float64 array, or InvalidInputError naming it when it is
+    not a square matrix equal to its transpose."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise InvalidInputError(f"{name} must be a square matrix")
+    if not np.array_equal(matrix, matrix.T):
+        raise InvalidInputError(f"{name} must be symmetric")
+    return matrix
+
+
+def cholesky_factor(sigma: np.ndarray, name: str) -> np.ndarray:
+    """The lower Cholesky factor of sigma, or FactorizationError naming it
+    when sigma is not positive definite."""
+    try:
+        return np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"{name} is not positive definite: {exc}") from exc
+
+
 def eigen_bounds(delta_dense: np.ndarray) -> tuple[float, float]:
     """(lambda_min, lambda_max) of a dense symmetric matrix, for budget checks.
 
     Oracle-path only; refuses n > DENSE_N_CAP.
     """
-    delta_dense = np.asarray(delta_dense, dtype=np.float64)
-    if delta_dense.ndim != 2 or delta_dense.shape[0] != delta_dense.shape[1]:
-        raise InvalidInputError("expected a square matrix")
+    delta_dense = require_symmetric(delta_dense, "delta_dense")
     require_dense_n(delta_dense.shape[0])
-    if not np.array_equal(delta_dense, delta_dense.T):
-        raise InvalidInputError("matrix is not symmetric")
     w = np.linalg.eigvalsh(delta_dense)
     return float(w[0]), float(w[-1])
 

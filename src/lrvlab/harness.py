@@ -41,9 +41,10 @@ order, so one large cell spreads over the workers instead of holding up the
 sweep.  A cell's metrics are computed from its filled arrays when the
 outcome of its last chunk is in (a test cell counts its rejections there),
 so the report does not depend on the thread count.  A cell whose plan
-raises gets no tasks; a task that raises quarantines its cell with the
-error of the cell's first failing chunk, which is the same at any thread
-count.  With threads = 1 each cell is planned, run and finished before the
+raises, or whose arrays cannot be allocated (a MemoryError, as for a
+replication count far beyond memory), is quarantined and gets no tasks; a
+task that raises quarantines its cell with the error of the cell's first
+failing chunk, which is the same at any thread count.  With threads = 1 each cell is planned, run and finished before the
 next cell is planned.
 
 Each estimator and test is one kernel over the drawn class statistics,
@@ -103,7 +104,7 @@ import hashlib
 import io
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -437,15 +438,16 @@ def _kernel_names(names, kernels: dict, what: str):
 class _Plan:
     """A cell's work.
 
-    chunks are the cell's replication ranges (lo, hi).  rows(lo, hi)
-    evaluates one chunk into one array of per-replication values per key of
-    keys, in that order; the cell writes each by its replication index into
-    an array of length reps per key.  finish(acc) turns those filled arrays,
+    chunks yields the cell's replication ranges (lo, hi), once and lazily,
+    so planning a cell builds no list of them.  rows(lo, hi) evaluates one
+    chunk into one array of per-replication values per key of keys, in that
+    order; the cell writes each by its replication index into an array of
+    length reps per key.  finish(acc) turns those filled arrays,
     a dict keyed like keys, into the cell's metrics.  Disjoint chunks may be
     evaluated concurrently.
     """
 
-    chunks: list
+    chunks: Iterator
     keys: list
     rows: Callable
     finish: Callable
@@ -473,7 +475,7 @@ def _plan_estimator_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: in
     def finish(acc):
         return [m for name in names for m in _moment_metrics(name, acc[name], sigma_sq)]
 
-    return _Plan(list(_class_chunks(model, entry.replications)), names, rows, finish)
+    return _Plan(_class_chunks(model, entry.replications), names, rows, finish)
 
 
 def _plan_contiguity_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) -> _Plan:
@@ -496,7 +498,7 @@ def _plan_contiguity_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: i
             metrics.append(Metric("ks", diag["ks"], 0.5 / math.sqrt(reps)))
         return metrics
 
-    return _Plan(list(_class_chunks(model, reps)), ["w"], rows, finish)
+    return _Plan(_class_chunks(model, reps), ["w"], rows, finish)
 
 
 def _plan_test_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) -> _Plan:
@@ -532,7 +534,7 @@ def _plan_test_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) ->
             for (name, label), k in counts
         ]
 
-    return _Plan(list(_class_chunks(model, reps)), keys, rows, finish)
+    return _Plan(_class_chunks(model, reps), keys, rows, finish)
 
 
 def _plan_graph_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) -> _Plan:
@@ -564,7 +566,7 @@ def _plan_graph_cell(entry: ExperimentConfig, cs: ClusterStructure, seed: int) -
             m for gid, _ in graphs for m in _moment_metrics(f"graph[{gid}]", acc[gid], sigma_sq)
         ]
 
-    return _Plan(list(_chunks(entry.replications, cs.n)), [gid for gid, _ in graphs], rows, finish)
+    return _Plan(_chunks(entry.replications, cs.n), [gid for gid, _ in graphs], rows, finish)
 
 
 _PLANNERS = {
@@ -594,7 +596,8 @@ class _Cell:
     """One (design, n) cell of a sweep: its plan and one array of length reps
     per key of the plan, which its tasks, one per chunk of the plan, fill.
 
-    A cell whose plan raises is quarantined and has no tasks.  finish() is
+    A cell whose plan raises or whose arrays cannot be allocated is
+    quarantined and has no tasks.  finish() is
     called once the outcome of its last chunk is in: it quarantines the cell
     with the error of its first failing chunk if one failed (outcomes come
     back in task order, so it is the lowest-numbered), else gives it the
@@ -613,10 +616,9 @@ class _Cell:
             # a key names its metrics: a repeated one is refused before the draw
             if len(set(self.plan.keys)) != len(self.plan.keys):
                 raise InvalidInputError(f"metric names repeat: {self.plan.keys}")
+            self.acc = {key: np.empty(entry.replications) for key in self.plan.keys}
         except Exception as exc:  # quarantine the cell, keep the sweep going
             self.cs, self.plan, self.error = None, None, _describe(exc)
-            return
-        self.acc = {key: np.empty(entry.replications) for key in self.plan.keys}
 
     def finish(self) -> None:
         if self.error is None:

@@ -39,12 +39,13 @@ from .cluster_model import (
     ClusterStructure,
     block_model,
     build_structure,
+    cholesky_factor,
     class_stats,
     require_dense_n,
+    require_symmetric,
 )
 from .errors import (
     DegenerateDataError,
-    FactorizationError,
     InvalidInputError,
     require_float,
     require_int,
@@ -132,11 +133,8 @@ class DenseGaussianPair:
         if self.mu1.shape != (n,):
             raise InvalidInputError("mu0 and mu1 must have the same length")
         for name in ("sigma0", "sigma1"):
-            s = getattr(self, name)
-            if s.shape != (n, n):
+            if require_symmetric(getattr(self, name), name).shape[0] != n:
                 raise InvalidInputError(f"{name} must be {n}x{n}")
-            if not np.array_equal(s, s.T):
-                raise InvalidInputError(f"{name} must be symmetric")
 
     @property
     def n(self) -> int:
@@ -145,10 +143,7 @@ class DenseGaussianPair:
 
 def _chol_quad(sigma: np.ndarray, resid: np.ndarray, name: str):
     """(log det sigma, resid' sigma^{-1} resid) via one Cholesky factor."""
-    try:
-        lower = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"{name} is not positive definite: {exc}") from exc
+    lower = cholesky_factor(sigma, name)
     half = np.linalg.solve(lower, resid)
     return 2.0 * float(np.sum(np.log(np.diagonal(lower)))), float(half @ half)
 
@@ -158,8 +153,8 @@ def loglr_dense(x, pair: DenseGaussianPair) -> float:
 
     Always evaluates the direct log-density difference; additionally evaluates
     the series-free spectral formula whenever its eigenvalue condition
-    max|lambda_i| < 1 holds, and asserts the two routes agree.  Returns the
-    direct value.
+    max|lambda_i| < 1 holds, and raises ArithmeticError when the two routes
+    disagree.  Returns the direct value.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (pair.n,):
@@ -170,11 +165,9 @@ def loglr_dense(x, pair: DenseGaussianPair) -> float:
     direct = -0.5 * (logdet1 - logdet0) - 0.5 * (quad1 - quad0)
 
     formula = _loglr_spectral(x, pair)
-    if formula is not None:
-        tol = _DENSE_AGREEMENT * max(1.0, abs(direct))
-        assert abs(direct - formula) <= tol, (
-            f"dense log-LR routes disagree: direct {direct!r} vs spectral {formula!r}"
-        )
+    # not (<=), so that a NaN on either route counts as a disagreement
+    if formula is not None and not abs(direct - formula) <= _DENSE_AGREEMENT * max(1.0, abs(direct)):
+        raise ArithmeticError(f"dense log-LR routes disagree: direct {direct!r} vs spectral {formula!r}")
     return direct
 
 

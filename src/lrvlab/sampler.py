@@ -113,8 +113,9 @@ from fractions import Fraction
 import numpy as np
 from numpy.random import Generator, Philox  # numpy imports its random module lazily
 
-from .cluster_model import BlockEquicorrModel, block_sums, class_reducer, require_dense_n
-from .errors import FactorizationError, InvalidInputError, require_float, require_int
+from .cluster_model import BlockEquicorrModel, block_sums, cholesky_factor, class_reducer
+from .cluster_model import require_dense_n, require_symmetric
+from .errors import InvalidInputError, require_float, require_int
 
 _U64_MASK = (1 << 64) - 1
 
@@ -534,19 +535,15 @@ def _class_chunks(model: BlockEquicorrModel, reps: int):
 def sample_dense(mean, sigma, stream: RandomStream) -> np.ndarray:
     """Exact Gaussian draw via a dense Cholesky factor (oracle path).
 
-    mean is a length-n vector, sigma an SPD matrix with n <= DENSE_N_CAP.
-    Raises FactorizationError when sigma is not SPD.
+    mean is a length-n vector, sigma a symmetric positive definite matrix
+    with n <= DENSE_N_CAP.  Raises InvalidInputError when sigma is not
+    symmetric (the factor reads only its lower triangle) and
+    FactorizationError when it is not positive definite.
     """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise InvalidInputError("sigma must be a square matrix")
+    sigma = require_symmetric(sigma, "sigma")
     n = sigma.shape[0]
     require_dense_n(n)
+    mean = np.asarray(mean, dtype=np.float64)
     if mean.shape != (n,):
         raise InvalidInputError(f"mean must be a vector of length {n}")
-    try:
-        lower = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"sigma is not positive definite: {exc}") from exc
-    return mean + lower @ stream.normals(n)
+    return mean + cholesky_factor(sigma, "sigma") @ stream.normals(n)

@@ -323,6 +323,15 @@ class TestStats:
         assert (code, out) == (1, "")
         assert err.startswith("lrvlab: graph n must be at most ") and err.count("\n") == 1
 
+    def test_node_count_beyond_memory_exits_one(self, tmp_path):
+        # 10^17 degrees (711 PiB) exceed any 64-bit address space, so numpy
+        # refuses the array at once and nothing is allocated
+        path = tmp_path / "graph.json"
+        path.write_text(f'{{"n": {10**17}, "edges": []}}', encoding="utf-8")
+        code, out, err = invoke(["stats", "--graph", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("lrvlab: ") and err.count("\n") == 1
+
     def test_missing_graph_file_exits_one(self, tmp_path):
         code, _, err = invoke(["stats", "--graph", str(tmp_path / "none.json")])
         assert code == 1 and err.startswith("lrvlab:")

@@ -553,11 +553,13 @@ def test_eigen_bounds_against_characteristic_polynomial():
 
 
 def test_eigen_bounds_input_validation():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError) as info:
         eigen_bounds(np.ones((2, 3)))
+    assert str(info.value) == "delta_dense must be a square matrix"
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError) as info:
         eigen_bounds(skew)
+    assert str(info.value) == "delta_dense must be symmetric"
     with pytest.raises(InvalidInputError):
         eigen_bounds(np.zeros((4096, 4096)))
 

@@ -332,7 +332,7 @@ class TestCellEvaluation:
             }
         )
         cell = harness._Cell(entry, 100, seed)
-        chunk = cell.plan.chunks[0]
+        chunk = next(cell.plan.chunks)
         assert harness._run_task((cell, chunk)) == (cell, chunk[1], None)
         (ref,) = drawn
         assert ref() is None
@@ -430,6 +430,31 @@ class TestQuarantine:
         cfg["design"]["deltas"] = {"scheme": "common-variance", "value": 3.5}
         (cell,) = run_from(cfg, threads=1).cells
         assert cell.error is not None and "ModelInvalidError" in cell.error
+
+    def test_cell_beyond_memory_is_quarantined(self):
+        """10^17 replications ask for a 711 PiB array, beyond any 64-bit
+        address space, so numpy refuses it at once and nothing is allocated;
+        planning lists none of the cell's ~10^13 chunks either.  The cell is
+        quarantined and the next cell runs as it would after a small one."""
+
+        def sweep(reps):
+            entry = {
+                "experiment": "contiguity",
+                "design": {
+                    "structure": {"pattern": "single"},
+                    "deltas": {"scheme": "delta-over-n", "value": 0.4},
+                },
+                "n_grid": [40],
+                "replications": reps,
+            }
+            return {"master_seed": 6011, "experiments": [entry, dict(entry, replications=1000)]}
+
+        want = run_from(sweep(1000)).cells[1]
+        for threads in (1, 2):
+            big, after = run_from(sweep(10**17), threads=threads).cells
+            assert big.error.startswith("MemoryError: Unable to allocate ")
+            assert "\n" not in big.error and big.metrics == ()
+            assert after == want
 
     def test_degenerate_likelihood_ratios_are_quarantined(self):
         cfg = {

@@ -8,6 +8,10 @@ by quadrature (for the limit law) and by seeded simulation.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ import scipy.linalg
 import scipy.stats
 from numpy.testing import assert_allclose
 
+import lrvlab
 from lrvlab import (
     DegenerateDataError,
     DenseGaussianPair,
@@ -270,6 +275,36 @@ class TestLoglrDense:
             np.ones(3), np.zeros(3), np.zeros(3), np.eye(3), 3.0 * np.eye(3)
         )
         assert_allclose(loglr_dense(np.ones(3), pair), want, rtol=1e-12)
+
+    def test_spectral_route_skipped_for_a_sigma0_that_is_not_positive_definite(self):
+        from lrvlab.likelihood import _loglr_spectral
+
+        pair = DenseGaussianPair(
+            mu0=np.zeros(2), mu1=np.zeros(2), sigma0=np.diag([1.0, -1.0]), sigma1=np.eye(2)
+        )
+        assert _loglr_spectral(np.ones(2), pair) is None
+
+    def test_disagreeing_routes_raise_under_python_O(self):
+        """The cross-check raises rather than asserts, so python -O keeps it."""
+        script = (
+            "import numpy as np\n"
+            "from lrvlab import likelihood\n"
+            "print(__debug__)\n"
+            "likelihood._loglr_spectral = lambda x, pair: 1.0\n"
+            "pair = likelihood.DenseGaussianPair(np.zeros(2), np.ones(2), np.eye(2), np.eye(2))\n"
+            "try:\n"
+            "    likelihood.loglr_dense(np.zeros(2), pair)\n"
+            "except ArithmeticError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(lrvlab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\ndense log-LR routes disagree: direct -1.0 vs spectral 1.0\n"
 
     def test_rejects_non_spd_and_bad_shapes(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])

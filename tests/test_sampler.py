@@ -475,11 +475,19 @@ class TestSampleDense:
         with pytest.raises(FactorizationError):
             sample_dense(np.zeros(2), sigma, derive_stream(0, 0))
 
+    def test_rejects_an_asymmetric_sigma(self):
+        # the Cholesky factor reads only the lower triangle, so unchecked this
+        # sigma would draw exactly as [[1, 0.5], [0.5, 1]]
+        with pytest.raises(InvalidInputError) as info:
+            sample_dense(np.zeros(2), [[1.0, 5.0], [0.5, 1.0]], derive_stream(0, 0))
+        assert str(info.value) == "sigma must be symmetric"
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(InvalidInputError):
             sample_dense(np.zeros(3), np.eye(2), derive_stream(0, 0))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as info:
             sample_dense(np.zeros(2), np.ones((2, 3)), derive_stream(0, 0))
+        assert str(info.value) == "sigma must be a square matrix"
         with pytest.raises(InvalidInputError):
             sample_dense(np.zeros(4096), np.eye(4096), derive_stream(0, 0))
 
